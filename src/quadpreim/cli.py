@@ -302,7 +302,10 @@ def cmd_search(args, config) -> int:
                 "resume": args.resume,
             })
         with multiprocessing.Pool(processes=args.jobs) as pool:
-            shards = pool.map(_search_worker, payloads)
+            try:
+                shards = pool.map(_search_worker, payloads)
+            except ValueError as exc:
+                raise UsageError(str(exc))
         merged: dict[tuple, dict] = {}
         for records in shards:
             for payload in records:

@@ -11,10 +11,18 @@ are deterministic, shardable by candidate index, and checkpointable.
 When the target demands four rational second pre-images, a candidate can
 only succeed if u^2 = -s^2 - 2c has a rational root, i.e. if the integer
 N = 4 e^2 (x^2 + y^2) - (x^2 - y^2)^2 is a perfect square, where
-p1 = n1/d1, p2 = n2/d2, x = n1 d2, y = n2 d1, e = d1 d2.  The fast path
-rejects non-squares N by exact residue tables modulo two highly composite
-numbers, vectorized over blocks; survivors are re-checked with exact integer
-arithmetic, so the fast path and the plain loop emit identical records.
+p1 = n1/d1, p2 = n2/d2, x = n1 d2, y = n2 d1, e = d1 d2.  With X = p1^2,
+Y = p2^2, A = X - Y and 2u = sqrt(N)/e^2, exactly
+
+    (A + 2)^2 + (2u)^2 = 4 + 8X,        (A - 2)^2 + (2u)^2 = 4 + 8Y,
+
+so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
+of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
+it to an even power) a sum of two integer squares.  The fast path drops
+every fraction failing that test before any pair is formed, rejects
+non-square N by exact residue tables modulo two highly composite numbers,
+vectorized over tiles, and re-checks the survivors with exact integer
+arithmetic; it emits exactly the pairs whose N is a perfect square.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import PreimageTree, iterate, preimage_tree
-from .exactmath import format_rat, height, parse_rat, rat_sqrt
+from .exactmath import format_rat, height, parse_rat
 
 
 class CheckpointError(RuntimeError):
@@ -90,8 +98,9 @@ class Provenance:
 
 @dataclass
 class SearchRecord:
-    """A verified hit: the pair, its signature, the witness tree, and every
-    candidate that produced it (provenances merge on deduplication)."""
+    """A verified hit: the pair, its signature, the witness tree, and the
+    candidate that first reached it (later candidates reaching the same
+    (c, a) are dropped as duplicates, so a yielded record never changes)."""
 
     c: Fraction
     a: Fraction
@@ -184,7 +193,6 @@ class _ScanState:
         self.config = config
         self.digest = config.digest(strategy)
         self.next_block = 0
-        self.records: dict[tuple, SearchRecord] = {}
         self.seen: set[tuple] = set()
         if resume:
             if not config.checkpoint_path:
@@ -197,16 +205,12 @@ class _ScanState:
     def register(self, c: Fraction, a: Fraction,
                  prov: Provenance) -> Optional[SearchRecord]:
         key = (c, a)
-        if key in self.records:
-            self.records[key].provenance.append(prov)
-            return None
         if key in self.seen:
-            return None                 # emitted before the resume point
+            return None                 # emitted earlier, or before resuming
         rec = verify_pair(c, a, self.config.target, self.config.depth)
         if rec is None:
             return None
         rec.provenance.append(prov)
-        self.records[key] = rec
         self.seen.add(key)
         return rec
 
@@ -234,11 +238,15 @@ _square_tables: dict[int, np.ndarray] = {}
 
 
 def _square_table(m: int) -> np.ndarray:
+    """table[x] is True exactly when x is a square modulo m."""
     table = _square_tables.get(m)
     if table is None:
-        r = np.arange(m, dtype=np.int64)
         table = np.zeros(m, dtype=bool)
-        table[np.unique(r * r % m)] = True
+        # r and m - r square alike; chunks keep the int64 temporaries small
+        end = m // 2 + 1
+        for r0 in range(0, end, 1 << 18):
+            r = np.arange(r0, min(r0 + (1 << 18), end), dtype=np.int64)
+            table[r * r % m] = True
         _square_tables[m] = table
     return table
 
@@ -263,6 +271,9 @@ def _emit_thirdpair(state: _ScanState, frs, i: int, j: int,
     return state.register(c, a, prov)
 
 
+_INT64_HEIGHT_BOUND = 50000
+
+
 def scan_thirdpair(config: SearchConfig, resume: bool = False) -> Iterator[SearchRecord]:
     """Stream every (c, a) within reach of the third-pair strategy whose tree
     dominates the target, deduplicated by (c, a), in candidate order.
@@ -273,19 +284,19 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False) -> Iterator[Searc
     """
     if len(config.target) < 3:
         raise ValueError("the third-pair strategy needs a depth-3 target")
-    state = _ScanState("thirdpair", config, resume)
-    frs = fractions_by_height(config.height_bound)
-    shard_index, shard_total = config.shard
-
     # the integer square filter is sound only when the target forces a
     # rational second-level sibling (four second pre-images)
-    use_filter = len(config.target) >= 2 and config.target[1] >= 4
-    fast = use_filter and len(frs) >= 512 and config.height_bound <= 50000
-
-    if fast:
+    filtered = config.target[1] >= 4
+    if filtered and config.height_bound > _INT64_HEIGHT_BOUND:
+        raise ValueError("filtered third-pair scans are int64-safe only up "
+                         "to height bound %d" % _INT64_HEIGHT_BOUND)
+    state = _ScanState("thirdpair", config, resume)
+    frs = fractions_by_height(config.height_bound)
+    if filtered:
         yield from _scan_thirdpair_fast(state, frs, config)
         return
 
+    shard_index, shard_total = config.shard
     total_blocks = len(frs)
     for i in range(state.next_block, total_blocks):
         base = i * (i + 1) // 2
@@ -293,16 +304,24 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False) -> Iterator[Searc
         p1 = frs[i]
         for j in range(j_start, i + 1, shard_total):
             c, a = _thirdpair_values(p1, frs[j])
-            if use_filter:
-                s = (p1 * p1 - frs[j] * frs[j]) / 2
-                if rat_sqrt(-s * s - 2 * c) is None:
-                    continue
             rec = _emit_thirdpair(state, frs, i, j, c, a)
             if rec is not None:
                 yield rec
         if (i + 1) % config.checkpoint_blocks == 0:
             state.checkpoint(i + 1)
     state.checkpoint(total_blocks)
+
+
+def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """For each fraction n/d, whether d^2 + 2 n^2 is a sum of two integer
+    squares, read from a table of every a^2 + b^2 up to the largest value."""
+    values = dens * dens + 2 * nums * nums
+    root = isqrt(int(values.max()))
+    squares = np.arange(root + 1, dtype=np.int64) ** 2
+    sums = np.zeros(2 * (root + 1) ** 2, dtype=bool)   # > values.max()
+    for sq in squares:
+        sums[sq + squares] = True
+    return sums[values]
 
 
 _ROW_TILE = 64
@@ -313,90 +332,92 @@ def _scan_thirdpair_fast(state: _ScanState, frs,
                          config: SearchConfig) -> Iterator[SearchRecord]:
     """Tiled integer filter over the candidate triangle.
 
+    Only fractions p = n/d with d^2 + 2 n^2 a sum of two integer squares
+    can appear in a pair with N a perfect square: (A + 2)^2 + (2u)^2 =
+    4 + 8 p1^2 and (A - 2)^2 + (2u)^2 = 4 + 8 p2^2 (module docstring), and by
+    Fermat-Euler an integer that is a sum of two rational squares is a sum
+    of two integer squares.  Rows and columns run over those fractions only,
+    under their original indices, so candidate numbering, shards, provenance
+    and the checkpoint's next_block keep their meaning.  A row tile is split
+    by the residue class its rows need from the columns for this shard, and
+    each class is matched only against its own columns.
+
     With p1 = n1/d1, p2 = n2/d2, the filter integer expands to
     N = D4_2 (4 ND2_1 - N4_1) - N4_2 D4_1 + ND2_2 (4 D4_1 + 2 ND2_1)
     where N4 = n^4, D4 = d^4, ND2 = n^2 d^2.  Reducing those three arrays
     modulo the composite filter moduli once lets each tile compute N's
     residue with three multiplies and a single division per pair (int64-safe
     for height bounds up to 50000).  Residues that are squares modulo both
-    moduli are re-checked with exact integer arithmetic, so this path emits
-    exactly what the plain loop would.
+    moduli are re-checked with exact integer arithmetic.
     """
     shard_index, shard_total = config.shard
-    total = len(frs)
     nums = np.array([f.numerator for f in frs], dtype=np.int64)
     dens = np.array([f.denominator for f in frs], dtype=np.int64)
     table1 = _square_table(_MOD1)
     table2 = _square_table(_MOD2)
+    live = np.flatnonzero(_two_square_mask(nums, dens))
 
-    mod_arrays = {}
+    # per modulus, the column terms (D4, N4, ND2) and the row factors that
+    # multiply them: N = D4_j P_i + N4_j Q_i + ND2_j S_i  (mod m)
+    terms = {}
     for m in (_MOD1, _MOD2):
         n2m = nums * nums % m
         d2m = dens * dens % m
-        mod_arrays[m] = {
-            "N4": n2m * n2m % m,
-            "D4": d2m * d2m % m,
-            "ND2": n2m * d2m % m,
-        }
+        n4, d4, nd2 = n2m * n2m % m, d2m * d2m % m, n2m * d2m % m
+        terms[m] = ((d4, n4, nd2),
+                    ((4 * nd2 - n4) % m, -d4 % m, (4 * d4 + 2 * nd2) % m))
+    (d4b, n4b, nd2b), (pb, qb, sb) = terms[_MOD2]
+    # the live columns j = w mod shard_total, with their MOD1 column terms
+    classes = []
+    for w in range(shard_total):
+        idx = live[live % shard_total == w]
+        classes.append((idx, [col[idx] for col in terms[_MOD1][0]]))
 
-    checkpoint_every = max(1, config.checkpoint_blocks // _ROW_TILE)
-    chunks_done = 0
-    for i0 in range(state.next_block, total, _ROW_TILE):
-        i1 = min(i0 + _ROW_TILE, total)
-        rows = np.arange(i0, i1, dtype=np.int64)
-        arr1 = mod_arrays[_MOD1]
-        p_row = (4 * arr1["ND2"][i0:i1] - arr1["N4"][i0:i1]) % _MOD1
-        q_row = (-arr1["D4"][i0:i1]) % _MOD1
-        s_row = (4 * arr1["D4"][i0:i1] + 2 * arr1["ND2"][i0:i1]) % _MOD1
-        p_row = p_row[:, None]
-        q_row = q_row[:, None]
-        s_row = s_row[:, None]
-        if shard_total > 1:
-            bases = (rows * (rows + 1) // 2) % shard_total
-            want = ((shard_index - bases) % shard_total)[:, None]
+    start = int(np.searchsorted(live, state.next_block))
+    last_checkpoint = state.next_block
+    for k0 in range(start, len(live), _ROW_TILE):
+        tile = live[k0:k0 + _ROW_TILE]
+        # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
+        want = (shard_index - tile * (tile + 1) // 2) % shard_total
         survivors: list[tuple[int, int]] = []
-        for j0 in range(0, i1, _COL_TILE):
-            j1 = min(j0 + _COL_TILE, i1)
-            cols = np.arange(j0, j1, dtype=np.int64)
-            nm = (arr1["D4"][None, j0:j1] * p_row
-                  + arr1["N4"][None, j0:j1] * q_row
-                  + arr1["ND2"][None, j0:j1] * s_row) % _MOD1
-            alive = table1[nm]
-            alive &= cols[None, :] <= rows[:, None]
-            if shard_total > 1:
-                alive &= (cols[None, :] % shard_total) == want
-            if not alive.any():
-                continue
-            rr, cc = np.nonzero(alive)
-            arr2 = mod_arrays[_MOD2]
-            gi = rr + i0
-            gj = cc + j0
-            nm2 = (arr2["D4"][gj] * ((4 * arr2["ND2"][gi] - arr2["N4"][gi]) % _MOD2)
-                   + arr2["N4"][gj] * ((-arr2["D4"][gi]) % _MOD2)
-                   + arr2["ND2"][gj] * ((4 * arr2["D4"][gi] + 2 * arr2["ND2"][gi]) % _MOD2)) % _MOD2
-            keep = table2[nm2]
-            for i_idx, j_idx in zip(gi[keep].tolist(), gj[keep].tolist()):
-                n1, d1 = int(nums[i_idx]), int(dens[i_idx])
-                n2, d2 = int(nums[j_idx]), int(dens[j_idx])
-                x2 = n1 * n1 * d2 * d2
-                y2 = n2 * n2 * d1 * d1
-                e2 = d1 * d1 * d2 * d2
-                big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
-                if big < 0:
-                    continue
-                root = isqrt(big)
-                if root * root == big:
-                    survivors.append((i_idx, j_idx))
+        for w in np.unique(want).tolist():
+            rows = tile[want == w]
+            idx, (d4, n4, nd2) = classes[w]
+            p, q, s = (row[rows][:, None] for row in terms[_MOD1][1])
+            width = int(np.searchsorted(idx, rows[-1], side="right"))
+            for j0 in range(0, width, _COL_TILE):
+                j1 = min(j0 + _COL_TILE, width)
+                cols = idx[j0:j1]
+                nm = (d4[j0:j1] * p + n4[j0:j1] * q + nd2[j0:j1] * s) % _MOD1
+                alive = table1[nm]
+                alive &= cols[None, :] <= rows[:, None]
+                rr, cc = np.nonzero(alive)
+                gi, gj = rows[rr], cols[cc]
+                keep = table2[(d4b[gj] * pb[gi] + n4b[gj] * qb[gi]
+                               + nd2b[gj] * sb[gi]) % _MOD2]
+                for i_idx, j_idx in zip(gi[keep].tolist(), gj[keep].tolist()):
+                    n1, d1 = int(nums[i_idx]), int(dens[i_idx])
+                    n2, d2 = int(nums[j_idx]), int(dens[j_idx])
+                    x2 = n1 * n1 * d2 * d2
+                    y2 = n2 * n2 * d1 * d1
+                    e2 = d1 * d1 * d2 * d2
+                    big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+                    if big < 0:
+                        continue
+                    root = isqrt(big)
+                    if root * root == big:
+                        survivors.append((i_idx, j_idx))
         survivors.sort()
         for i, j in survivors:
             c, a = _thirdpair_values(frs[i], frs[j])
             rec = _emit_thirdpair(state, frs, i, j, c, a)
             if rec is not None:
                 yield rec
-        chunks_done += 1
-        if chunks_done % checkpoint_every == 0:
-            state.checkpoint(i1)
-    state.checkpoint(total)
+        next_block = int(tile[-1]) + 1
+        if next_block - last_checkpoint >= config.checkpoint_blocks:
+            state.checkpoint(next_block)
+            last_checkpoint = next_block
+    state.checkpoint(len(frs))
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,8 @@ _SECTIONS: dict[str, Callable[[], Iterable[CheckResult]]] = {
     "6.2-scan": _checks_62_scan,
 }
 
-# the rediscovery scan takes minutes; it runs only when asked for by name
+# the rediscovery scan takes seconds, far longer than the rest together;
+# it runs only when asked for by name
 DEFAULT_SECTIONS = tuple(s for s in _SECTIONS if s != "6.2-scan")
 
 

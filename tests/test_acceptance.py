@@ -1,7 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, every comparison
 exact, with a pass line printed per criterion.  Criterion 1 includes the
 full third-pair rediscovery scan and criterion 11 the brute-force oracle
-comparison, so this module runs for a few minutes.
+comparison, so this module runs for about a minute.
 """
 
 import random

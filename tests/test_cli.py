@@ -144,6 +144,12 @@ def test_search_bad_height_bound(capsys):
     code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
                            "--depth", "3", "--target", "2,4,6")
     assert code == 2
+    # beyond the int64-safe bound the filtered scan refuses to start
+    for jobs in ("1", "2"):
+        code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
+                               "--height-bound", "50001", "--depth", "3",
+                               "--target", "2,4,6", "--jobs", jobs)
+        assert code == 2 and "int64" in err
 
 
 def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -1,16 +1,21 @@
 import json
 import os
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
+from quadpreim import search
 from quadpreim.exactmath import height
 from quadpreim.search import (
     CheckpointError,
     Provenance,
     SearchConfig,
     SearchRecord,
+    _square_table,
     _thirdpair_values,
+    _two_square_mask,
     fractions_by_height,
     scan_forward,
     scan_thirdpair,
@@ -116,6 +121,88 @@ def test_fast_path_frozen_regression():
     assert hits[-1] == ("-3970/81", "1546834/729")
 
 
+def test_square_table_matches_set():
+    for m in (360, 1001, 64 * 63):
+        squares = {r * r % m for r in range(m)}
+        assert _square_table(m).tolist() == [x in squares for x in range(m)]
+
+
+def _num_den_arrays(frs):
+    return (np.array([f.numerator for f in frs], dtype=np.int64),
+            np.array([f.denominator for f in frs], dtype=np.int64))
+
+
+def test_two_square_mask_matches_brute_force():
+    frs = fractions_by_height(100)
+    mask = _two_square_mask(*_num_den_arrays(frs))
+
+    def two_squares(v):
+        return any(isqrt(v - a * a) ** 2 == v - a * a
+                   for a in range(isqrt(v) + 1))
+
+    brute = [two_squares(f.denominator ** 2 + 2 * f.numerator ** 2)
+             for f in frs]
+    assert mask.tolist() == brute
+    assert sum(brute) == 1335
+
+
+def _square_pairs(frs):
+    # every pair (i, j <= i) whose integer N is a perfect square, with no
+    # prefilter, in candidate order
+    out = []
+    for i, p1 in enumerate(frs):
+        n1, d1 = p1.numerator, p1.denominator
+        for j in range(i + 1):
+            n2, d2 = frs[j].numerator, frs[j].denominator
+            x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
+            big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+            if big >= 0 and isqrt(big) ** 2 == big:
+                out.append((i, j))
+    return out
+
+
+def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
+    reached = []
+    emit = search._emit_thirdpair
+
+    def spy(state, frs, i, j, c, a):
+        reached.append((i, j))
+        return emit(state, frs, i, j, c, a)
+
+    monkeypatch.setattr(search, "_emit_thirdpair", spy)
+    squares = _square_pairs(fractions_by_height(40))
+    assert squares
+    for index, total in ((0, 1), (0, 3), (1, 3), (2, 3)):
+        reached.clear()
+        cfg = SearchConfig(height_bound=40, depth=3, target=(2, 4, 6),
+                           shard=(index, total))
+        list(scan_thirdpair(cfg))
+        assert reached == [(i, j) for i, j in squares
+                           if (i * (i + 1) // 2 + j) % total == index]
+
+
+def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
+    path = str(tmp_path / "scan.ckpt")
+    cfg = SearchConfig(height_bound=40, depth=3, target=(2, 4, 4),
+                       checkpoint_path=path, checkpoint_blocks=1)
+    payloads = []
+    write = search._write_checkpoint
+    monkeypatch.setattr(search, "_write_checkpoint",
+                        lambda p, payload: (payloads.append(payload),
+                                            write(p, payload)))
+    monkeypatch.setattr(search, "_ROW_TILE", 8)
+    full = [r.as_json() for r in scan_thirdpair(cfg)]
+    mask = _two_square_mask(*_num_den_arrays(fractions_by_height(40)))
+    mid = [p for p in payloads
+           if 0 < p["emitted"] < len(full) and not mask[p["next_block"]]]
+    assert mid
+    for payload in mid:
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        resumed = [r.as_json() for r in scan_thirdpair(cfg, resume=True)]
+        assert resumed == full[payload["emitted"]:]
+
+
 def test_scan_determinism_and_shard_union():
     cfg = SearchConfig(height_bound=80, depth=3, target=(2, 4, 6))
     run1 = [(r.c, r.a) for r in scan_thirdpair(cfg)]
@@ -190,6 +277,18 @@ def test_scan_forward_shard_union():
         cfg_s = SearchConfig(height_bound=3, depth=2, target=(2, 2), shard=(idx, 3))
         union |= {(r.c, r.a) for r in scan_forward(cfg_s)}
     assert union == full
+
+
+def test_yielded_records_are_not_mutated():
+    # at this bound a second candidate reaches two of the (c, a); each
+    # record keeps the candidate that reached it first
+    cfg = SearchConfig(height_bound=3, depth=2, target=(2, 2))
+    records, streamed = [], []
+    for rec in scan_forward(cfg):
+        records.append(rec)
+        streamed.append(rec.as_json())
+    assert [rec.as_json() for rec in records] == streamed
+    assert all(len(rec.provenance) == 1 for rec in records)
 
 
 def test_record_json_roundtrip():
