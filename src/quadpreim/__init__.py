@@ -11,7 +11,6 @@ from .dynamics import (
     iterate,
     preimage_tree,
     preimages,
-    signature,
 )
 from .elliptic import (
     ECPoint,
@@ -69,6 +68,6 @@ __all__ = [
     "height", "ideal_j", "infinity_points", "int_sqrt", "is_critical_value",
     "iterate", "jacobian_minors", "parse_rat", "plane_genus_with_delta",
     "point_order", "preimage_tree", "preimages", "rat_sqrt", "resultant",
-    "scan_forward", "scan_thirdpair", "signature", "specialize_e222",
+    "scan_forward", "scan_thirdpair", "specialize_e222",
     "specialize_e24", "torsion_family_a", "torsion_subgroup", "verify_pair",
 ]

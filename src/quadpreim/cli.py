@@ -244,7 +244,11 @@ def _search_worker(payload: dict) -> list[dict]:
 
 
 def cmd_search(args, config) -> int:
-    target = tuple(int(part) for part in args.target.split(","))
+    try:
+        target = tuple(int(part) for part in args.target.split(","))
+    except ValueError:
+        raise UsageError("--target expects comma-separated counts, got %r"
+                         % args.target)
     if args.shard:
         try:
             index, total = args.shard.split("/")

@@ -4,6 +4,14 @@ signatures, and the critical-parameter polynomials.
 A value x is an N-th pre-image of a under f_c when f_c^N(x) = a.  Rational
 pre-images of y under one step are the rational square roots of y - c, so a
 pre-image tree is built level by level with exact square testing only.
+
+The level walk runs on reduced integer pairs.  For y = yn/yd and
+c = cn/cd, y - c = num/den with num = yn*cd - cn*yd and den = yd*cd; after
+dividing both by their gcd, y - c is a rational square exactly when num and
+den are both perfect squares, and then +-isqrt(num)/isqrt(den) is already in
+lowest terms.  Since v^2 + c = y, the parent of a pre-image v is a function
+of v, so a level is a map from each root to the value it came from, and the
+order in which a level's parents are visited does not matter.
 """
 
 from __future__ import annotations
@@ -11,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import gcd, isqrt
+from typing import Iterable, Iterator
 
 from .exactmath import (
     BiPoly,
@@ -30,9 +39,11 @@ def iterate(c: RatLike, x: RatLike, n: int) -> Fraction:
         raise ValueError("iteration count must be nonnegative")
     c = Fraction(c)
     x = Fraction(x)
+    cn, cd = c.numerator, c.denominator
+    xn, xd = x.numerator, x.denominator
     for _ in range(n):
-        x = x * x + c
-    return x
+        xn, xd = xn * xn * cd + cn * xd * xd, xd * xd * cd
+    return Fraction(xn, xd)
 
 
 def preimages(c: RatLike, y: RatLike) -> tuple[Fraction, ...]:
@@ -110,6 +121,40 @@ class PreimageTree:
         return cls(c=c, a=a, levels=tuple(levels))
 
 
+Pair = tuple[int, int]
+
+
+def preimage_levels(c: Fraction, a: Fraction,
+                    depth: int) -> Iterator[dict[Pair, Pair]]:
+    """Yield the first `depth` levels of the pre-image tree of a under f_c,
+    each as a map from every rational root (n, d), in lowest terms with
+    d > 0, to the (n, d) of its one-step image."""
+    cn, cd = c.numerator, c.denominator
+    previous: Iterable[Pair] = ((a.numerator, a.denominator),)
+    for _ in range(depth):
+        found: dict[Pair, Pair] = {}
+        for y in previous:
+            yn, yd = y
+            num = yn * cd - cn * yd
+            if num < 0:
+                continue
+            den = yd * cd
+            g = gcd(num, den)
+            num //= g
+            den //= g
+            rn = isqrt(num)
+            if rn * rn != num:
+                continue
+            rd = isqrt(den)
+            if rd * rd != den:
+                continue
+            found[(rn, rd)] = y
+            if rn:
+                found[(-rn, rd)] = y
+        yield found
+        previous = found
+
+
 def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
     """The full rational pre-image tree of a under f_c to the given depth."""
     if depth < 1:
@@ -117,23 +162,13 @@ def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
     c = Fraction(c)
     a = Fraction(a)
     levels: list[tuple[TreeNode, ...]] = []
-    previous: Sequence[Fraction] = (a,)
-    for _ in range(depth):
-        found: dict[Fraction, int] = {}
-        for idx, y in enumerate(previous):
-            for v in preimages(c, y):
-                if v not in found:
-                    found[v] = idx
-        nodes = tuple(TreeNode(v, found[v], v == 0)
-                      for v in sorted(found, reverse=True))
-        levels.append(nodes)
-        previous = tuple(n.value for n in nodes)
+    index = {(a.numerator, a.denominator): 0}
+    for found in preimage_levels(c, a, depth):
+        values = sorted(((Fraction(*v), v) for v in found), reverse=True)
+        levels.append(tuple(TreeNode(value, index[found[v]], value == 0)
+                            for value, v in values))
+        index = {v: k for k, (_, v) in enumerate(values)}
     return PreimageTree(c=c, a=a, levels=tuple(levels))
-
-
-def signature(tree: PreimageTree) -> tuple[int, ...]:
-    """Per-level rational pre-image counts (the arrangement signature)."""
-    return tree.signature()
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PreimageTree, iterate, preimage_tree
+from .dynamics import PreimageTree, iterate, preimage_levels, preimage_tree
 from .exactmath import format_rat, height, parse_rat
 
 
@@ -133,17 +133,21 @@ class SearchRecord:
 
 def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecord]:
     """Re-derive the tree of (c, a) from scratch; a record results exactly
-    when the computed signature dominates the target component-wise."""
+    when the computed signature dominates the target component-wise.
+
+    The levels the target constrains are counted on integer pairs and the
+    walk stops at the first level short of its target; only a hit has its
+    tree built."""
     target = tuple(target)
     if depth < len(target):
         raise ValueError("depth must cover the target signature")
     c = Fraction(c)
     a = Fraction(a)
+    for want, level in zip(target, preimage_levels(c, a, len(target))):
+        if len(level) < want:
+            return None
     tree = preimage_tree(c, a, depth)
-    sig = tree.signature()
-    if all(sig[k] >= target[k] for k in range(len(target))):
-        return SearchRecord(c=c, a=a, signature=sig, tree=tree)
-    return None
+    return SearchRecord(c=c, a=a, signature=tree.signature(), tree=tree)
 
 
 def fractions_by_height(bound: int) -> list[Fraction]:
@@ -202,16 +206,15 @@ class _ScanState:
             self.seen = {(parse_rat(ck), parse_rat(ak))
                          for ck, ak in payload["seen"]}
 
-    def register(self, c: Fraction, a: Fraction,
-                 prov: Provenance) -> Optional[SearchRecord]:
+    def register(self, c: Fraction, a: Fraction) -> Optional[SearchRecord]:
+        """The record of a new hit, without provenance; None for a miss or
+        a (c, a) emitted earlier (or before resuming)."""
         key = (c, a)
         if key in self.seen:
-            return None                 # emitted earlier, or before resuming
-        rec = verify_pair(c, a, self.config.target, self.config.depth)
-        if rec is None:
             return None
-        rec.provenance.append(prov)
-        self.seen.add(key)
+        rec = verify_pair(c, a, self.config.target, self.config.depth)
+        if rec is not None:
+            self.seen.add(key)
         return rec
 
     def checkpoint(self, next_block: int):
@@ -263,12 +266,14 @@ def _thirdpair_values(p1: Fraction, p2: Fraction):
 
 def _emit_thirdpair(state: _ScanState, frs, i: int, j: int,
                     c: Fraction, a: Fraction) -> Optional[SearchRecord]:
-    prov = Provenance(
-        strategy="thirdpair",
-        params={"p1": format_rat(frs[i]), "p2": format_rat(frs[j])},
-        heights=(height(frs[i]), height(frs[j])),
-    )
-    return state.register(c, a, prov)
+    rec = state.register(c, a)
+    if rec is not None:
+        rec.provenance.append(Provenance(
+            strategy="thirdpair",
+            params={"p1": format_rat(frs[i]), "p2": format_rat(frs[j])},
+            heights=(height(frs[i]), height(frs[j])),
+        ))
+    return rec
 
 
 _INT64_HEIGHT_BOUND = 50000
@@ -444,14 +449,13 @@ def scan_forward(config: SearchConfig, resume: bool = False) -> Iterator[SearchR
         j_start = (shard_index - base) % shard_total
         for xi in range(j_start, len(x_values), shard_total):
             x0 = x_values[xi]
-            a = iterate(c, x0, config.depth)
-            prov = Provenance(
-                strategy="forward",
-                params={"c": format_rat(c), "x0": format_rat(x0)},
-                heights=(height(c), height(x0)),
-            )
-            rec = state.register(c, a, prov)
+            rec = state.register(c, iterate(c, x0, config.depth))
             if rec is not None:
+                rec.provenance.append(Provenance(
+                    strategy="forward",
+                    params={"c": format_rat(c), "x0": format_rat(x0)},
+                    heights=(height(c), height(x0)),
+                ))
                 yield rec
         if (ci + 1) % config.checkpoint_blocks == 0:
             state.checkpoint(ci + 1)

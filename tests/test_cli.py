@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quadpreim
 from quadpreim.cli import main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -150,6 +154,25 @@ def test_search_bad_height_bound(capsys):
                                "--height-bound", "50001", "--depth", "3",
                                "--target", "2,4,6", "--jobs", jobs)
         assert code == 2 and "int64" in err
+
+
+def test_search_bad_target_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
+                           "--height-bound", "5", "--depth", "3",
+                           "--target", "2,x,6")
+    assert code == 2 and err.startswith("error: --target")
+    # through the interpreter too: exit status 2, one error line, no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(quadpreim.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "quadpreim.cli", "search",
+                           "--strategy", "forward", "--height-bound", "2",
+                           "--depth", "3", "--target", "2,x,6"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.strip().splitlines() == [
+        "error: --target expects comma-separated counts, got '2,x,6'"]
 
 
 def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -12,9 +12,9 @@ from quadpreim.dynamics import (
     iterate,
     preimage_tree,
     preimages,
-    signature,
 )
 from quadpreim.exactmath import QPoly, height
+from reference import reference_tree
 
 SEED = 424242
 print("test_dynamics random seed:", SEED)
@@ -33,6 +33,23 @@ def test_iterate_examples():
     assert iterate(PAIR4_C, F(13, 120), 1) == PAIR4_A
     assert iterate(0, 3, 4) == 43046721
     assert iterate(5, F(1, 2), 0) == F(1, 2)
+
+
+def _plain_iterate(c, x, n):
+    for _ in range(n):
+        x = x * x + c
+    return x
+
+
+def test_iterate_matches_fraction_loop():
+    rng = random.Random(SEED + 1)
+    for _ in range(300):
+        c = F(rng.randint(-30, 30), rng.randint(1, 12))
+        x = F(rng.randint(-12, 12), rng.randint(1, 6))
+        n = rng.randint(0, 5)
+        got = iterate(c, x, n)
+        assert isinstance(got, Fraction)
+        assert got == _plain_iterate(c, x, n)
 
 
 def test_preimages_examples():
@@ -64,7 +81,7 @@ def test_tree_for_full_246_pair():
     assert tree.level_values(1) == (F(161, 120), F(151, 120), F(-151, 120), F(-161, 120))
     assert tree.level_values(2) == (F(209, 120), F(79, 120), F(71, 120),
                                     F(-71, 120), F(-79, 120), F(-209, 120))
-    assert signature(tree) == (2, 4, 6)
+    assert tree.signature() == (2, 4, 6)
     assert tree.union_count() == 12
 
 
@@ -72,11 +89,11 @@ def test_tree_periodic_and_empty():
     tree = preimage_tree(0, 1, 3)
     for level in tree.levels:
         assert tuple(n.value for n in level) == (F(1), F(-1))
-    assert signature(tree) == (2, 2, 2)
+    assert tree.signature() == (2, 2, 2)
     assert tree.union_count() == 2
 
     empty = preimage_tree(5, 0, 1)
-    assert signature(empty) == (0,)
+    assert empty.signature() == (0,)
     assert preimage_tree(5, 0, 2).signature() == (0, 0)
 
 
@@ -105,6 +122,33 @@ def test_tree_roundtrip_property():
             for node in tree.levels[k]:
                 parent_value = tree.levels[k - 1][node.parent].value
                 assert node.value ** 2 + c == parent_value
+
+
+def test_tree_matches_reference_walk():
+    # the integer walk against the Fraction + rat_sqrt walk, field for field:
+    # the degenerate root 0, an empty first level, orbits (non-empty trees)
+    # and random targets, at depths 1 to 5
+    rng = random.Random(SEED + 2)
+    cases = [(F(-2), F(-2), 3), (F(-2), F(2), 5), (F(5), F(0), 2),
+             (F(0), F(0), 4), (PAIR4_C, PAIR4_A, 5)]
+    for _ in range(400):
+        c = F(rng.randint(-30, 30), rng.randint(1, 12))
+        depth = rng.randint(1, 5)
+        if rng.random() < 0.75:
+            x0 = F(rng.randint(-12, 12), rng.randint(1, 6))
+            a = _plain_iterate(c, x0, rng.randint(1, depth))
+        else:
+            a = F(rng.randint(-40, 40), rng.randint(1, 12))
+        cases.append((c, a, depth))
+    full = degenerate = empty = 0
+    for c, a, depth in cases:
+        tree = preimage_tree(c, a, depth)
+        assert tree == reference_tree(c, a, depth)
+        sig = tree.signature()
+        full += sig[-1] > 0
+        empty += sig[0] == 0
+        degenerate += any(n.degenerate for level in tree.levels for n in level)
+    assert full >= 100 and empty >= 50 and degenerate >= 5
 
 
 def test_tree_json_roundtrip():

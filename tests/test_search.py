@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -21,6 +22,7 @@ from quadpreim.search import (
     scan_thirdpair,
     verify_pair,
 )
+from reference import reference_hit, reference_tree
 
 PAIR4 = (Fraction(-24361, 14400), Fraction(-42, 25))
 
@@ -37,6 +39,29 @@ def test_verify_pair_examples():
     assert rec1 is not None
     with pytest.raises(ValueError):
         verify_pair(0, 1, (2, 4, 6), 2)
+
+
+def test_verify_pair_matches_reference_tree():
+    # the early exit at the first short level, against the full reference
+    # tree, for targets missed at each level and deeper-than-target trees
+    rng = random.Random(31337)
+    targets = [(), (1,), (2, 2), (2, 4), (2, 2, 4), (2, 4, 6), (0, 0, 1)]
+    hits = 0
+    for _ in range(300):
+        c = F(rng.randint(-30, 30), rng.randint(1, 12))
+        a = F(rng.randint(-12, 12), rng.randint(1, 6))
+        for _ in range(rng.randint(0, 3)):
+            a = a * a + c
+        target = rng.choice(targets)
+        depth = len(target) + rng.randint(0, 2) or 1
+        rec = verify_pair(c, a, target, depth)
+        assert (rec is not None) == reference_hit(c, a, target)
+        if rec is not None:
+            hits += 1
+            assert rec.tree == reference_tree(c, a, depth)
+            assert rec.signature == rec.tree.signature()
+            assert (rec.c, rec.a) == (c, a) and rec.provenance == []
+    assert hits >= 50
 
 
 def test_fraction_enumeration():
@@ -86,13 +111,14 @@ def test_config_invariants():
 
 
 def _brute_thirdpair(bound, target):
-    # independent oracle: plain double loop over every reduced fraction pair
+    # independent oracle: plain double loop over every reduced fraction
+    # pair, each settled by the reference tree
     frs = fractions_by_height(bound)
     brute = set()
     for i in range(len(frs)):
         for j in range(i + 1):
             c, a = _thirdpair_values(frs[i], frs[j])
-            if verify_pair(c, a, target, 3) is not None:
+            if reference_hit(c, a, target):
                 brute.add((c, a))
     return brute
 
