@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__, dynamics, elliptic, models, search, verify
 from .exactmath import QPoly, RatParseError, format_rat, parse_rat
-from .factor import DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND, FactorBudgetExceeded
+from .factor import FactorBudgetExceeded
 
 CHECKPOINT_DIR_ENV = "QUADPREIM_CHECKPOINT_DIR"
 CONFIG_ENV = "QUADPREIM_CONFIG"
@@ -41,7 +41,7 @@ def _rat(text: str) -> Fraction:
 
 def load_config(path: str | None) -> dict:
     """Simple key = value configuration (comments with #); recognized keys:
-    height_bound, depth, trial_bound, rho_steps, display_digits."""
+    height_bound, display_digits."""
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     settings: dict[str, str] = {}
@@ -61,6 +61,14 @@ def load_config(path: str | None) -> dict:
     except OSError as exc:
         raise UsageError("cannot read config %s: %s" % (path, exc))
     return settings
+
+
+def _config_int(config: dict, key: str, default: int) -> int:
+    try:
+        return int(config.get(key, default))
+    except ValueError:
+        raise UsageError("config key %s expects an integer, got %r"
+                         % (key, config[key]))
 
 
 def _print_json(obj):
@@ -145,9 +153,7 @@ def _curve_payload(fiber) -> dict:
 
 
 def cmd_ec(args, config) -> int:
-    digits = int(config.get("display_digits", "6"))
-    trial_bound = int(config.get("trial_bound", DEFAULT_TRIAL_BOUND))
-    rho_steps = int(config.get("rho_steps", DEFAULT_RHO_STEPS))
+    digits = _config_int(config, "display_digits", 6)
 
     if args.ec_command == "specialize-e24":
         fiber = elliptic.specialize_e24(_rat(args.a))
@@ -188,6 +194,8 @@ def cmd_ec(args, config) -> int:
 
     curve = elliptic.WeierstrassCurve.from_coeffs(
         _rat(args.a1), _rat(args.a2), _rat(args.a3), _rat(args.a4), _rat(args.a6))
+    if curve.is_singular():
+        raise UsageError("the model %s is singular (discriminant 0)" % curve)
 
     if args.ec_command == "order":
         point = elliptic.ECPoint.affine(_rat(args.x), _rat(args.y))
@@ -203,9 +211,7 @@ def cmd_ec(args, config) -> int:
 
     if args.ec_command == "torsion":
         try:
-            group = elliptic.torsion_subgroup(curve, trial_bound=trial_bound,
-                                              rho_steps=rho_steps,
-                                              method=args.method)
+            group = elliptic.torsion_subgroup(curve)
         except FactorBudgetExceeded as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -257,7 +263,7 @@ def cmd_search(args, config) -> int:
             raise UsageError("--shard expects INDEX/TOTAL")
     else:
         shard = (0, 1)
-    height_bound = args.height_bound or int(config.get("height_bound", "0"))
+    height_bound = args.height_bound or _config_int(config, "height_bound", 0)
     if height_bound < 1:
         raise UsageError("--height-bound must be at least 1")
     if args.jobs < 1:
@@ -414,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tors = ec_sub.add_parser("torsion")
     for coeff in ("a1", "a2", "a3", "a4", "a6"):
         p_tors.add_argument("--" + coeff, default="0")
-    p_tors.add_argument("--method", choices=("auto", "lutz-nagell", "division"),
-                        default="auto")
     p_tors.add_argument("--format", **fmt)
     p_tors.set_defaults(func=cmd_ec)
 

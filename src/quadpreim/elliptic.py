@@ -1,7 +1,8 @@
 """Elliptic curves over Q with exact rational arithmetic: the chord-tangent
 group law on long Weierstrass models, point orders bounded by Mazur's theorem,
-Lutz-Nagell torsion computation, and the specializations of the pre-image
-elliptic surfaces with their torsion-family parametrizations.
+rational torsion subgroups by exact ell-division closure on an integral short
+model, and the specializations of the pre-image elliptic surfaces with their
+torsion-family parametrizations.
 """
 
 from __future__ import annotations
@@ -9,16 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
-from .factor import (
-    DEFAULT_RHO_STEPS,
-    DEFAULT_TRIAL_BOUND,
-    FactorBudgetExceeded,
-    factorize,
-)
+from .factor import factorize
 
 
 class OffCurveError(ValueError):
@@ -185,6 +181,9 @@ class WeierstrassCurve:
         if self.is_singular():
             raise ValueError("group law on a singular model")
         self._require_on_curve(p)
+        return self._mul_unchecked(n, p)
+
+    def _mul_unchecked(self, n: int, p: ECPoint) -> ECPoint:
         if n < 0:
             n, p = -n, self.neg(p)
         result = INFINITY
@@ -255,7 +254,7 @@ def point_order(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# integral models and Lutz-Nagell torsion
+# integral models and torsion
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -290,9 +289,7 @@ class ShortIntegralModel:
         return ECPoint(x, y)
 
 
-def short_integral_model(curve: WeierstrassCurve,
-                         trial_bound: int = DEFAULT_TRIAL_BOUND,
-                         rho_steps: int = DEFAULT_RHO_STEPS) -> ShortIntegralModel:
+def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     """Scale the standard short form Y^2 = X^3 - 27 c4 X - 54 c6 to integer
     coefficients, then strip superfluous (p^4, p^6) power pairs so the
     discriminant stays as small as the scaling allows."""
@@ -304,7 +301,7 @@ def short_integral_model(curve: WeierstrassCurve,
         den = value.denominator
         if den == 1:
             continue
-        for p, e in factorize(den, trial_bound, rho_steps).items():
+        for p, e in factorize(den).items():
             need = -(-e // weight)       # ceil(e / weight)
             exps[p] = max(exps.get(p, 0), need)
     u = 1
@@ -312,7 +309,8 @@ def short_integral_model(curve: WeierstrassCurve,
         u *= p ** k
     a1 = a0 * u ** 4
     b1 = b0 * u ** 6
-    assert a1.denominator == 1 and b1.denominator == 1
+    if a1.denominator != 1 or b1.denominator != 1:
+        raise ArithmeticError("integral scaling left a fraction")
     a_int, b_int = int(a1), int(b1)
     v = 1
     for p in sorted(set(exps) | {2, 3}):
@@ -328,159 +326,72 @@ def short_integral_model(curve: WeierstrassCurve,
                               source=curve)
 
 
-def _icbrt(n: int) -> int:
-    """Floor cube root of n >= 0 by Newton iteration on integers."""
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    return x
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def _integer_roots_depressed_cubic(a: int, b: int) -> list[int]:
-    """All integer roots of x^3 + a x + b, by monotone-interval bisection
-    (the polynomial is monic, so rational roots are integers).  Root size is
-    capped by the Fujiwara bound 2 max(|a|^(1/2), |b|^(1/3))."""
-
-    def f(x: int) -> int:
-        return x * x * x + a * x + b
-
-    bound = 2 * max(isqrt(abs(a)) + 1, _icbrt(abs(b)) + 1)
-    roots = set()
-
-    def bisect(lo: int, hi: int, increasing: bool):
-        if lo > hi:
-            return
-        flo, fhi = f(lo), f(hi)
-        if flo == 0:
-            roots.add(lo)
-        if fhi == 0:
-            roots.add(hi)
-        if increasing:
-            if not (flo < 0 < fhi):
-                return
-        else:
-            if not (flo > 0 > fhi):
-                return
+def _with_crossings(coeffs: list[int], marks: list[int]) -> list[int]:
+    """The marks, plus the integers bracketing each sign change of a
+    polynomial that is monotone between consecutive marks: the crossing
+    itself when it is an integer, else the two integers around it."""
+    out = set(marks)
+    values = [_horner(coeffs, m) for m in marks]
+    for left, right, f_left, f_right in zip(marks, marks[1:], values, values[1:]):
+        if not (f_left < 0 < f_right or f_right < 0 < f_left):
+            continue
+        lo, hi = left, right
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            fm = f(mid)
-            if fm == 0:
-                roots.add(mid)
-                return
-            if (fm < 0) == increasing:
+            f_mid = _horner(coeffs, mid)
+            if f_mid == 0:
+                lo = hi = mid
+            elif (f_mid < 0) == (f_left < 0):
                 lo = mid
             else:
                 hi = mid
-
-    if a >= 0:
-        bisect(-bound, bound, True)
-    else:
-        m = isqrt((-a) // 3)
-        for probe in (-m - 1, -m, m, m + 1):
-            if f(probe) == 0:
-                roots.add(probe)
-        bisect(-bound, -m - 1, True)
-        bisect(-m, m, False)
-        bisect(m + 1, bound, True)
-    return sorted(roots)
+        out.update((lo, hi))
+    return sorted(out)
 
 
-def _cauchy_bound(coeffs: list[int]) -> int:
-    lead = abs(coeffs[-1])
-    return 1 + max(abs(c) for c in coeffs) // lead + 1
+def _monotone_marks(coeffs: list[int], bound: int) -> list[int]:
+    """Sorted integers from -bound to bound between any two consecutive of
+    which the polynomial is monotone: the derivative's own marks plus the
+    integers bracketing each of its sign changes."""
+    if len(coeffs) <= 2:
+        return [-bound, bound]
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    return _with_crossings(deriv, _monotone_marks(deriv, bound))
 
 
 def integer_roots(coeffs: list[int]) -> list[int]:
-    """All integer roots of a nonzero integer polynomial, exactly.
+    """All integer roots of a nonzero integer polynomial (coefficients from
+    the constant term up), sorted.
 
-    Strategy: reduce to the squarefree part, recursively confine the real
-    roots of the derivative to unit intervals, bisect for sign changes on the
-    monotone gaps in between, and test the integer endpoints.  Exact integer
-    arithmetic throughout; no factoring, no floating point.
+    The real roots lie within Fujiwara's bound 2 max |c_i/c_n|^(1/(n-i)),
+    rounded up here to a power of two.  Between consecutive marks the
+    polynomial is monotone, so each integer root is a mark or the one sign
+    change in its gap.  A root of even multiplicity changes no sign, but the
+    derivative changes sign there, so it is already a mark.  Plain integer
+    arithmetic throughout.
     """
-    poly = QPoly(coeffs)
-    if poly.is_zero():
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
         raise ValueError("zero polynomial")
-    if poly.degree == 0:
+    n = len(coeffs) - 1
+    if n == 0:
         return []
-    square_free = poly.divmod(poly.gcd(poly.derivative()))[0]
-    ints = square_free.content_den_cleared()
-    candidates = _real_root_unit_intervals([int(c) for c in ints.coeffs])
-    roots = set()
-    for lo, hi in candidates:
-        for r in {lo, hi}:
-            if poly.eval(Fraction(r)) == 0:
-                roots.add(r)
-    return sorted(roots)
-
-
-def _real_root_unit_intervals(coeffs: list[int]) -> list[tuple[int, int]]:
-    """Unit (or point) integer intervals jointly covering every real root of
-    the given squarefree integer polynomial."""
-    degree = len(coeffs) - 1
-    if degree <= 0:
-        return []
-    if degree == 1:
-        c0, c1 = coeffs
-        root_floor = -c0 // c1
-        return [(root_floor, root_floor + 1)]
-
-    def evaluate(x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    bound = _cauchy_bound(coeffs)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = 0
-    for c in deriv:
-        g = gcd(g, c)
-    deriv = [c // g for c in deriv]
-    crit = _real_root_unit_intervals(_squarefree_int(deriv))
-
-    breakpoints = {-bound, bound}
-    for lo, hi in crit:
-        breakpoints.add(max(-bound, min(bound, lo)))
-        breakpoints.add(max(-bound, min(bound, hi)))
-    marks = sorted(breakpoints)
-
-    found: list[tuple[int, int]] = []
-    for lo, hi in crit:
-        found.append((lo, hi))
-    for left, right in zip(marks, marks[1:]):
-        flo, fhi = evaluate(left), evaluate(right)
-        if flo == 0:
-            found.append((left, left))
-        if fhi == 0:
-            found.append((right, right))
-        if (flo < 0 < fhi) or (fhi < 0 < flo):
-            lo, hi = left, right
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                fm = evaluate(mid)
-                if fm == 0:
-                    lo, hi = mid, mid
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            found.append((lo, hi))
-    return found
-
-
-def _squarefree_int(coeffs: list[int]) -> list[int]:
-    poly = QPoly(coeffs)
-    if poly.degree <= 0:
-        return coeffs
-    reduced = poly.divmod(poly.gcd(poly.derivative()))[0].content_den_cleared()
-    return [int(c) for c in reduced.coeffs]
+    lead_bits = abs(coeffs[-1]).bit_length()
+    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1), so 2^k with
+    # k (n - i) >= bits(c_i) - bits(c_n) + 1 bounds its (n-i)-th root
+    k = max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
+            for i, c in enumerate(coeffs[:-1]))
+    marks = _with_crossings(coeffs, _monotone_marks(coeffs, 2 << k))
+    return [m for m in marks if _horner(coeffs, m) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +416,8 @@ def _division_poly_pairs(a: int, b: int, n_max: int) -> list[tuple[QPoly, QPoly]
             u_quot = QPoly.zero()
         else:
             u_quot, rem = u.divmod(E)
-            assert rem.is_zero(), "division polynomial parity broke"
+            if not rem.is_zero():
+                raise ArithmeticError("division polynomial parity broke")
         return (v * half, u_quot * half)
 
     zero = (QPoly.zero(), QPoly.zero())
@@ -542,11 +454,7 @@ def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
     an integral model are integers) and verifying each candidate exactly."""
     if ell == 2:
         if target.is_infinity:
-            xs = integer_roots([b, a, 0, 1])
-            out = []
-            for x in xs:
-                out.append(ECPoint.affine(x, 0))
-            return out
+            return [ECPoint.affine(x, 0) for x in integer_roots([b, a, 0, 1])]
         xp = target.x
         poly = QPoly([a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a,
                       -4 * xp, 1])
@@ -558,7 +466,8 @@ def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
         psi = psi_cache[ell]
         E = QPoly([b, a, 0, 1])
         sq_u, sq_v = psi[ell]
-        assert sq_v.is_zero()
+        if not sq_v.is_zero():
+            raise ArithmeticError("odd division polynomial has a y part")
         psi_sq = sq_u * sq_u
         lo_u, lo_v = psi[ell - 1]
         hi_u, hi_v = psi[ell + 1]
@@ -583,7 +492,7 @@ def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
             continue
         for y in ((0,) if r == 0 else (r, -r)):
             q = ECPoint.affine(x, y)
-            if integral.mul(ell, q) == target:
+            if integral._mul_unchecked(ell, q) == target:
                 out.append(q)
     return out
 
@@ -657,65 +566,6 @@ def _torsion_by_division(integral: "WeierstrassCurve", a: int, b: int,
     return points
 
 
-_SIEVE_MODULI = (64, 63, 25, 11, 17, 19, 23, 29, 31)
-
-
-def _lutz_nagell_sweep(a: int, b: int, factors: dict[int, int],
-                       candidate_cap: int, consider) -> None:
-    """Run consider(y) for every y > 0 with y^2 dividing the factored
-    discriminant and y*y a cubic value modulo each sieve modulus.
-
-    The walk over prime-power choices carries only the candidate's residues
-    modulo the sieve moduli (small-integer arithmetic); the big integer y is
-    assembled for the rare survivors.  The candidate count honors the cap.
-    """
-    primes_halves = [(p, e // 2) for p, e in sorted(factors.items()) if e >= 2]
-
-    active = []
-    for m in _SIEVE_MODULI:
-        values = frozenset((x * x * x + a * x + b) % m for x in range(m))
-        if len(values) == m:
-            continue                      # modulus filters nothing here
-        ok = tuple(((r * r) % m) in values for r in range(m))
-        active.append((m, ok))
-
-    powers: list[list[int]] = []
-    power_res: list[list[list[int]]] = []
-    for p, half in primes_halves:
-        row = [1]
-        for _ in range(half):
-            row.append(row[-1] * p)
-        powers.append(row)
-        power_res.append([[q % m for q in row] for m, _ in active])
-
-    n_primes = len(primes_halves)
-    n_mod = len(active)
-    choice = [0] * n_primes
-    count = 0
-
-    def walk(idx: int, residues: tuple[int, ...]):
-        nonlocal count
-        if idx == n_primes:
-            count += 1
-            if count > candidate_cap:
-                raise FactorBudgetExceeded(0, factors, count)
-            for j in range(n_mod):
-                if not active[j][1][residues[j]]:
-                    return
-            y = 1
-            for i in range(n_primes):
-                y *= powers[i][choice[i]]
-            consider(y)
-            return
-        res_rows = power_res[idx]
-        for k in range(len(powers[idx])):
-            choice[idx] = k
-            walk(idx + 1, tuple((residues[j] * res_rows[j][k]) % active[j][0]
-                                for j in range(n_mod)))
-
-    walk(0, tuple(1 % m for m, _ in active))
-
-
 @dataclass(frozen=True)
 class TorsionGroup:
     """Rational torsion subgroup: invariant factors (1, n) for cyclic Z/n or
@@ -761,95 +611,22 @@ def _order_on_integral_model(curve: WeierstrassCurve, p: ECPoint) -> Optional[in
     return None
 
 
-def torsion_subgroup(curve: WeierstrassCurve,
-                     trial_bound: int = DEFAULT_TRIAL_BOUND,
-                     rho_steps: int = DEFAULT_RHO_STEPS,
-                     candidate_cap: int = 500_000,
-                     hints=(),
-                     method: str = "auto") -> TorsionGroup:
-    """Rational torsion subgroup on an integral short model.
-
-    method="lutz-nagell" is the enumeration route: candidate torsion points
-    have integer coordinates with Y = 0 or Y^2 | disc, are screened with
-    quadratic-residue tables modulo small numbers, solved exactly for X, and
-    confirmed against the Mazur order bound.  It needs the discriminant
-    factored (budgeted; hint integers from a known coefficient structure
-    help, see e24_torsion_hints) and its candidate count is the product of
-    (v_p(disc)//2 + 1), which the cap bounds.
-
-    method="division" closes the 2-torsion under exact ell-division
-    (ell in {2, 3, 5, 7}) and needs no factoring at all.
-
-    method="auto" runs the enumeration when the factorization succeeds and
-    the candidate count fits the cap, and falls back to division closure
-    otherwise; curves in the twelve-torsion family have enumeration counts
-    beyond 10^8, so the fallback is what makes them tractable.  Every point
-    returned by any route satisfies (and is checked against) the
-    integral-coordinate and Y^2 | disc conditions.
-    """
+def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
+    """Rational torsion subgroup, by ell-division closure on an integral
+    short model (see _torsion_by_division); no factoring of the
+    discriminant.  Every point found is checked to have integer
+    coordinates with Y = 0 or Y^2 | disc (Lutz-Nagell) and to map back onto
+    the source curve."""
     if curve.is_singular():
         raise ValueError("torsion of a singular model")
-    if method not in ("auto", "lutz-nagell", "division"):
-        raise ValueError("unknown torsion method %r" % (method,))
-    model = short_integral_model(curve, trial_bound, rho_steps)
+    model = short_integral_model(curve)
     a, b = model.a, model.b
     disc = -16 * (4 * a ** 3 + 27 * b ** 2)
-
-    factors = None
-    if method != "division":
-        try:
-            factors = factorize(disc, trial_bound, rho_steps,
-                                hints=tuple(hints) + (a, b))
-        except FactorBudgetExceeded:
-            if method == "lutz-nagell":
-                raise
-    if factors is not None:
-        # with the discriminant factored, finish minimizing: strip every
-        # (p^4 | a, p^6 | b) pair, which divides the discriminant by p^12
-        shrink = 1
-        for p in sorted(factors):
-            while (factors[p] >= 12
-                   and (a == 0 or a % p ** 4 == 0)
-                   and (b == 0 or b % p ** 6 == 0)):
-                a //= p ** 4
-                b //= p ** 6
-                factors[p] -= 12
-                shrink *= p
-        factors = {p: e for p, e in factors.items() if e > 0}
-        model = ShortIntegralModel(a=a, b=b, scale=model.scale / shrink,
-                                   source=curve)
-        disc = -16 * (4 * a ** 3 + 27 * b ** 2)
     integral = model.curve
-
-    use_sweep = False
-    if factors is not None:
-        count = 1
-        for e in factors.values():
-            count *= e // 2 + 1
-        use_sweep = count <= candidate_cap or method == "lutz-nagell"
-
-    torsion_raw: dict[tuple[int, int], int] = {}
-
-    def consider(y: int):
-        for x in _integer_roots_depressed_cubic(a, b - y * y):
-            for yy in ((0,) if y == 0 else (y, -y)):
-                key = (x, yy)
-                if key in torsion_raw:
-                    continue
-                order = _order_on_integral_model(integral, ECPoint.affine(x, yy))
-                if order is not None:
-                    torsion_raw[key] = order
-
-    if use_sweep:
-        consider(0)
-        _lutz_nagell_sweep(a, b, factors, candidate_cap, consider)
-    else:
-        torsion_raw = _torsion_by_division(integral, a, b, disc)
-
-    # every torsion point, whichever route found it, obeys the
-    # integral-coordinate and y = 0 or y^2 | disc conditions
+    torsion_raw = _torsion_by_division(integral, a, b, disc)
     for (x, y) in torsion_raw:
-        assert y == 0 or abs(disc) % (y * y) == 0, "torsion point escapes y^2 | disc"
+        if y != 0 and disc % (y * y) != 0:
+            raise ArithmeticError("torsion point escapes y^2 | disc")
 
     points_int = [INFINITY] + [ECPoint.affine(x, y) for x, y in torsion_raw]
     orders = {INFINITY: 1}
@@ -863,7 +640,8 @@ def torsion_subgroup(curve: WeierstrassCurve,
         generators = (model.pull(gen_max),) if order_total > 1 else ()
     else:
         # over Q the only alternative shape is Z/2 x Z/(order/2)
-        assert max_order * 2 == order_total and max_order % 2 == 0
+        if max_order * 2 != order_total or max_order % 2 != 0:
+            raise ArithmeticError("torsion points form no group over Q")
         cyclic = set()
         q = INFINITY
         for _ in range(max_order):
@@ -876,8 +654,8 @@ def torsion_subgroup(curve: WeierstrassCurve,
         generators = (model.pull(two_tors[0]), model.pull(gen_max))
     points = tuple(model.pull(p) for p in points_int)
     for p in points:
-        residue = curve.equation_residue(p)
-        assert residue == 0, "torsion point failed to map back"
+        if curve.equation_residue(p) != 0:
+            raise ArithmeticError("torsion point failed to map back")
     return TorsionGroup(invariants=invariants, generators=generators,
                         points=points)
 
@@ -922,43 +700,6 @@ def specialize_e24(a: RatLike) -> E24Fiber:
         j = (16 * a * a - 56 * a + 1) ** 3 / delta
     return E24Fiber(a=a, curve=curve, torsion_point=ECPoint.affine(2, 8 * a + 2),
                     j=j, delta=delta, singular=singular)
-
-
-def e24_torsion_hints(a: RatLike) -> tuple[int, ...]:
-    """Factor hints for torsion_subgroup on a two-four fiber: its integral
-    discriminant is built from a(4a+1)^4 and the integralizing scale, so the
-    numerator and denominator of a and the numerator of 4a+1 split it."""
-    a = Fraction(a)
-    return (a.numerator, a.denominator, (4 * a + 1).numerator)
-
-
-def torsion_family_hints(kind: TorsionKind, t: RatLike) -> tuple[int, ...]:
-    """Factor hints for the fiber at torsion_family_a(kind, t), exploiting
-    how a and 4a+1 factor as rational functions of the family parameter
-    (e.g. 4a+1 = (t^2-1)^2 on the Z/8 family, and
-    4(110408t-1)^3 (124968t-1)^3 (14009460544t^2-235376t+1) over the
-    denominator on the Z/12 family)."""
-    t = Fraction(t)
-    a = torsion_family_a(kind, t)
-    if a is None:
-        return ()
-    pieces = [t, 4 * t * t - 1, t * t - 1, t * t + 1, 4 * t * t + 1]
-    if kind is TorsionKind.Z2xZ8:
-        pieces += [4 * t * t - 4 * t - 1, 4 * t * t + 4 * t - 1]
-    if kind is TorsionKind.Z12:
-        pieces += [
-            110408 * t - 1,
-            124968 * t - 1,
-            14009460544 * t * t - 235376 * t + 1,
-            _Z12_Q1 * t * t - _Z12_LIN * t + 1,
-            _Z12_Q2 * t * t - _Z12_LIN * t + 1,
-            _Z12_POLE * t - 1,
-        ]
-    hints = set(e24_torsion_hints(a))
-    for q in pieces:
-        hints.add(q.numerator)
-        hints.add(q.denominator)
-    return tuple(sorted(h for h in hints if abs(h) > 1))
 
 
 @dataclass(frozen=True)

@@ -397,60 +397,6 @@ def resultant(f: QPoly, g: QPoly) -> Fraction:
     return sign * res
 
 
-def sylvester_resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Resultant as the determinant of the Sylvester matrix, by fraction-free
-    Bareiss elimination.  Independent of the PRS route; kept as the oracle
-    side of the dual-route check.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("resultant of two zero polynomials is undefined")
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - i - len(fc)))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - i - len(gc)))
-    return _det_fraction(rows)
-
-
-def _det_fraction(rows: list) -> Fraction:
-    """Determinant over Q by Gaussian elimination with partial pivoting by
-    nonzero entry (exact arithmetic, so any nonzero pivot works)."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pv
-            if factor:
-                rowr = rows[r]
-                rowc = rows[col]
-                for k in range(col, n):
-                    rowr[k] -= factor * rowc[k]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # bivariate polynomials in (c, a)
 # ---------------------------------------------------------------------------
@@ -827,19 +773,3 @@ class NFElem:
 
     def __repr__(self):
         return "NFElem(%s mod %s)" % (self.rep.format(), self.modulus.format())
-
-
-def nf_make(modulus: QPoly, rep: QPoly) -> NFElem:
-    return NFElem(modulus, rep)
-
-
-def nf_add(x: NFElem, y: NFElem) -> NFElem:
-    return x + y
-
-
-def nf_mul(x: NFElem, y: NFElem) -> NFElem:
-    return x * y
-
-
-def nf_inv(x: NFElem) -> NFElem:
-    return x.inverse()

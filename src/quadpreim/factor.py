@@ -2,7 +2,7 @@
 
 Trial division by sieved primes first, then Brent-cycle Pollard rho with a
 step budget.  Exceeding the budget raises FactorBudgetExceeded so callers
-(the torsion computation) can retry with a larger allowance instead of
+(the integral scaling of a Weierstrass model) fail cleanly instead of
 hanging on a hard composite.
 """
 
@@ -112,30 +112,9 @@ def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
     return g if g != n else None
 
 
-def _split_by_hints(n: int, hints) -> list[int]:
-    """Split n into (not necessarily coprime) pieces by taking gcds with the
-    hint integers.  Hints typically come from a known multiplicative
-    structure of n (e.g. a discriminant assembled from smaller quantities);
-    wrong or useless hints only waste a few gcds."""
-    pieces = [n]
-    for h in hints:
-        h = abs(int(h))
-        if h <= 1:
-            continue
-        refined = []
-        for m in pieces:
-            g = gcd(m, h)
-            while 1 < g < m:
-                refined.append(g)
-                m //= g
-                g = gcd(m, g)
-            refined.append(m)
-        pieces = [p for p in refined if p > 1]
-    return pieces
-
-
 def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
-                 budget: list[int], original: int):
+                 rho_steps: int):
+    original = n
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -160,6 +139,7 @@ def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
         return
 
     rng = random.Random(0xC0FFEE ^ n)
+    budget = rho_steps
     stack = [n]
     while stack:
         m = stack.pop()
@@ -169,10 +149,10 @@ def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
             factors[m] = factors.get(m, 0) + 1
             continue
         d = None
-        while d is None and budget[0] > 0:
-            spent = min(budget[0], 500000)
+        while d is None and budget > 0:
+            spent = min(budget, 500000)
             d = _pollard_brent(m, rng, spent)
-            budget[0] -= spent
+            budget -= spent
         if d is None:
             raise FactorBudgetExceeded(original, factors, m)
         stack.append(d)
@@ -180,12 +160,11 @@ def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
 
 
 def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
-              rho_steps: int = DEFAULT_RHO_STEPS, hints=()) -> dict[int, int]:
+              rho_steps: int = DEFAULT_RHO_STEPS) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Optional hint integers sharing factors with n are gcd-split off before
-    any rho work.  Raises FactorBudgetExceeded when neither trial division up
-    to trial_bound nor rho within rho_steps finishes the job.
+    Raises FactorBudgetExceeded when neither trial division up to
+    trial_bound nor rho within rho_steps finishes the job.
     """
     n = abs(n)
     if n == 0:
@@ -193,55 +172,10 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
     factors: dict[int, int] = {}
     if n == 1:
         return factors
-    budget = [rho_steps]
-    for piece in _split_by_hints(n, hints):
-        _factor_into(piece, factors, trial_bound, budget, n)
+    _factor_into(n, factors, trial_bound, rho_steps)
     check = 1
     for p, e in factors.items():
         check *= p ** e
-    assert check == n, "factorization lost a piece"
+    if check != n:
+        raise ArithmeticError("factorization of %d lost a piece" % n)
     return factors
-
-
-def square_divisors(factors: dict[int, int], cap: int | None = None) -> list[int]:
-    """All d > 0 with d^2 dividing the factored integer, ascending.
-
-    A cap on the candidate count guards against pathologically square-rich
-    discriminants; exceeding it raises FactorBudgetExceeded.
-    """
-    divisors = [1]
-    for p, e in sorted(factors.items()):
-        half = e // 2
-        if half == 0:
-            continue
-        powers = [p ** k for k in range(half + 1)]
-        divisors = [d * q for d in divisors for q in powers]
-        if cap is not None and len(divisors) > cap:
-            raise FactorBudgetExceeded(0, factors, len(divisors))
-    return sorted(divisors)
-
-
-def iter_square_divisors(factors: dict[int, int], cap: int | None = None):
-    """Lazily yield every d > 0 with d^2 dividing the factored integer.
-
-    Depth-first over prime-power choices with a running product, so no list
-    of all candidates is ever materialized; the cap bounds the total count.
-    """
-    primes = [(p, e // 2) for p, e in sorted(factors.items()) if e >= 2]
-    count = 0
-
-    def walk(idx: int, value: int):
-        nonlocal count
-        if idx == len(primes):
-            count += 1
-            if cap is not None and count > cap:
-                raise FactorBudgetExceeded(0, factors, count)
-            yield value
-            return
-        p, half = primes[idx]
-        power = 1
-        for _ in range(half + 1):
-            yield from walk(idx + 1, value * power)
-            power *= p
-
-    yield from walk(0, 1)

@@ -278,7 +278,8 @@ def genus_hilbert(n: int) -> int:
     total = Fraction(0)
     for m in range(1, n):
         total += (-1) ** (m + 1) * comb(n - 1, m) * phi(-2 * m)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError("Hilbert-polynomial genus is not an integer")
     return int(total)
 
 

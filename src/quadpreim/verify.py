@@ -297,9 +297,7 @@ def _checks_torsion() -> Iterable[CheckResult]:
         ok = True
         for t in ts:
             a = elliptic.torsion_family_a(kind, t)
-            group = elliptic.torsion_subgroup(
-                elliptic.specialize_e24(a).curve,
-                hints=elliptic.torsion_family_hints(kind, t))
+            group = elliptic.torsion_subgroup(elliptic.specialize_e24(a).curve)
             ok = ok and group.contains_structure(*kind.structure)
         yield _bool_result("torsion", "§6.1 family %s containment" % kind.value, ok)
 

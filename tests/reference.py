@@ -1,13 +1,27 @@
-"""Slow reference pre-image tree for the tests.
+"""Slow reference implementations for the tests.
 
-The plain level walk in `Fraction`s, one `rat_sqrt` per parent through
-`dynamics.preimages`.  The integer walk in `dynamics.preimage_tree`, and the
-search oracles that must not depend on it, are checked against this.
+- The plain pre-image level walk in `Fraction`s, one `rat_sqrt` per parent
+  through `dynamics.preimages`.  The integer walk in
+  `dynamics.preimage_tree`, and the search oracles that must not depend on
+  it, are checked against this.
+- Lutz-Nagell torsion enumeration, the oracle for the division closure in
+  `elliptic.torsion_subgroup`.
+- The Sylvester-determinant resultant, the oracle for
+  `exactmath.resultant`.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from quadpreim.dynamics import PreimageTree, TreeNode, preimages
+from quadpreim.elliptic import (
+    INFINITY,
+    ECPoint,
+    point_order,
+    short_integral_model,
+)
+from quadpreim.exactmath import QPoly
+from quadpreim.factor import factorize
 
 
 def reference_tree(c, a, depth: int) -> PreimageTree:
@@ -34,3 +48,145 @@ def reference_hit(c, a, target) -> bool:
     """Whether the reference signature of (c, a) dominates the target."""
     sig = reference_tree(c, a, max(len(target), 1)).signature()
     return all(s >= t for s, t in zip(sig, target))
+
+
+# -- Lutz-Nagell torsion ------------------------------------------------------
+
+def _icbrt(n: int) -> int:
+    """Floor cube root of n >= 0 by Newton iteration on integers."""
+    if n == 0:
+        return 0
+    x = 1 << ((n.bit_length() + 2) // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    return x
+
+
+def _integer_roots_depressed_cubic(a: int, b: int) -> list[int]:
+    """All integer roots of x^3 + a x + b, by monotone-interval bisection
+    (the polynomial is monic, so rational roots are integers).  Root size is
+    capped by the Fujiwara bound 2 max(|a|^(1/2), |b|^(1/3))."""
+
+    def f(x: int) -> int:
+        return x * x * x + a * x + b
+
+    bound = 2 * max(isqrt(abs(a)) + 1, _icbrt(abs(b)) + 1)
+    roots = set()
+
+    def bisect(lo: int, hi: int, increasing: bool):
+        if lo > hi:
+            return
+        flo, fhi = f(lo), f(hi)
+        if flo == 0:
+            roots.add(lo)
+        if fhi == 0:
+            roots.add(hi)
+        if increasing:
+            if not (flo < 0 < fhi):
+                return
+        else:
+            if not (flo > 0 > fhi):
+                return
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = f(mid)
+            if fm == 0:
+                roots.add(mid)
+                return
+            if (fm < 0) == increasing:
+                lo = mid
+            else:
+                hi = mid
+
+    if a >= 0:
+        bisect(-bound, bound, True)
+    else:
+        m = isqrt((-a) // 3)
+        for probe in (-m - 1, -m, m, m + 1):
+            if f(probe) == 0:
+                roots.add(probe)
+        bisect(-bound, -m - 1, True)
+        bisect(-m, m, False)
+        bisect(m + 1, bound, True)
+    return sorted(roots)
+
+
+def reference_torsion(curve) -> dict:
+    """{torsion point on curve: its order}, by Lutz-Nagell on the integral
+    short model: a torsion point there has integer coordinates with Y = 0 or
+    Y^2 | disc, so every square divisor Y^2 of the factored discriminant is
+    tried, with X an integer root of X^3 + a X + b - Y^2.  Enumerates every
+    square divisor, so it suits small discriminants only."""
+    model = short_integral_model(curve)
+    a, b = model.a, model.b
+    ys = [1]
+    for p, e in factorize(16 * (4 * a ** 3 + 27 * b ** 2)).items():
+        ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
+    found = {INFINITY: 1}
+    for y in [0] + ys:
+        for x in _integer_roots_depressed_cubic(a, b - y * y):
+            for yy in {y, -y}:
+                point = ECPoint.affine(x, yy)
+                order = point_order(model.curve, point)
+                if order is not None:
+                    found[model.pull(point)] = order
+    return found
+
+
+# -- resultants -----------------------------------------------------------------
+
+def sylvester_resultant(f: QPoly, g: QPoly) -> Fraction:
+    """Resultant as the determinant of the Sylvester matrix, by exact
+    Gaussian elimination.  Independent of the subresultant route in
+    `exactmath.resultant`, which is checked against it.
+    """
+    if f.is_zero() and g.is_zero():
+        raise ValueError("resultant of two zero polynomials is undefined")
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    m, n = f.degree, g.degree
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - i - len(fc)))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - i - len(gc)))
+    return _det_fraction(rows)
+
+
+def _det_fraction(rows: list) -> Fraction:
+    """Determinant over Q by Gaussian elimination with partial pivoting by
+    nonzero entry (exact arithmetic, so any nonzero pivot works)."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        for r in range(col + 1, n):
+            factor = rows[r][col] / pv
+            if factor:
+                rowr = rows[r]
+                rowc = rows[col]
+                for k in range(col, n):
+                    rowr[k] -= factor * rowc[k]
+    return det

@@ -129,9 +129,7 @@ def test_criterion_06_torsion_families():
             d += 1
         for t in admissible:
             a = elliptic.torsion_family_a(kind, t)
-            group = elliptic.torsion_subgroup(
-                elliptic.specialize_e24(a).curve,
-                hints=elliptic.torsion_family_hints(kind, t))
+            group = elliptic.torsion_subgroup(elliptic.specialize_e24(a).curve)
             assert group.contains_structure(*kind.structure), (kind, t, group)
     # excluded parameters are rejected, and where the raw expression is
     # finite it lands on a singular fiber exactly as stated

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
+from quadpreim import elliptic, factor
 from quadpreim.cli import main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -17,6 +19,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, flags=()):
+    """Run the CLI through the interpreter: (exit status, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(quadpreim.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, *flags, "-m", "quadpreim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_tree_human(capsys):
@@ -162,17 +174,26 @@ def test_search_bad_target_is_usage_error(capsys):
                            "--target", "2,x,6")
     assert code == 2 and err.startswith("error: --target")
     # through the interpreter too: exit status 2, one error line, no traceback
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(quadpreim.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "quadpreim.cli", "search",
-                           "--strategy", "forward", "--height-bound", "2",
-                           "--depth", "3", "--target", "2,x,6"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.strip().splitlines() == [
+    code, _, err = run_module("search", "--strategy", "forward",
+                              "--height-bound", "2", "--depth", "3",
+                              "--target", "2,x,6")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
         "error: --target expects comma-separated counts, got '2,x,6'"]
+
+
+@pytest.mark.parametrize("command", [
+    ("ec", "torsion", "--a4", "0", "--a6", "0"),
+    ("ec", "order", "--a4", "0", "--a6", "0", "--x", "0", "--y", "0"),
+    ("ec", "torsion", "--a2", "-2", "--a4", "1"),
+])
+def test_ec_singular_model_is_usage_error(capsys, command):
+    code, _, err = run_cli(capsys, *command)
+    assert code == 2 and err.startswith("error: ") and "singular" in err
+    code, _, err = run_module(*command)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "singular" in err
 
 
 def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):
@@ -187,18 +208,18 @@ def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):
     assert payload["config"]["strategy"] == "forward"
 
 
-def test_torsion_budget_error_exits_one(capsys, tmp_path):
-    conf = tmp_path / "tight.conf"
-    conf.write_text("trial_bound = 50\nrho_steps = 5\n")
-    # the coefficients of a twelve-torsion fiber are far beyond this budget
-    from quadpreim.elliptic import TorsionKind, specialize_e24, torsion_family_a
-    a = torsion_family_a(TorsionKind.Z12, Fraction(5, 7))
-    curve = specialize_e24(a).curve
-    code, _, err = run_cli(capsys, "--config", str(conf), "ec", "torsion",
+def test_torsion_budget_error_exits_one(capsys, monkeypatch):
+    # the denominators of a twelve-torsion fiber are far beyond this budget
+    monkeypatch.setattr(elliptic, "factorize", functools.partial(
+        factor.factorize, trial_bound=50, rho_steps=5))
+    a = elliptic.torsion_family_a(elliptic.TorsionKind.Z12, Fraction(5, 7))
+    curve = elliptic.specialize_e24(a).curve
+    code, _, err = run_cli(capsys, "ec", "torsion",
                            "--a2", str(curve.a2), "--a4", str(curve.a4),
-                           "--a6", str(curve.a6), "--method", "lutz-nagell")
+                           "--a6", str(curve.a6))
     assert code == 1
     assert "budget" in err
+    assert "Traceback" not in err
 
 
 def test_config_file_supplies_height_bound(capsys, tmp_path):
@@ -209,6 +230,27 @@ def test_config_file_supplies_height_bound(capsys, tmp_path):
                            "--target", "2,2", "--format", "structured")
     assert code == 0
     assert out.strip()
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("height_bound = abc", ("search", "--strategy", "forward", "--depth", "2",
+                            "--target", "2,2")),
+    ("display_digits = x", ("ec", "specialize-e24", "--a", "1")),
+])
+def test_config_value_not_an_integer_is_usage_error(capsys, tmp_path, line, argv):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(conf), *argv)
+    assert code == 2 and out == ""
+    key, value = (part.strip() for part in line.split("="))
+    assert err == "error: config key %s expects an integer, got %r\n" % (key, value)
+
+
+def test_verify_paper_under_optimize():
+    # python -O strips assert statements; every check must still run and pass
+    code, out, err = run_module("verify-paper", flags=("-O",))
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "52/52 checks passed"
 
 
 def test_verify_paper_sections(capsys):

@@ -13,12 +13,11 @@ from quadpreim.exactmath import (
     format_rat,
     height,
     int_sqrt,
-    nf_inv,
     parse_rat,
     rat_sqrt,
     resultant,
-    sylvester_resultant,
 )
+from reference import sylvester_resultant
 
 SEED = 20240817
 print("test_exactmath random seed:", SEED)
@@ -251,8 +250,8 @@ def test_nf_simple_identities():
     assert (x + 1) * (x - 1) == one
     mod3 = QPoly([-2, 0, 0, 1])         # x^3 - 2
     y = NFElem(mod3, QPoly.x())
-    assert nf_inv(y) == NFElem(mod3, QPoly([0, 0, F(1, 2)]))
-    assert nf_inv(y) * y == NFElem(mod3, QPoly.one())
+    assert y.inverse() == NFElem(mod3, QPoly([0, 0, F(1, 2)]))
+    assert y.inverse() * y == NFElem(mod3, QPoly.one())
 
 
 def test_nf_modulus_mismatch_rejected():
