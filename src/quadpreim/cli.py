@@ -238,17 +238,6 @@ def _default_checkpoint(strategy: str, target: str, shard_index: int):
     return os.path.join(directory, name)
 
 
-def _search_worker(payload: dict) -> list[dict]:
-    """One shard, run in a worker process; returns record JSON dicts."""
-    cfg = search.SearchConfig(
-        height_bound=payload["height_bound"], depth=payload["depth"],
-        target=tuple(payload["target"]), shard=tuple(payload["shard"]),
-        checkpoint_path=payload["checkpoint"])
-    scan = {"thirdpair": search.scan_thirdpair,
-            "forward": search.scan_forward}[payload["strategy"]]
-    return [record.as_json() for record in scan(cfg, resume=payload["resume"])]
-
-
 def cmd_search(args, config) -> int:
     try:
         target = tuple(int(part) for part in args.target.split(","))
@@ -266,67 +255,28 @@ def cmd_search(args, config) -> int:
     height_bound = args.height_bound or _config_int(config, "height_bound", 0)
     if height_bound < 1:
         raise UsageError("--height-bound must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    if args.jobs > 1 and args.shard:
-        raise UsageError("--jobs partitions the scan itself; drop --shard")
-
-    def emit(record_json: dict, count: int):
-        if args.format == "structured":
-            _print_json(record_json)
-        else:
-            print("hit %d: c = %s, a = %s, signature %s" %
-                  (count, record_json["c"], record_json["a"],
-                   ",".join(map(str, record_json["signature"]))))
-
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError("--jobs must be between 1 and the %d CPUs" % cpus)
+    checkpoint = args.checkpoint or _default_checkpoint(
+        args.strategy, args.target, shard[0])
     count = 0
-    if args.jobs == 1:
-        checkpoint = args.checkpoint or _default_checkpoint(
-            args.strategy, args.target, shard[0])
-        try:
-            cfg = search.SearchConfig(height_bound=height_bound,
-                                      depth=args.depth, target=target,
-                                      shard=shard, checkpoint_path=checkpoint)
-            scan = {"thirdpair": search.scan_thirdpair,
-                    "forward": search.scan_forward}[args.strategy]
-            for record in scan(cfg, resume=args.resume):
-                count += 1
-                emit(record.as_json(), count)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    else:
-        # independent shard workers; merging is a set union re-sorted by (c, a)
-        import multiprocessing
-
-        payloads = []
-        for idx in range(args.jobs):
-            checkpoint = None
-            if args.checkpoint:
-                checkpoint = "%s.shard%d" % (args.checkpoint, idx)
-            else:
-                checkpoint = _default_checkpoint(args.strategy, args.target, idx)
-            payloads.append({
-                "strategy": args.strategy, "height_bound": height_bound,
-                "depth": args.depth, "target": list(target),
-                "shard": [idx, args.jobs], "checkpoint": checkpoint,
-                "resume": args.resume,
-            })
-        with multiprocessing.Pool(processes=args.jobs) as pool:
-            try:
-                shards = pool.map(_search_worker, payloads)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-        merged: dict[tuple, dict] = {}
-        for records in shards:
-            for payload in records:
-                key = (parse_rat(payload["c"]), parse_rat(payload["a"]))
-                if key in merged:
-                    merged[key]["provenance"].extend(payload["provenance"])
-                else:
-                    merged[key] = payload
-        for key in sorted(merged):
+    try:
+        cfg = search.SearchConfig(height_bound=height_bound, depth=args.depth,
+                                  target=target, shard=shard,
+                                  checkpoint_path=checkpoint)
+        scan = {"thirdpair": search.scan_thirdpair,
+                "forward": search.scan_forward}[args.strategy]
+        for record in scan(cfg, resume=args.resume, jobs=args.jobs):
             count += 1
-            emit(merged[key], count)
+            if args.format == "structured":
+                _print_json(record.as_json())
+            else:
+                print("hit %d: c = %s, a = %s, signature %s" %
+                      (count, format_rat(record.c), format_rat(record.a),
+                       ",".join(map(str, record.signature))))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.format == "human":
         print("%d record(s)" % count)
     return EXIT_OK
@@ -432,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-level counts, e.g. 2,4,6")
     p_search.add_argument("--shard", help="INDEX/TOTAL")
     p_search.add_argument("--jobs", type=int, default=1,
-                          help="run this many shards in worker processes "
-                               "and merge the results")
+                          help="worker processes that share the scan's "
+                               "blocks; the output does not depend on it")
     p_search.add_argument("--checkpoint", help="checkpoint file path")
     p_search.add_argument("--resume", action="store_true")
     p_search.add_argument("--format", **fmt)

@@ -441,10 +441,6 @@ class BiPoly:
     def from_qpoly_c(cls, p: QPoly) -> "BiPoly":
         return cls({(i, 0): v for i, v in enumerate(p.coeffs)})
 
-    @classmethod
-    def from_qpoly_a(cls, p: QPoly) -> "BiPoly":
-        return cls({(0, j): v for j, v in enumerate(p.coeffs)})
-
     def is_zero(self) -> bool:
         return not self.terms
 

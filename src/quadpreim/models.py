@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactmath import BiPoly, QPoly
+from .exactmath import BiPoly
 
 Monomial = tuple[int, ...]
 
@@ -57,14 +57,7 @@ class QuadricForm:
         containing Q (Fraction, NFElem, QPoly in a)."""
         if len(point) != self.num_vars:
             raise ValueError("expected %d coordinates" % self.num_vars)
-        total = 0
-        for mono, coeff in self.terms:
-            term = coeff.eval_a(a_value)
-            for value, exp in zip(point, mono):
-                for _ in range(exp):
-                    term = term * value
-            total = total + term
-        return total
+        return _evaluate_terms(self.terms, point, a_value)
 
     def partial(self, var: int) -> "LinearForm":
         entries: dict[Monomial, BiPoly] = {}
@@ -110,14 +103,7 @@ class LinearForm:
     terms: tuple[tuple[Monomial, BiPoly], ...]
 
     def evaluate(self, point: Sequence, a_value):
-        total = 0
-        for mono, coeff in self.terms:
-            term = coeff.eval_a(a_value)
-            for value, exp in zip(point, mono):
-                for _ in range(exp):
-                    term = term * value
-            total = total + term
-        return total
+        return _evaluate_terms(self.terms, point, a_value)
 
 
 @dataclass(frozen=True)
@@ -146,9 +132,18 @@ class QuadricModel:
         return "\n".join(lines)
 
 
+def _evaluate_terms(terms, point: Sequence, a_value):
+    total = 0
+    for mono, coeff in terms:
+        term = coeff.eval_a(a_value)
+        for value, exp in zip(point, mono):
+            for _ in range(exp):
+                term = term * value
+        total = total + term
+    return total
+
+
 def _ring_is_zero(value) -> bool:
-    if isinstance(value, QPoly):
-        return value.is_zero()
     if hasattr(value, "is_zero"):
         return value.is_zero()
     return value == 0

@@ -23,11 +23,17 @@ every fraction failing that test before any pair is formed, rejects
 non-square N by exact residue tables modulo two highly composite numbers,
 vectorized over tiles, and re-checks the survivors with exact integer
 arithmetic; it emits exactly the pairs whose N is a perfect square.
+
+Both strategies cut their shard into ordered blocks of rows; one driver
+(_scan) reads the blocks' hits in order, in this process or from `jobs`
+workers, and alone dedups, emits and checkpoints.  Resume replays the records
+a checkpoint holds, so jobs and interruptions never change the output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -53,7 +59,7 @@ class SearchConfig:
     target: tuple[int, ...]
     shard: tuple[int, int] = (0, 1)
     checkpoint_path: Optional[str] = None
-    checkpoint_blocks: int = 2000
+    checkpoint_blocks: int = 32
 
     def __post_init__(self):
         if self.height_bound < 1:
@@ -99,8 +105,9 @@ class Provenance:
 @dataclass
 class SearchRecord:
     """A verified hit: the pair, its signature, the witness tree, and the
-    candidate that first reached it (later candidates reaching the same
-    (c, a) are dropped as duplicates, so a yielded record never changes)."""
+    candidate that first reached it in candidate order (later candidates
+    reaching the same (c, a) are dropped as duplicates, so a yielded record
+    never changes, whatever the jobs value)."""
 
     c: Fraction
     a: Fraction
@@ -173,62 +180,122 @@ def _write_checkpoint(path: str, payload: dict):
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))       # dumps has the C encoder
         os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError("checkpoint write to %r failed: %s" % (path, exc))
 
 
-def _load_checkpoint(path: str, expected_digest: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("config_sha") != expected_digest:
+def _load_checkpoint(path: str,
+                     expected_digest: str) -> tuple[int, list[SearchRecord]]:
+    """The next block and the emitted records of a checkpoint; ValueError
+    for a file that is not a readable checkpoint of this configuration."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        digest, next_block = payload["config_sha"], payload["next_block"]
+        records = [SearchRecord.from_json(data) for data in payload["records"]]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise ValueError("cannot resume from checkpoint %r: %r" % (path, exc))
+    if digest != expected_digest:
         raise ValueError("checkpoint %r belongs to a different configuration"
                          % (path,))
-    return payload
+    if type(next_block) is not int or next_block < 0:
+        raise ValueError("checkpoint %r has next_block %r" % (path, next_block))
+    return next_block, records
 
 
-class _ScanState:
-    """Dedup set, emit bookkeeping, and checkpoint plumbing shared by the
-    scan strategies."""
+# ---------------------------------------------------------------------------
+# the scan driver
+# ---------------------------------------------------------------------------
 
-    def __init__(self, strategy: str, config: SearchConfig, resume: bool):
-        self.strategy = strategy
-        self.config = config
-        self.digest = config.digest(strategy)
-        self.next_block = 0
-        self.seen: set[tuple] = set()
-        if resume:
-            if not config.checkpoint_path:
-                raise ValueError("resume requested without a checkpoint path")
-            payload = _load_checkpoint(config.checkpoint_path, self.digest)
-            self.next_block = payload["next_block"]
-            self.seen = {(parse_rat(ck), parse_rat(ak))
-                         for ck, ak in payload["seen"]}
+def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
+    """Runs of `tile` live rows from row `start` on, as row ranges
+    (first, end); end is the next_block of a checkpoint after the block."""
+    rows = live[np.searchsorted(live, start):].tolist()
+    ends = [rows[min(k + tile, len(rows)) - 1] + 1
+            for k in range(0, len(rows), tile)]
+    return list(zip([start] + ends[:-1], ends))
 
-    def register(self, c: Fraction, a: Fraction) -> Optional[SearchRecord]:
-        """The record of a new hit, without provenance; None for a miss or
-        a (c, a) emitted earlier (or before resuming)."""
-        key = (c, a)
-        if key in self.seen:
-            return None
-        rec = verify_pair(c, a, self.config.target, self.config.depth)
+
+def _scan_block(plan, block: tuple[int, int]) -> list:
+    """The hits (candidate, record) of one block, in candidate order."""
+    hits = []
+    for candidate in plan.candidates(*block):
+        rec = plan.settle(*candidate)
         if rec is not None:
-            self.seen.add(key)
-        return rec
+            hits.append((candidate, rec))
+    return hits
 
-    def checkpoint(self, next_block: int):
-        if not self.config.checkpoint_path:
-            return
-        payload = {
-            "config_sha": self.digest,
-            "config": self.config.canonical(self.strategy),
-            "next_block": next_block,
-            "emitted": len(self.seen),
-            "seen": sorted([format_rat(c), format_rat(a)]
-                           for c, a in self.seen),
-        }
-        _write_checkpoint(self.config.checkpoint_path, payload)
+
+_pool_plan = None           # the plan of a worker process
+
+
+def _init_worker(plan):
+    global _pool_plan
+    _pool_plan = plan
+
+
+def _pooled_block(block: tuple[int, int]) -> list:
+    return _scan_block(_pool_plan, block)
+
+
+def _block_hits(plan, blocks: list, jobs: int) -> Iterator[list]:
+    """The hits of each block, in block order: in this process for one job,
+    else from a pool whose initializer hands each worker the plan once."""
+    if jobs == 1:
+        yield from map(_scan_block, itertools.repeat(plan), blocks)
+        return
+    import multiprocessing      # lazily: a one-job scan starts no process
+    with multiprocessing.Pool(jobs, _init_worker, (plan,)) as pool:
+        yield from pool.imap(_pooled_block, blocks)
+
+
+def _scan(plan_class, config: SearchConfig, resume: bool,
+          jobs: int) -> Iterator[SearchRecord]:
+    """Replay the checkpoint's records on resume, then read each block's
+    hits in order: drop a (c, a) emitted before, attach the provenance, emit,
+    and checkpoint every checkpoint_blocks blocks and at the end."""
+    digest = config.digest(plan_class.strategy)
+    path = config.checkpoint_path
+    start, replayed = 0, []
+    if resume:
+        if not path:
+            raise ValueError("resume requested without a checkpoint path")
+        start, replayed = _load_checkpoint(path, digest)
+    yield from replayed
+    seen = {rec.key() for rec in replayed}
+    emitted = [rec.as_json() for rec in replayed]
+
+    def checkpoint(next_block: int):
+        if path:
+            _write_checkpoint(path, {
+                "config_sha": digest,
+                "config": config.canonical(plan_class.strategy),
+                "next_block": next_block,
+                "records": list(emitted),
+            })
+
+    plan = plan_class(config)
+    blocks = _blocks(plan.live, plan.tile, start)
+    for done, (hits, (_, end)) in enumerate(
+            zip(_block_hits(plan, blocks, jobs), blocks), start=1):
+        for candidate, rec in hits:
+            if rec.key() in seen:
+                continue
+            seen.add(rec.key())
+            x, y = (axis[k] for axis, k in zip(plan.axes, candidate))
+            rec.provenance.append(Provenance(
+                strategy=plan_class.strategy, heights=(height(x), height(y)),
+                params={plan.params[0]: format_rat(x),
+                        plan.params[1]: format_rat(y)}))
+            if path:
+                emitted.append(rec.as_json())
+            yield rec
+        if done % config.checkpoint_blocks == 0:
+            checkpoint(end)
+    checkpoint(plan.size)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +331,11 @@ def _thirdpair_values(p1: Fraction, p2: Fraction):
     return c, a
 
 
-def _emit_thirdpair(state: _ScanState, frs, i: int, j: int,
-                    c: Fraction, a: Fraction) -> Optional[SearchRecord]:
-    rec = state.register(c, a)
-    if rec is not None:
-        rec.provenance.append(Provenance(
-            strategy="thirdpair",
-            params={"p1": format_rat(frs[i]), "p2": format_rat(frs[j])},
-            heights=(height(frs[i]), height(frs[j])),
-        ))
-    return rec
-
-
 _INT64_HEIGHT_BOUND = 50000
 
 
-def scan_thirdpair(config: SearchConfig, resume: bool = False) -> Iterator[SearchRecord]:
+def scan_thirdpair(config: SearchConfig, resume: bool = False,
+                   jobs: int = 1) -> Iterator[SearchRecord]:
     """Stream every (c, a) within reach of the third-pair strategy whose tree
     dominates the target, deduplicated by (c, a), in candidate order.
 
@@ -289,32 +345,10 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False) -> Iterator[Searc
     """
     if len(config.target) < 3:
         raise ValueError("the third-pair strategy needs a depth-3 target")
-    # the integer square filter is sound only when the target forces a
-    # rational second-level sibling (four second pre-images)
-    filtered = config.target[1] >= 4
-    if filtered and config.height_bound > _INT64_HEIGHT_BOUND:
+    if config.target[1] >= 4 and config.height_bound > _INT64_HEIGHT_BOUND:
         raise ValueError("filtered third-pair scans are int64-safe only up "
                          "to height bound %d" % _INT64_HEIGHT_BOUND)
-    state = _ScanState("thirdpair", config, resume)
-    frs = fractions_by_height(config.height_bound)
-    if filtered:
-        yield from _scan_thirdpair_fast(state, frs, config)
-        return
-
-    shard_index, shard_total = config.shard
-    total_blocks = len(frs)
-    for i in range(state.next_block, total_blocks):
-        base = i * (i + 1) // 2
-        j_start = (shard_index - base) % shard_total
-        p1 = frs[i]
-        for j in range(j_start, i + 1, shard_total):
-            c, a = _thirdpair_values(p1, frs[j])
-            rec = _emit_thirdpair(state, frs, i, j, c, a)
-            if rec is not None:
-                yield rec
-        if (i + 1) % config.checkpoint_blocks == 0:
-            state.checkpoint(i + 1)
-    state.checkpoint(total_blocks)
+    yield from _scan(_ThirdPairPlan, config, resume, jobs)
 
 
 def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
@@ -333,19 +367,72 @@ _ROW_TILE = 64
 _COL_TILE = 1 << 15
 
 
-def _scan_thirdpair_fast(state: _ScanState, frs,
-                         config: SearchConfig) -> Iterator[SearchRecord]:
-    """Tiled integer filter over the candidate triangle.
+class _ThirdPairPlan:
+    """What every block of a third-pair scan reads: the height-ordered
+    fractions, the live rows, and for a filtered scan the residue terms of
+    the square filter (see _square_pairs).  A candidate (i, j) is the pair
+    (frs[i], frs[j])."""
 
-    Only fractions p = n/d with d^2 + 2 n^2 a sum of two integer squares
-    can appear in a pair with N a perfect square: (A + 2)^2 + (2u)^2 =
-    4 + 8 p1^2 and (A - 2)^2 + (2u)^2 = 4 + 8 p2^2 (module docstring), and by
-    Fermat-Euler an integer that is a sum of two rational squares is a sum
-    of two integer squares.  Rows and columns run over those fractions only,
-    under their original indices, so candidate numbering, shards, provenance
-    and the checkpoint's next_block keep their meaning.  A row tile is split
-    by the residue class its rows need from the columns for this shard, and
-    each class is matched only against its own columns.
+    strategy, params = "thirdpair", ("p1", "p2")
+
+    def __init__(self, config: SearchConfig):
+        self.config = config
+        self.frs = fractions_by_height(config.height_bound)
+        self.axes = (self.frs, self.frs)
+        self.size = len(self.frs)
+        self.tile = _ROW_TILE
+        # the integer square filter is sound only when the target forces a
+        # rational second-level sibling (four second pre-images)
+        self.filtered = config.target[1] >= 4
+        if not self.filtered:
+            self.live = np.arange(self.size)
+            return
+        self.nums = nums = np.array([f.numerator for f in self.frs], dtype=np.int64)
+        self.dens = dens = np.array([f.denominator for f in self.frs], dtype=np.int64)
+        self.tables = (_square_table(_MOD1), _square_table(_MOD2))
+        self.live = np.flatnonzero(_two_square_mask(nums, dens))
+        # per modulus, the column terms (D4, N4, ND2) and the row factors
+        # that multiply them: N = D4_j P_i + N4_j Q_i + ND2_j S_i  (mod m)
+        self.terms = {}
+        for m in (_MOD1, _MOD2):
+            n2m = nums * nums % m
+            d2m = dens * dens % m
+            n4, d4, nd2 = n2m * n2m % m, d2m * d2m % m, n2m * d2m % m
+            self.terms[m] = ((d4, n4, nd2), ((4 * nd2 - n4) % m, -d4 % m,
+                                             (4 * d4 + 2 * nd2) % m))
+        # the live columns j = w mod shard total, with their MOD1 column terms
+        total = config.shard[1]
+        self.classes = []
+        for w in range(total):
+            idx = self.live[self.live % total == w]
+            self.classes.append((idx, [col[idx] for col in self.terms[_MOD1][0]]))
+
+    def candidates(self, first: int, end: int):
+        """The shard's pairs (i, j <= i) over the live rows in [first, end),
+        in candidate order; a filtered scan keeps those with N a square."""
+        live = self.live
+        rows = live[np.searchsorted(live, first):np.searchsorted(live, end)]
+        if self.filtered:
+            return _square_pairs(self, rows)
+        index, total = self.config.shard
+        return ((i, j) for i in rows.tolist()
+                for j in range((index - i * (i + 1) // 2) % total, i + 1, total))
+
+    def settle(self, i: int, j: int) -> Optional[SearchRecord]:
+        c, a = _thirdpair_values(self.frs[i], self.frs[j])
+        return verify_pair(c, a, self.config.target, self.config.depth)
+
+
+def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (i in tile, j <= i) of the shard whose N is a perfect
+    square, in candidate order.
+
+    Rows and columns run over the live fractions only (those passing
+    _two_square_mask; module docstring), under their original indices, so
+    candidate numbering, shards, provenance and the checkpoint's next_block
+    keep their meaning.  The tile is split by the residue class its rows need
+    from the columns for this shard, and each class is matched only against
+    its own columns.
 
     With p1 = n1/d1, p2 = n2/d2, the filter integer expands to
     N = D4_2 (4 ND2_1 - N4_1) - N4_2 D4_1 + ND2_2 (4 D4_1 + 2 ND2_1)
@@ -355,108 +442,86 @@ def _scan_thirdpair_fast(state: _ScanState, frs,
     for height bounds up to 50000).  Residues that are squares modulo both
     moduli are re-checked with exact integer arithmetic.
     """
-    shard_index, shard_total = config.shard
-    nums = np.array([f.numerator for f in frs], dtype=np.int64)
-    dens = np.array([f.denominator for f in frs], dtype=np.int64)
-    table1 = _square_table(_MOD1)
-    table2 = _square_table(_MOD2)
-    live = np.flatnonzero(_two_square_mask(nums, dens))
-
-    # per modulus, the column terms (D4, N4, ND2) and the row factors that
-    # multiply them: N = D4_j P_i + N4_j Q_i + ND2_j S_i  (mod m)
-    terms = {}
-    for m in (_MOD1, _MOD2):
-        n2m = nums * nums % m
-        d2m = dens * dens % m
-        n4, d4, nd2 = n2m * n2m % m, d2m * d2m % m, n2m * d2m % m
-        terms[m] = ((d4, n4, nd2),
-                    ((4 * nd2 - n4) % m, -d4 % m, (4 * d4 + 2 * nd2) % m))
-    (d4b, n4b, nd2b), (pb, qb, sb) = terms[_MOD2]
-    # the live columns j = w mod shard_total, with their MOD1 column terms
-    classes = []
-    for w in range(shard_total):
-        idx = live[live % shard_total == w]
-        classes.append((idx, [col[idx] for col in terms[_MOD1][0]]))
-
-    start = int(np.searchsorted(live, state.next_block))
-    last_checkpoint = state.next_block
-    for k0 in range(start, len(live), _ROW_TILE):
-        tile = live[k0:k0 + _ROW_TILE]
-        # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
-        want = (shard_index - tile * (tile + 1) // 2) % shard_total
-        survivors: list[tuple[int, int]] = []
-        for w in np.unique(want).tolist():
-            rows = tile[want == w]
-            idx, (d4, n4, nd2) = classes[w]
-            p, q, s = (row[rows][:, None] for row in terms[_MOD1][1])
-            width = int(np.searchsorted(idx, rows[-1], side="right"))
-            for j0 in range(0, width, _COL_TILE):
-                j1 = min(j0 + _COL_TILE, width)
-                cols = idx[j0:j1]
-                nm = (d4[j0:j1] * p + n4[j0:j1] * q + nd2[j0:j1] * s) % _MOD1
-                alive = table1[nm]
-                alive &= cols[None, :] <= rows[:, None]
-                rr, cc = np.nonzero(alive)
-                gi, gj = rows[rr], cols[cc]
-                keep = table2[(d4b[gj] * pb[gi] + n4b[gj] * qb[gi]
-                               + nd2b[gj] * sb[gi]) % _MOD2]
-                for i_idx, j_idx in zip(gi[keep].tolist(), gj[keep].tolist()):
-                    n1, d1 = int(nums[i_idx]), int(dens[i_idx])
-                    n2, d2 = int(nums[j_idx]), int(dens[j_idx])
-                    x2 = n1 * n1 * d2 * d2
-                    y2 = n2 * n2 * d1 * d1
-                    e2 = d1 * d1 * d2 * d2
-                    big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
-                    if big < 0:
-                        continue
-                    root = isqrt(big)
-                    if root * root == big:
-                        survivors.append((i_idx, j_idx))
-        survivors.sort()
-        for i, j in survivors:
-            c, a = _thirdpair_values(frs[i], frs[j])
-            rec = _emit_thirdpair(state, frs, i, j, c, a)
-            if rec is not None:
-                yield rec
-        next_block = int(tile[-1]) + 1
-        if next_block - last_checkpoint >= config.checkpoint_blocks:
-            state.checkpoint(next_block)
-            last_checkpoint = next_block
-    state.checkpoint(len(frs))
+    shard_index, shard_total = plan.config.shard
+    nums, dens = plan.nums, plan.dens
+    table1, table2 = plan.tables
+    (d4b, n4b, nd2b), (pb, qb, sb) = plan.terms[_MOD2]
+    # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
+    want = (shard_index - tile * (tile + 1) // 2) % shard_total
+    survivors: list[tuple[int, int]] = []
+    for w in np.unique(want).tolist():
+        rows = tile[want == w]
+        idx, (d4, n4, nd2) = plan.classes[w]
+        p, q, s = (row[rows][:, None] for row in plan.terms[_MOD1][1])
+        width = int(np.searchsorted(idx, rows[-1], side="right"))
+        for j0 in range(0, width, _COL_TILE):
+            j1 = min(j0 + _COL_TILE, width)
+            cols = idx[j0:j1]
+            nm = (d4[j0:j1] * p + n4[j0:j1] * q + nd2[j0:j1] * s) % _MOD1
+            alive = table1[nm]
+            alive &= cols[None, :] <= rows[:, None]
+            # held until the next tile: had a block freed all its arrays, the C
+            # allocator would unmap them and the next block fault them back in
+            plan.held = (nm, alive)
+            rr, cc = np.nonzero(alive)
+            gi, gj = rows[rr], cols[cc]
+            keep = table2[(d4b[gj] * pb[gi] + n4b[gj] * qb[gi]
+                           + nd2b[gj] * sb[gi]) % _MOD2]
+            for i_idx, j_idx in zip(gi[keep].tolist(), gj[keep].tolist()):
+                n1, d1 = int(nums[i_idx]), int(dens[i_idx])
+                n2, d2 = int(nums[j_idx]), int(dens[j_idx])
+                x2 = n1 * n1 * d2 * d2
+                y2 = n2 * n2 * d1 * d1
+                e2 = d1 * d1 * d2 * d2
+                big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+                if big < 0:
+                    continue
+                root = isqrt(big)
+                if root * root == big:
+                    survivors.append((i_idx, j_idx))
+    survivors.sort()
+    return survivors
 
 
 # ---------------------------------------------------------------------------
 # forward-orbit strategy
 # ---------------------------------------------------------------------------
 
-def scan_forward(config: SearchConfig, resume: bool = False) -> Iterator[SearchRecord]:
+_C_RUN = 8
+
+
+def scan_forward(config: SearchConfig, resume: bool = False,
+                 jobs: int = 1) -> Iterator[SearchRecord]:
     """Seed a = f_c^depth(x0) over all c (any sign) and x0 >= 0 of height
     within the bound, and keep the pairs whose tree dominates the target.
-    Same ordering, sharding, dedup, and checkpoint contract as the
-    third-pair scan; blocks are c candidates."""
-    state = _ScanState("forward", config, resume)
-    frs = fractions_by_height(config.height_bound)
-    c_values = [Fraction(0)]
-    for f in frs:
-        c_values.append(f)
-        c_values.append(-f)
-    x_values = [Fraction(0)] + frs
-    shard_index, shard_total = config.shard
+    Same ordering, sharding, dedup, checkpoint and jobs contract as the
+    third-pair scan; a block is a run of _C_RUN c candidates."""
+    yield from _scan(_ForwardPlan, config, resume, jobs)
 
-    for ci in range(state.next_block, len(c_values)):
-        c = c_values[ci]
-        base = ci * len(x_values)
-        j_start = (shard_index - base) % shard_total
-        for xi in range(j_start, len(x_values), shard_total):
-            x0 = x_values[xi]
-            rec = state.register(c, iterate(c, x0, config.depth))
-            if rec is not None:
-                rec.provenance.append(Provenance(
-                    strategy="forward",
-                    params={"c": format_rat(c), "x0": format_rat(x0)},
-                    heights=(height(c), height(x0)),
-                ))
-                yield rec
-        if (ci + 1) % config.checkpoint_blocks == 0:
-            state.checkpoint(ci + 1)
-    state.checkpoint(len(c_values))
+
+class _ForwardPlan:
+    """The forward scan's candidates (ci, xi): c over 0 and +/- each
+    fraction, x0 over 0 and each fraction; every c index is a live row."""
+
+    strategy, params = "forward", ("c", "x0")
+
+    def __init__(self, config: SearchConfig):
+        self.config = config
+        frs = fractions_by_height(config.height_bound)
+        self.c_values = [Fraction(0)] + [v for f in frs for v in (f, -f)]
+        self.x_values = [Fraction(0)] + frs
+        self.axes = (self.c_values, self.x_values)
+        self.size = len(self.c_values)
+        self.live = np.arange(self.size)
+        self.tile = _C_RUN
+
+    def candidates(self, first: int, end: int):
+        index, total = self.config.shard
+        width = len(self.x_values)
+        return ((ci, xi) for ci in range(first, end)
+                for xi in range((index - ci * width) % total, width, total))
+
+    def settle(self, ci: int, xi: int) -> Optional[SearchRecord]:
+        c, depth = self.c_values[ci], self.config.depth
+        return verify_pair(c, iterate(c, self.x_values[xi], depth),
+                           self.config.target, depth)

@@ -68,21 +68,15 @@ def _bool_result(section: str, anchor: str, ok: bool,
 # section 2: the complete-intersection model of full trees
 # --------------------------------------------------------------------------
 
-def _mono(nv: int, *positions: int) -> tuple[int, ...]:
-    out = [0] * nv
-    for p in positions:
-        out[p] += 1
-    return tuple(out)
-
-
 def _checks_model() -> Iterable[CheckResult]:
     model3 = models.ideal_j(3)
     A = BiPoly.a_var()
+    mono = models._mono
     displayed = (
-        models.QuadricForm.build(4, {_mono(4, 2, 2): 1, _mono(4, 1, 3): 1,
-                                     _mono(4, 0, 0): -1, _mono(4, 3, 3): -A}),
-        models.QuadricForm.build(4, {_mono(4, 2, 2): 1, _mono(4, 2, 3): 1,
-                                     _mono(4, 1, 1): -1, _mono(4, 3, 3): -A}),
+        models.QuadricForm.build(4, {mono(4, 2, 2): 1, mono(4, 1, 3): 1,
+                                     mono(4, 0, 0): -1, mono(4, 3, 3): -A}),
+        models.QuadricForm.build(4, {mono(4, 2, 2): 1, mono(4, 2, 3): 1,
+                                     mono(4, 1, 1): -1, mono(4, 3, 3): -A}),
     )
     yield _bool_result("2", "§2 ideal, depth 3",
                        displayed == model3.generators)
@@ -96,9 +90,8 @@ def _checks_model() -> Iterable[CheckResult]:
         for eps in points:
             affine = [Fraction(e) for e in eps[:n - 1]] + [Fraction(0)]
             minors = models.jacobian_minors(model, n - 1, affine, sym)
-            smooth = smooth and any(
-                not (m.is_zero() if isinstance(m, QPoly) else m == 0)
-                for m in minors)
+            smooth = smooth and not all(models._ring_is_zero(m)
+                                        for m in minors)
         yield _bool_result("2", "§2 infinity points, depth %d" % n, ok and smooth)
     rng = random.Random(SEED)
     ok = True

@@ -1,5 +1,6 @@
 import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import elliptic, factor
+from quadpreim import elliptic, factor, search
 from quadpreim.cli import main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -150,10 +151,69 @@ def test_search_jobs_merge_matches_single(capsys):
                    "--target", "2,4,6", "--jobs", "2",
                    "--format", "structured")
     assert single[0] == 0 and jobs[0] == 0
-    parse = lambda out: {(json.loads(l)["c"], json.loads(l)["a"])
-                         for l in out.splitlines() if l.strip()}
-    assert parse(single[1]) == parse(jobs[1])
-    assert parse(single[1])
+    assert single[1] and jobs[1] == single[1]
+
+
+H12 = ("search", "--strategy", "thirdpair", "--height-bound", "12",
+       "--depth", "3", "--target", "2,4,4", "--format", "structured")
+
+
+def test_search_resume_replays_emitted_records(capsys, tmp_path):
+    path = str(tmp_path / "h12.ckpt")
+    code, out, _ = run_cli(capsys, *H12, "--jobs", "2", "--checkpoint", path)
+    assert code == 0 and len(out.splitlines()) == 8
+    code, again, _ = run_cli(capsys, *H12, "--jobs", "2", "--checkpoint", path,
+                             "--resume")
+    assert code == 0 and again == out
+    code, sharded, _ = run_cli(capsys, *H12, "--shard", "1/2")
+    assert code == 0 and sharded
+    assert run_cli(capsys, *H12, "--shard", "1/2", "--jobs", "2")[1] == sharded
+
+
+def _bad_checkpoints(tmp_path):
+    old = search.SearchConfig(height_bound=12, depth=3, target=(2, 4, 4))
+    texts = {
+        "list": "[]",
+        "garbled": '{"config_sha": ',
+        "no keys": "{}",
+        # the format before checkpoints held records: seen keys only
+        "seen only": json.dumps({
+            "config_sha": old.digest("thirdpair"),
+            "config": old.canonical("thirdpair"), "next_block": 0,
+            "emitted": 1, "seen": [["-5/16", "-1/4"]]}),
+        "bad record": json.dumps({
+            "config_sha": old.digest("thirdpair"), "next_block": 0,
+            "records": [{"c": "-5/16"}]}),
+    }
+    paths = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}
+    for name, text in texts.items():
+        paths[name] = tmp_path / (name.replace(" ", "_") + ".ckpt")
+        paths[name].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
+    for name, path in _bad_checkpoints(tmp_path).items():
+        argv = (*H12, "--jobs", jobs, "--checkpoint", str(path), "--resume")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", name
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), name
+        code, out, err = run_module(*argv)
+        assert code == 2 and out == "", name
+        assert "Traceback" not in err and len(err.splitlines()) == 1, name
+
+
+def test_search_jobs_beyond_cpu_count_is_usage_error(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in ("3", "0"):
+        code, out, err = run_cli(capsys, *H12, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == "error: --jobs must be between 1 and the 2 CPUs\n"
 
 
 def test_search_bad_height_bound(capsys):

@@ -189,13 +189,13 @@ def _square_pairs(frs):
 
 def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
     reached = []
-    emit = search._emit_thirdpair
+    settle = search._ThirdPairPlan.settle
 
-    def spy(state, frs, i, j, c, a):
+    def spy(plan, i, j):
         reached.append((i, j))
-        return emit(state, frs, i, j, c, a)
+        return settle(plan, i, j)
 
-    monkeypatch.setattr(search, "_emit_thirdpair", spy)
+    monkeypatch.setattr(search._ThirdPairPlan, "settle", spy)
     squares = _square_pairs(fractions_by_height(40))
     assert squares
     for index, total in ((0, 1), (0, 3), (1, 3), (2, 3)):
@@ -220,13 +220,51 @@ def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     full = [r.as_json() for r in scan_thirdpair(cfg)]
     mask = _two_square_mask(*_num_den_arrays(fractions_by_height(40)))
     mid = [p for p in payloads
-           if 0 < p["emitted"] < len(full) and not mask[p["next_block"]]]
+           if 0 < len(p["records"]) < len(full) and not mask[p["next_block"]]]
     assert mid
     for payload in mid:
         with open(path, "w") as fh:
             json.dump(payload, fh)
+        # resume replays the records the checkpoint holds, then continues
         resumed = [r.as_json() for r in scan_thirdpair(cfg, resume=True)]
-        assert resumed == full[payload["emitted"]:]
+        assert resumed == full
+
+
+def _printed(records):
+    # the structured lines the CLI prints for these records
+    return [json.dumps(r.as_json(), sort_keys=True) for r in records]
+
+
+@pytest.mark.parametrize("scan, cfg, tile", [
+    (scan_thirdpair, dict(height_bound=40, depth=3, target=(2, 4, 4)),
+     ("_ROW_TILE", 8)),
+    (scan_forward, dict(height_bound=4, depth=2, target=(2, 2)),
+     ("_C_RUN", 2)),
+])
+def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
+                                              cfg, tile):
+    # interrupt at every checkpoint the run writes, then resume: the output
+    # is byte-identical to the uninterrupted run, for one job and two
+    path = str(tmp_path / "scan.ckpt")
+    cfg = SearchConfig(checkpoint_path=path, checkpoint_blocks=1, **cfg)
+    monkeypatch.setattr(search, *tile)
+    payloads = []
+    write = search._write_checkpoint
+    monkeypatch.setattr(search, "_write_checkpoint",
+                        lambda p, payload: (payloads.append(payload),
+                                            write(p, payload)))
+    full = _printed(scan(cfg))
+    written = list(payloads)
+    assert full and len(written) > 5
+    assert any(0 < len(p["records"]) < len(full) for p in written)
+    payloads.clear()
+    assert _printed(scan(cfg, jobs=2)) == full
+    assert payloads == written
+    for payload in written:
+        for jobs in (1, 2):
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            assert _printed(scan(cfg, resume=True, jobs=jobs)) == full
 
 
 def test_scan_determinism_and_shard_union():
@@ -262,7 +300,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
     # rewind the checkpoint halfway and resume; the tail must re-emerge
     payload["next_block"] = 0
-    payload["seen"] = []
+    payload["records"] = []
     json.dump(payload, open(path, "w"))
     resumed = {(r.c, r.a) for r in scan_thirdpair(cfg, resume=True)}
     assert resumed == full

@@ -1,0 +1,69 @@
+"""Checks on the package source itself.
+
+Correctness must not rest on `assert` (python -O strips it), the core is
+exact (a float appears only in the display helper), and importing the
+package starts no worker machinery (`multiprocessing` is imported where a
+pool is made, so a one-job run never pays for it).
+"""
+
+import ast
+import pathlib
+
+import quadpreim
+
+SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
+FLOAT_HOME = ("cli.py", "_display_float")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _float_calls(node, path, scope=()):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "float"):
+            yield path.name, inner, child.lineno
+        yield from _float_calls(child, path, inner)
+
+
+def _top_level_imports(tree):
+    # statements run at import time: the module body and the blocks of its
+    # top-level if/try/with statements, but no function or class body
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                pending.extend(getattr(node, field, []))
+        elif isinstance(node, ast.ExceptHandler):
+            pending.extend(node.body)
+
+
+def test_sources_found():
+    assert {"cli.py", "search.py", "models.py"} <= {p.name for p in SOURCES}
+
+
+def test_no_assert_statements():
+    found = [(p.name, node.lineno) for p in SOURCES
+             for node in ast.walk(_parse(p)) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_float_only_in_display_helper():
+    calls = [call for p in SOURCES for call in _float_calls(_parse(p), p)]
+    assert [(name, scope) for name, scope, _ in calls] == [
+        (FLOAT_HOME[0], (FLOAT_HOME[1],))]
+
+
+def test_no_top_level_multiprocessing_import():
+    for path in SOURCES:
+        modules = list(_top_level_imports(_parse(path)))
+        assert not any(m.split(".")[0] == "multiprocessing" for m in modules), path
