@@ -26,7 +26,6 @@ from .elliptic import (
     torsion_subgroup,
 )
 from .exactmath import (
-    BiPoly,
     NFElem,
     QPoly,
     Rat,
@@ -60,9 +59,9 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "CriticalData", "ECPoint", "INFINITY", "NFElem", "PreimageTree",
-    "QPoly", "QuadricModel", "Rat", "SearchConfig", "SearchRecord",
-    "TorsionGroup", "TorsionKind", "WeierstrassCurve", "arrangement_curve",
+    "CriticalData", "ECPoint", "INFINITY", "NFElem", "PreimageTree", "QPoly",
+    "QuadricModel", "Rat", "SearchConfig", "SearchRecord", "TorsionGroup",
+    "TorsionKind", "WeierstrassCurve", "arrangement_curve",
     "critical_avalues", "critical_poly", "curve_244", "eliminate_c",
     "format_rat", "genus_closed", "genus_hilbert", "genus_with_delta",
     "height", "ideal_j", "infinity_points", "int_sqrt", "is_critical_value",

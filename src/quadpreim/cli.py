@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# each level of critical_avalues costs about 8 times the one before; level 8
+# takes most of a minute, and level 30 would build a degree-2^29 polynomial
+CRITICAL_MAX_N = 8
+
 
 class UsageError(Exception):
     pass
@@ -107,8 +111,8 @@ def cmd_tree(args, config) -> int:
 
 
 def cmd_critical(args, config) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
+    if not 2 <= args.n <= CRITICAL_MAX_N:
+        raise UsageError("--n must be between 2 and %d" % CRITICAL_MAX_N)
     data = dynamics.critical_avalues(args.n)
     if args.format == "structured":
         _print_json({
@@ -336,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.set_defaults(func=cmd_tree)
 
     p_crit = sub.add_parser("critical", help="critical parameter and value polynomials")
-    p_crit.add_argument("--n", type=int, required=True)
+    p_crit.add_argument("--n", type=int, required=True,
+                        help="level, 2 to %d" % CRITICAL_MAX_N)
     p_crit.add_argument("--format", **fmt)
     p_crit.set_defaults(func=cmd_critical)
 

@@ -23,7 +23,6 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 from .exactmath import (
-    BiPoly,
     QPoly,
     RatLike,
     eliminate_c,
@@ -213,9 +212,7 @@ def critical_avalues(n: int) -> CriticalData:
     """
     if n < 2:
         raise ValueError("critical a-values start at n = 2")
-    crit = BiPoly.from_qpoly_c(critical_poly(n))
-    orbit = BiPoly.from_qpoly_c(_orbit_poly(n))
-    minpoly = eliminate_c(crit, BiPoly.a_var() - orbit)
+    minpoly = eliminate_c(critical_poly(n), _orbit_poly(n))
     return CriticalData(n=n, crit_poly_c=critical_poly(n), avalue_minpoly=minpoly)
 
 

@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: integer and rational square roots, dense
-univariate polynomials over Q, bivariate polynomials, resultants, and
+univariate polynomials over Q, resultants and the elimination of c, and
 quotient-ring (number field) arithmetic.
 
 Everything here is immutable and pure; values can be shared freely between
@@ -266,29 +266,18 @@ class QPoly:
             return self
         return self / self.lc()
 
-    def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic gcd over Q."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
     def derivative(self) -> "QPoly":
         return QPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def eval(self, x):
         """Horner evaluation.  Works for Fraction arguments and, by duck
         typing, for any ring element supporting + and * with Fractions
-        (NFElem, QPoly itself for composition, BiPoly, ...).
+        (NFElem, or a QPoly, which composes).
         """
         result = 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def compose(self, other: "QPoly") -> "QPoly":
-        out = self.eval(other)
-        return out if isinstance(out, QPoly) else QPoly.constant(out)
 
     # -- normalization -----------------------------------------------------
 
@@ -397,248 +386,32 @@ def resultant(f: QPoly, g: QPoly) -> Fraction:
     return sign * res
 
 
-# ---------------------------------------------------------------------------
-# bivariate polynomials in (c, a)
-# ---------------------------------------------------------------------------
+def eliminate_c(f: QPoly, g: QPoly) -> QPoly:
+    """Res_c(f(c), a - g(c)) for polynomials f and g in c, as a polynomial in
+    a, normalized to integer coefficients with content 1 and a positive
+    leading coefficient.
 
-class BiPoly:
-    """Sparse bivariate polynomial in (c, a): mapping (deg_c, deg_a) -> Rat.
-
-    Used for the elimination of c from the critical-parameter system and, in
-    the nearly-degenerate "a only" form, as the coefficient ring of the
-    projective quadric models.
+    Both leading c-coefficients are constants, so specializing a commutes
+    with the resultant, and the result has degree at most deg f: it is the
+    interpolation of the univariate resultants at a = 0, 1, ..., deg f.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (i, j), v in items:
-            v = Fraction(v)
-            if v:
-                key = (int(i), int(j))
-                data[key] = data.get(key, Fraction(0)) + v
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in data.items() if v != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def constant(cls, v: RatLike) -> "BiPoly":
-        return cls({(0, 0): Fraction(v)})
-
-    @classmethod
-    def c_var(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def a_var(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def from_qpoly_c(cls, p: QPoly) -> "BiPoly":
-        return cls({(i, 0): v for i, v in enumerate(p.coeffs)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def deg_c(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    @property
-    def deg_a(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == BiPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("BiPoly", tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        other = _as_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return BiPoly(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        result = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def subs_a(self, a_value: RatLike) -> QPoly:
-        """Substitute a rational for a; result is a QPoly in c."""
-        a_value = Fraction(a_value)
-        out = {}
-        for (i, j), v in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + v * a_value ** j
-        if not out:
-            return QPoly.zero()
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for i, v in out.items():
-            coeffs[i] = v
-        return QPoly(coeffs)
-
-    def eval_a(self, a_value):
-        """Evaluate a polynomial that involves only a (deg_c == 0) at a_value,
-        which may be any ring element (Fraction, NFElem, QPoly, ...)."""
-        if self.deg_c > 0:
-            raise ValueError("eval_a on a polynomial involving c")
-        result = 0
-        for (_, j), v in sorted(self.terms.items(), reverse=True):
-            result = result + (v if j == 0 else v * a_value ** j)
-        return result
-
-    def eval(self, c_value: RatLike, a_value: RatLike) -> Fraction:
-        c_value = Fraction(c_value)
-        a_value = Fraction(a_value)
-        total = Fraction(0)
-        for (i, j), v in self.terms.items():
-            total += v * c_value ** i * a_value ** j
-        return total
-
-    def as_poly_in_c(self) -> list[QPoly]:
-        """Coefficients of powers of c, each a QPoly in a."""
-        if self.is_zero():
-            return []
-        rows: list[dict] = [dict() for _ in range(self.deg_c + 1)]
-        for (i, j), v in self.terms.items():
-            rows[i][j] = v
-        out = []
-        for row in rows:
-            if row:
-                coeffs = [Fraction(0)] * (max(row) + 1)
-                for j, v in row.items():
-                    coeffs[j] = v
-                out.append(QPoly(coeffs))
-            else:
-                out.append(QPoly.zero())
-        return out
-
-    def format(self, c_name: str = "c", a_name: str = "a") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j), v in sorted(self.terms.items(), reverse=True):
-            mono = []
-            if i:
-                mono.append(c_name if i == 1 else "%s^%d" % (c_name, i))
-            if j:
-                mono.append(a_name if j == 1 else "%s^%d" % (a_name, j))
-            mag = abs(v)
-            if not mono:
-                body = format_rat(mag)
-            else:
-                head = "" if mag == 1 else format_rat(mag) + "*"
-                body = head + "*".join(mono)
-            parts.append(("-" if v < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
-
-    def __repr__(self):
-        return "BiPoly(%s)" % (self.format(),)
-
-
-def _as_bipoly(value):
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return BiPoly.constant(value)
-    return NotImplemented
-
-
-def eliminate_c(f: BiPoly, g: BiPoly) -> QPoly:
-    """Resultant of f and g with respect to c, as a polynomial in a,
-    normalized to integer coefficients with content 1 and a positive leading
-    coefficient.
-
-    Strategy: the resultant in c is a polynomial in a of degree at most
-    degc(f)*dega(g) + degc(g)*dega(f); we compute univariate resultants at
-    sampled rational a values and Lagrange-interpolate.  Samples where either
-    leading c-coefficient vanishes are skipped, since specialization only
-    commutes with the resultant when the leading coefficients survive.
-    """
-    if f.deg_c < 1 or g.deg_c < 1:
-        raise ValueError("eliminate_c requires positive degree in c for both inputs")
-    lcf = f.as_poly_in_c()[-1]
-    lcg = g.as_poly_in_c()[-1]
-    bound = f.deg_c * g.deg_a + g.deg_c * f.deg_a
-    samples: list[tuple[Fraction, Fraction]] = []
-    k = 0
-    while len(samples) < bound + 1:
-        a0 = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-        k += 1
-        if lcf.eval(a0) == 0 or lcg.eval(a0) == 0:
-            continue
-        fa = f.subs_a(a0)
-        ga = g.subs_a(a0)
-        samples.append((a0, resultant(fa, ga)))
-    poly = _lagrange(samples)
-    return poly.content_den_cleared()
+    if f.degree < 1:
+        raise ValueError("eliminate_c requires positive degree in c")
+    samples = [(Fraction(k), resultant(f, k - g)) for k in range(f.degree + 1)]
+    return _lagrange(samples).content_den_cleared()
 
 
 def _lagrange(samples: Sequence[tuple[Fraction, Fraction]]) -> QPoly:
+    """The polynomial of degree < len(samples) through the (x, y) samples;
+    each basis polynomial is the product of all (X - x) divided by one."""
+    master = QPoly.one()
+    for x, _ in samples:
+        master = master * QPoly((-x, 1))
     total = QPoly.zero()
-    for i, (xi, yi) in enumerate(samples):
-        if yi == 0:
-            continue
-        basis = QPoly.one()
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            basis = basis * QPoly((-xj, 1))
-            denom *= xi - xj
-        total = total + basis * (yi / denom)
+    for x, y in samples:
+        if y:
+            basis = master.divmod(QPoly((-x, 1)))[0]
+            total = total + basis * (y / basis.eval(x))
     return total
 
 

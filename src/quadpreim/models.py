@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactmath import BiPoly
+from .exactmath import QPoly
 
 Monomial = tuple[int, ...]
 
@@ -29,26 +29,24 @@ class ModelMembershipError(ValueError):
 
 @dataclass(frozen=True)
 class QuadricForm:
-    """Homogeneous degree-2 form in num_vars projective coordinates with
-    coefficients polynomial in the fiber parameter a (BiPoly with no c part).
+    """Homogeneous degree-2 form in num_vars projective coordinates whose
+    coefficients are polynomials in the fiber parameter a (QPoly in a).
     """
 
     num_vars: int
-    terms: tuple[tuple[Monomial, BiPoly], ...]
+    terms: tuple[tuple[Monomial, QPoly], ...]
 
     @classmethod
     def build(cls, num_vars: int, entries: dict) -> "QuadricForm":
         packed = []
         for mono, coeff in sorted(entries.items(), reverse=True):
-            if not isinstance(coeff, BiPoly):
-                coeff = BiPoly.constant(coeff)
+            if not isinstance(coeff, QPoly):
+                coeff = QPoly.constant(coeff)
             if coeff.is_zero():
                 continue
             if len(mono) != num_vars or sum(mono) != 2 or any(e < 0 for e in mono):
                 raise ValueError("monomial %r is not quadratic in %d variables"
                                  % (mono, num_vars))
-            if coeff.deg_c > 0:
-                raise ValueError("model coefficients may involve a only")
             packed.append((tuple(mono), coeff))
         return cls(num_vars=num_vars, terms=tuple(packed))
 
@@ -60,7 +58,7 @@ class QuadricForm:
         return _evaluate_terms(self.terms, point, a_value)
 
     def partial(self, var: int) -> "LinearForm":
-        entries: dict[Monomial, BiPoly] = {}
+        entries: dict[Monomial, QPoly] = {}
         for mono, coeff in self.terms:
             e = mono[var]
             if e == 0:
@@ -69,7 +67,7 @@ class QuadricForm:
             lowered[var] -= 1
             key = tuple(lowered)
             scaled = coeff * e
-            entries[key] = entries.get(key, BiPoly.constant(0)) + scaled
+            entries[key] = entries.get(key, QPoly.zero()) + scaled
         return LinearForm(num_vars=self.num_vars,
                           terms=tuple(sorted((k, v) for k, v in entries.items()
                                              if not v.is_zero())))
@@ -82,7 +80,7 @@ class QuadricForm:
             body = "*".join(
                 ("%s" % names[i] if e == 1 else "%s^%d" % (names[i], e))
                 for i, e in enumerate(mono) if e)
-            cs = coeff.format(a_name="a")
+            cs = coeff.format("a")
             if cs == "1":
                 parts.append(body)
             elif cs == "-1":
@@ -99,8 +97,10 @@ class QuadricForm:
 
 @dataclass(frozen=True)
 class LinearForm:
+    """A partial derivative of a QuadricForm; coefficients are QPoly in a."""
+
     num_vars: int
-    terms: tuple[tuple[Monomial, BiPoly], ...]
+    terms: tuple[tuple[Monomial, QPoly], ...]
 
     def evaluate(self, point: Sequence, a_value):
         return _evaluate_terms(self.terms, point, a_value)
@@ -135,7 +135,7 @@ class QuadricModel:
 def _evaluate_terms(terms, point: Sequence, a_value):
     total = 0
     for mono, coeff in terms:
-        term = coeff.eval_a(a_value)
+        term = coeff.eval(a_value)
         for value, exp in zip(point, mono):
             for _ in range(exp):
                 term = term * value
@@ -163,13 +163,13 @@ def ideal_j(n: int) -> QuadricModel:
     if n < 2:
         raise ValueError("the model needs n >= 2")
     nv = n + 1
-    a = BiPoly.a_var()
+    a = QPoly.x()
     gens = []
     for i in range(1, n):
         entries = {
-            _mono(nv, n - 1, n - 1): BiPoly.constant(1),
-            _mono(nv, i, n): BiPoly.constant(1),
-            _mono(nv, i - 1, i - 1): BiPoly.constant(-1),
+            _mono(nv, n - 1, n - 1): 1,
+            _mono(nv, i, n): 1,
+            _mono(nv, i - 1, i - 1): -1,
             _mono(nv, n, n): -a,
         }
         gens.append(QuadricForm.build(nv, entries))
@@ -187,9 +187,9 @@ def arrangement_curve(tag: str) -> QuadricModel:
     the sixth coordinate v is carried unused and the count mismatch is left
     visible rather than silently repaired.
     """
-    a = BiPoly.a_var()
-    one = BiPoly.constant(1)
-    neg = BiPoly.constant(-1)
+    a = QPoly.x()
+    one = QPoly.one()
+    neg = -one
 
     def base(nv, t_idx, z_idx):
         # a z^2 - t^2 common to every generator
@@ -235,7 +235,7 @@ def arrangement_curve(tag: str) -> QuadricModel:
     for spec in specs:
         entries = dict(base(nv, t_idx, z_idx))
         for mono, coeff in spec.items():
-            entries[mono] = entries.get(mono, BiPoly.constant(0)) + coeff
+            entries[mono] = entries.get(mono, QPoly.zero()) + coeff
         gens.append(QuadricForm.build(nv, entries))
     return QuadricModel(var_names=names, generators=tuple(gens))
 

@@ -59,7 +59,6 @@ class SearchConfig:
     target: tuple[int, ...]
     shard: tuple[int, int] = (0, 1)
     checkpoint_path: Optional[str] = None
-    checkpoint_blocks: int = 32
 
     def __post_init__(self):
         if self.height_bound < 1:
@@ -210,6 +209,9 @@ def _load_checkpoint(path: str,
 # the scan driver
 # ---------------------------------------------------------------------------
 
+_CHECKPOINT_BLOCKS = 32      # blocks between two checkpoint writes
+
+
 def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
     """Runs of `tile` live rows from row `start` on, as row ranges
     (first, end); end is the next_block of a checkpoint after the block."""
@@ -256,7 +258,7 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
           jobs: int) -> Iterator[SearchRecord]:
     """Replay the checkpoint's records on resume, then read each block's
     hits in order: drop a (c, a) emitted before, attach the provenance, emit,
-    and checkpoint every checkpoint_blocks blocks and at the end."""
+    and checkpoint every _CHECKPOINT_BLOCKS blocks and at the end."""
     digest = config.digest(plan_class.strategy)
     path = config.checkpoint_path
     start, replayed = 0, []
@@ -293,7 +295,7 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
             if path:
                 emitted.append(rec.as_json())
             yield rec
-        if done % config.checkpoint_blocks == 0:
+        if done % _CHECKPOINT_BLOCKS == 0:
             checkpoint(end)
     checkpoint(plan.size)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import dynamics, elliptic, models, search
-from .exactmath import BiPoly, NFElem, QPoly
+from .exactmath import NFElem, QPoly
 
 SEED = 20250808
 
@@ -70,7 +70,7 @@ def _bool_result(section: str, anchor: str, ok: bool,
 
 def _checks_model() -> Iterable[CheckResult]:
     model3 = models.ideal_j(3)
-    A = BiPoly.a_var()
+    A = QPoly.x()
     mono = models._mono
     displayed = (
         models.QuadricForm.build(4, {mono(4, 2, 2): 1, mono(4, 1, 3): 1,

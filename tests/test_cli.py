@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import elliptic, factor, search
+from quadpreim import dynamics, elliptic, factor, search
 from quadpreim.cli import main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -76,6 +76,22 @@ def test_critical_structured(capsys):
     payload = json.loads(out.strip())
     assert payload["critical_poly_c"] == ["1", "2"]
     assert payload["avalue_minpoly"] == ["1", "4"]
+
+
+def test_critical_level_out_of_range_is_usage_error(capsys, monkeypatch):
+    def no_elimination(n):
+        raise AssertionError("critical_avalues(%d) was called" % n)
+
+    monkeypatch.setattr(dynamics, "critical_avalues", no_elimination)
+    for n in ("9", "30", "1000000", "1", "-3"):
+        code, out, err = run_cli(capsys, "critical", "--n", n)
+        assert code == 2 and out == ""
+        assert err == "error: --n must be between 2 and 8\n"
+    # through the interpreter: exit status 2 at once, one line, no traceback
+    code, out, err = run_module("critical", "--n", "1000000",
+                                "--format", "structured")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --n must be between 2 and 8"]
 
 
 def test_ec_specialize_e24(capsys):

@@ -57,7 +57,8 @@ def _case(rng, tmp_path):
             ("--depth", _maybe(rng, ["1", "2", "3", "4"], COUNTS))] + fmt)
     elif command == "critical":
         argv = ["critical"] + _flags(rng, [
-            ("--n", _maybe(rng, ["2", "3", "4"], COUNTS + ["1"]))] + fmt)
+            ("--n", _maybe(rng, ["2", "3", "4"],
+                           COUNTS + ["1", "9", "1000000"]))] + fmt)
     elif command == "model":
         argv = ["model"] + _flags(rng, [("--tag", _maybe(rng, TAGS[:6], TAGS[6:]))]
                                   + fmt)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadpreim.dynamics import iterate
-from quadpreim.exactmath import BiPoly, NFElem, QPoly
+from quadpreim.exactmath import NFElem, QPoly
 from quadpreim.models import (
     ModelMembershipError,
     QuadricForm,
@@ -33,7 +33,7 @@ def mono(nv, *positions):
     return tuple(out)
 
 
-A = BiPoly.a_var()
+A = QPoly.x()
 
 
 # -- the ideal of full trees --------------------------------------------------

@@ -210,7 +210,8 @@ def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
 def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     path = str(tmp_path / "scan.ckpt")
     cfg = SearchConfig(height_bound=40, depth=3, target=(2, 4, 4),
-                       checkpoint_path=path, checkpoint_blocks=1)
+                       checkpoint_path=path)
+    monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 1)
     payloads = []
     write = search._write_checkpoint
     monkeypatch.setattr(search, "_write_checkpoint",
@@ -246,7 +247,8 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
     # interrupt at every checkpoint the run writes, then resume: the output
     # is byte-identical to the uninterrupted run, for one job and two
     path = str(tmp_path / "scan.ckpt")
-    cfg = SearchConfig(checkpoint_path=path, checkpoint_blocks=1, **cfg)
+    cfg = SearchConfig(checkpoint_path=path, **cfg)
+    monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 1)
     monkeypatch.setattr(search, *tile)
     payloads = []
     write = search._write_checkpoint
@@ -289,10 +291,11 @@ def test_scan_soundness_reverifies():
         assert rec.provenance and rec.provenance[0].strategy == "thirdpair"
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_checkpoint_roundtrip(tmp_path, monkeypatch):
     path = str(tmp_path / "scan.ckpt")
     cfg = SearchConfig(height_bound=60, depth=3, target=(2, 4, 6),
-                       checkpoint_path=path, checkpoint_blocks=128)
+                       checkpoint_path=path)
+    monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 128)
     full = {(r.c, r.a) for r in scan_thirdpair(cfg)}
     payload = json.load(open(path))
     assert payload["config_sha"] == cfg.digest("thirdpair")
@@ -312,10 +315,10 @@ def test_checkpoint_roundtrip(tmp_path):
         list(scan_thirdpair(other, resume=True))
 
 
-def test_checkpoint_write_failure(tmp_path):
+def test_checkpoint_write_failure(tmp_path, monkeypatch):
     cfg = SearchConfig(height_bound=30, depth=3, target=(2, 4, 6),
-                       checkpoint_path=str(tmp_path / "no_dir" / "x.ckpt"),
-                       checkpoint_blocks=1)
+                       checkpoint_path=str(tmp_path / "no_dir" / "x.ckpt"))
+    monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 1)
     with pytest.raises(CheckpointError):
         list(scan_thirdpair(cfg))
 

@@ -3,16 +3,19 @@
 Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
-pool is made, so a one-job run never pays for it).
+pool is made, so a one-job run never pays for it).  Every name that the
+benchmark harness traces still exists in the package.
 """
 
 import ast
+import importlib
 import pathlib
 
 import quadpreim
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
+BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def _parse(path):
@@ -67,3 +70,18 @@ def test_no_top_level_multiprocessing_import():
     for path in SOURCES:
         modules = list(_top_level_imports(_parse(path)))
         assert not any(m.split(".")[0] == "multiprocessing" for m in modules), path
+
+
+def test_benchmark_traced_names_resolve():
+    # `perfbench/run.py --trace 1` patches each (module, attr) of its TRACED
+    # tuple with a getattr that has no default, so a name dropped from the
+    # package breaks every traced run; read the tuple without importing it
+    traced = [ast.literal_eval(node.value) for node in _parse(BENCH_RUN).body
+              if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)]
+              == ["TRACED"]]
+    assert len(traced) == 1 and traced[0]
+    missing = [(module, attr) for module, attr, *_ in traced[0]
+               if not hasattr(importlib.import_module("quadpreim." + module),
+                              attr)]
+    assert missing == []
