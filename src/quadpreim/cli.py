@@ -30,6 +30,8 @@ EXIT_USAGE = 2
 # each level of critical_avalues costs about 8 times the one before; level 8
 # takes most of a minute, and level 30 would build a degree-2^29 polynomial
 CRITICAL_MAX_N = 8
+# ideal_j(n) holds n - 1 quadrics over (n + 1)-tuple monomials: O(n^2) memory
+MODEL_MAX_DEPTH = 1000
 
 
 class UsageError(Exception):
@@ -136,8 +138,9 @@ def cmd_model(args, config) -> int:
             depth = int(args.tag)
         except ValueError:
             raise UsageError("--tag must be 224, 242, 2222, or a depth >= 2")
-        if depth < 2:
-            raise UsageError("model depth must be at least 2")
+        if not 2 <= depth <= MODEL_MAX_DEPTH:
+            raise UsageError("model depth must be between 2 and %d"
+                             % MODEL_MAX_DEPTH)
         model = models.ideal_j(depth)
     if args.format == "structured":
         _print_json({

@@ -20,9 +20,10 @@ so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
 it to an even power) a sum of two integer squares.  The fast path drops
 every fraction failing that test before any pair is formed, rejects
-non-square N by exact residue tables modulo two highly composite numbers,
-vectorized over tiles, and re-checks the survivors with exact integer
-arithmetic; it emits exactly the pairs whose N is a perfect square.
+non-square N by tables of its squareness modulo twelve prime powers, read at
+the classes of p1 and p2 in P^1(Z/m) over tiles of pairs, and re-checks the
+survivors with exact integer arithmetic; it emits exactly the pairs whose N
+is a perfect square.
 
 Both strategies cut their shard into ordered blocks of rows; one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
@@ -32,13 +33,14 @@ a checkpoint holds, so jobs and interruptions never change the output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -156,19 +158,23 @@ def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecor
     return SearchRecord(c=c, a=a, signature=tree.signature(), tree=tree)
 
 
-def fractions_by_height(bound: int) -> list[Fraction]:
-    """All positive reduced fractions with height <= bound, ordered by
-    (height, value); signs are handled by the callers since pre-images come
-    in +/- pairs."""
-    out = [Fraction(1)]
+def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators (int64) of all positive reduced fractions
+    with height <= bound, ordered by (height, value): at height h, each n/h
+    with n < h coprime to h, then h/d for the same d, decreasing."""
+    nums, dens = [np.ones(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
     for h in range(2, bound + 1):
-        for n in range(1, h):
-            if gcd(n, h) == 1:
-                out.append(Fraction(n, h))
-        for d in range(h - 1, 0, -1):
-            if gcd(h, d) == 1:
-                out.append(Fraction(h, d))
-    return out
+        k = np.flatnonzero(np.gcd(np.arange(h), h) == 1)
+        nums += [k, np.full_like(k, h)]
+        dens += [np.full_like(k, h), k[::-1]]
+    return np.concatenate(nums), np.concatenate(dens)
+
+
+def fractions_by_height(bound: int) -> list[Fraction]:
+    """The fractions of _height_order(bound); callers handle the signs."""
+    nums, dens = _height_order(bound)
+    return [Fraction(n, d) for k in range(0, len(nums), 4096)  # 4096 ints at a time
+            for n, d in zip(nums[k:k + 4096].tolist(), dens[k:k + 4096].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +229,8 @@ def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
 
 def _scan_block(plan, block: tuple[int, int]) -> list:
     """The hits (candidate, record) of one block, in candidate order."""
-    hits = []
-    for candidate in plan.candidates(*block):
-        rec = plan.settle(*candidate)
-        if rec is not None:
-            hits.append((candidate, rec))
-    return hits
+    return [(candidate, rec) for candidate in plan.candidates(*block)
+            if (rec := plan.settle(*candidate)) is not None]
 
 
 _pool_plan = None           # the plan of a worker process
@@ -287,7 +289,7 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
             if rec.key() in seen:
                 continue
             seen.add(rec.key())
-            x, y = (axis[k] for axis, k in zip(plan.axes, candidate))
+            x, y = plan.values(*candidate)
             rec.provenance.append(Provenance(
                 strategy=plan_class.strategy, heights=(height(x), height(y)),
                 params={plan.params[0]: format_rat(x),
@@ -304,36 +306,44 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
 # third-pair strategy
 # ---------------------------------------------------------------------------
 
-_MOD1 = 64 * 63 * 65 * 11          # classic perfect-square residue filter
-_MOD2 = 17 * 19 * 23 * 29 * 31
-_square_tables: dict[int, np.ndarray] = {}
+def _thirdpair_values(n1: int, d1: int, n2: int, d2: int):
+    """(c, a) of p1 = n1/d1, p2 = n2/d2: with x, y, e as in N (module
+    docstring), c = -(x^2 + y^2) / (2 e^2) and t = s^2 + c = T / (4 e^4)."""
+    x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
+    t = (x2 - y2) ** 2 - 2 * e2 * (x2 + y2)
+    return (Fraction(-(x2 + y2), 2 * e2),
+            Fraction(t * t - 8 * e2 ** 3 * (x2 + y2), 16 * e2 ** 4))
 
 
-def _square_table(m: int) -> np.ndarray:
-    """table[x] is True exactly when x is a square modulo m."""
-    table = _square_tables.get(m)
-    if table is None:
-        table = np.zeros(m, dtype=bool)
-        # r and m - r square alike; chunks keep the int64 temporaries small
-        end = m // 2 + 1
-        for r0 in range(0, end, 1 << 18):
-            r = np.arange(r0, min(r0 + (1 << 18), end), dtype=np.int64)
-            table[r * r % m] = True
-        _square_tables[m] = table
-    return table
+# the filter's prime powers q^k as (q^k, q), most selective first
+_MODULI = ((256, 2), (81, 3), (25, 5), (49, 7), (11, 11), (13, 13), (17, 17),
+           (19, 19), (23, 23), (29, 29), (31, 31), (37, 37))
+_TILE_MODULI = 5         # the moduli read over whole tiles, the rest on pairs
 
 
-def _thirdpair_values(p1: Fraction, p2: Fraction):
-    sq1 = p1 * p1
-    sq2 = p2 * p2
-    c = -(sq1 + sq2) / 2
-    s = (sq1 - sq2) / 2
-    t = s * s + c
-    a = t * t + c
-    return c, a
+@functools.cache
+def _filter_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """For m = q^k: classes[n mod m, d mod m], the point of P^1(Z/m) of a
+    reduced n/d (n/d mod m if q does not divide d, else m + (d/n mod m)/q),
+    and table[k1, k2], whether N is a square mod m for p1, p2 in the classes
+    k1, k2.  N has degree 4 in (n1, d1) and in (n2, d2): scaling either by a
+    unit multiplies it by a unit square, so the class decides."""
+    r = np.arange(m)
+    inv = np.array([pow(u, -1, m) if u % q else 0 for u in range(m)])
+    classes = np.where(r % q != 0, r[:, None] * inv % m,
+                       m + r * inv[:, None] % m // q).astype(np.int16)
+    k = np.arange(m + m // q)
+    n, d = np.where(k < m, k, 1), np.where(k < m, 1, (k - m) * q)
+    # x = n1 d2 and e = d1 d2 reduced, y = n2 d1 is x transposed: N fits int64
+    x2, e2 = (np.outer(n, d) % m) ** 2, (np.outer(d, d) % m) ** 2
+    squares = np.zeros(m, dtype=bool)
+    squares[r * r % m] = True
+    table = squares[(4 * e2 * (x2 + x2.T) - (x2 - x2.T) ** 2) % m]
+    classes.flags.writeable = table.flags.writeable = False
+    return classes, table
 
 
-_INT64_HEIGHT_BOUND = 50000
+_MASK_HEIGHT_BOUND = 50000
 
 
 def scan_thirdpair(config: SearchConfig, resume: bool = False,
@@ -347,9 +357,10 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False,
     """
     if len(config.target) < 3:
         raise ValueError("the third-pair strategy needs a depth-3 target")
-    if config.target[1] >= 4 and config.height_bound > _INT64_HEIGHT_BOUND:
-        raise ValueError("filtered third-pair scans are int64-safe only up "
-                         "to height bound %d" % _INT64_HEIGHT_BOUND)
+    if config.target[1] >= 4 and config.height_bound > _MASK_HEIGHT_BOUND:
+        raise ValueError("filtered third-pair scans stop at height bound %d: the "
+                         "two-square mask indexes a table of about 6 H^2 bytes "
+                         "by the int64 values d^2 + 2 n^2" % _MASK_HEIGHT_BOUND)
     yield from _scan(_ThirdPairPlan, config, resume, jobs)
 
 
@@ -365,23 +376,21 @@ def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return sums[values]
 
 
-_ROW_TILE = 64
+_ROW_TILE = 256
 _COL_TILE = 1 << 15
 
 
 class _ThirdPairPlan:
     """What every block of a third-pair scan reads: the height-ordered
-    fractions, the live rows, and for a filtered scan the residue terms of
-    the square filter (see _square_pairs).  A candidate (i, j) is the pair
-    (frs[i], frs[j])."""
+    fractions n_i/d_i as int64 arrays, the live rows, and for a filtered scan
+    each fraction's class under every filter modulus (see _square_pairs)."""
 
     strategy, params = "thirdpair", ("p1", "p2")
 
     def __init__(self, config: SearchConfig):
         self.config = config
-        self.frs = fractions_by_height(config.height_bound)
-        self.axes = (self.frs, self.frs)
-        self.size = len(self.frs)
+        self.nums, self.dens = nums, dens = _height_order(config.height_bound)
+        self.size = len(nums)
         self.tile = _ROW_TILE
         # the integer square filter is sound only when the target forces a
         # rational second-level sibling (four second pre-images)
@@ -389,25 +398,15 @@ class _ThirdPairPlan:
         if not self.filtered:
             self.live = np.arange(self.size)
             return
-        self.nums = nums = np.array([f.numerator for f in self.frs], dtype=np.int64)
-        self.dens = dens = np.array([f.denominator for f in self.frs], dtype=np.int64)
-        self.tables = (_square_table(_MOD1), _square_table(_MOD2))
-        self.live = np.flatnonzero(_two_square_mask(nums, dens))
-        # per modulus, the column terms (D4, N4, ND2) and the row factors
-        # that multiply them: N = D4_j P_i + N4_j Q_i + ND2_j S_i  (mod m)
-        self.terms = {}
-        for m in (_MOD1, _MOD2):
-            n2m = nums * nums % m
-            d2m = dens * dens % m
-            n4, d4, nd2 = n2m * n2m % m, d2m * d2m % m, n2m * d2m % m
-            self.terms[m] = ((d4, n4, nd2), ((4 * nd2 - n4) % m, -d4 % m,
-                                             (4 * d4 + 2 * nd2) % m))
-        # the live columns j = w mod shard total, with their MOD1 column terms
+        self.live = live = np.flatnonzero(_two_square_mask(nums, dens))
+        # per modulus, its table and the class of each fraction
+        self.filters = []
+        for m, q in _MODULI:
+            classes, table = _filter_tables(m, q)
+            self.filters.append((table, classes[nums % m, dens % m]))
+        # the live columns j = w mod shard total
         total = config.shard[1]
-        self.classes = []
-        for w in range(total):
-            idx = self.live[self.live % total == w]
-            self.classes.append((idx, [col[idx] for col in self.terms[_MOD1][0]]))
+        self.columns = [live[live % total == w] for w in range(total)]
 
     def candidates(self, first: int, end: int):
         """The shard's pairs (i, j <= i) over the live rows in [first, end),
@@ -420,8 +419,13 @@ class _ThirdPairPlan:
         return ((i, j) for i in rows.tolist()
                 for j in range((index - i * (i + 1) // 2) % total, i + 1, total))
 
+    def values(self, i: int, j: int) -> tuple[Fraction, Fraction]:
+        return tuple(Fraction(int(self.nums[k]), int(self.dens[k])) for k in (i, j))
+
     def settle(self, i: int, j: int) -> Optional[SearchRecord]:
-        c, a = _thirdpair_values(self.frs[i], self.frs[j])
+        nums, dens = self.nums, self.dens
+        c, a = _thirdpair_values(int(nums[i]), int(dens[i]),
+                                 int(nums[j]), int(dens[j]))
         return verify_pair(c, a, self.config.target, self.config.depth)
 
 
@@ -429,58 +433,49 @@ def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int
     """The pairs (i in tile, j <= i) of the shard whose N is a perfect
     square, in candidate order.
 
-    Rows and columns run over the live fractions only (those passing
-    _two_square_mask; module docstring), under their original indices, so
-    candidate numbering, shards, provenance and the checkpoint's next_block
-    keep their meaning.  The tile is split by the residue class its rows need
-    from the columns for this shard, and each class is matched only against
-    its own columns.
-
-    With p1 = n1/d1, p2 = n2/d2, the filter integer expands to
-    N = D4_2 (4 ND2_1 - N4_1) - N4_2 D4_1 + ND2_2 (4 D4_1 + 2 ND2_1)
-    where N4 = n^4, D4 = d^4, ND2 = n^2 d^2.  Reducing those three arrays
-    modulo the composite filter moduli once lets each tile compute N's
-    residue with three multiplies and a single division per pair (int64-safe
-    for height bounds up to 50000).  Residues that are squares modulo both
-    moduli are re-checked with exact integer arithmetic.
+    Rows and columns are live fractions (_two_square_mask) under their
+    original indices, so candidate numbering, shards, provenance and
+    next_block keep their meaning; the rows are split by the column class the
+    shard wants of them.  The first _TILE_MODULI tables (_filter_tables) are
+    gathered over the whole tile at class indices, with no arithmetic per
+    pair; the pairs passing them on or below the diagonal are looked up in the
+    other tables, and the survivors are checked exactly with isqrt.
     """
     shard_index, shard_total = plan.config.shard
-    nums, dens = plan.nums, plan.dens
-    table1, table2 = plan.tables
-    (d4b, n4b, nd2b), (pb, qb, sb) = plan.terms[_MOD2]
     # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
     want = (shard_index - tile * (tile + 1) // 2) % shard_total
-    survivors: list[tuple[int, int]] = []
+    found_i, found_j = [tile[:0]], [tile[:0]]      # a class may meet no column
     for w in np.unique(want).tolist():
         rows = tile[want == w]
-        idx, (d4, n4, nd2) = plan.classes[w]
-        p, q, s = (row[rows][:, None] for row in plan.terms[_MOD1][1])
+        idx = plan.columns[w]
+        # by_class[k] holds the table's entries (k, class of each row)
+        tiled = [(np.ascontiguousarray(table[:, classes[rows]]), classes)
+                 for table, classes in plan.filters[:_TILE_MODULI]]
         width = int(np.searchsorted(idx, rows[-1], side="right"))
+        diagonal = int(np.searchsorted(idx, rows[0], side="right"))
         for j0 in range(0, width, _COL_TILE):
             j1 = min(j0 + _COL_TILE, width)
-            cols = idx[j0:j1]
-            nm = (d4[j0:j1] * p + n4[j0:j1] * q + nd2[j0:j1] * s) % _MOD1
-            alive = table1[nm]
-            alive &= cols[None, :] <= rows[:, None]
-            # held until the next tile: had a block freed all its arrays, the C
-            # allocator would unmap them and the next block fault them back in
-            plan.held = (nm, alive)
-            rr, cc = np.nonzero(alive)
-            gi, gj = rows[rr], cols[cc]
-            keep = table2[(d4b[gj] * pb[gi] + n4b[gj] * qb[gi]
-                           + nd2b[gj] * sb[gi]) % _MOD2]
-            for i_idx, j_idx in zip(gi[keep].tolist(), gj[keep].tolist()):
-                n1, d1 = int(nums[i_idx]), int(dens[i_idx])
-                n2, d2 = int(nums[j_idx]), int(dens[j_idx])
-                x2 = n1 * n1 * d2 * d2
-                y2 = n2 * n2 * d1 * d1
-                e2 = d1 * d1 * d2 * d2
-                big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
-                if big < 0:
-                    continue
-                root = isqrt(big)
-                if root * root == big:
-                    survivors.append((i_idx, j_idx))
+            alive = np.ones((j1 - j0, len(rows)), dtype=bool)
+            for by_class, classes in tiled:
+                alive &= by_class[classes[idx[j0:j1]]]
+            # only the columns past the first row can lie above the diagonal
+            above = max(diagonal - j0, 0)
+            alive[above:] &= idx[j0 + above:j1, None] <= rows
+            cc, rr = np.divmod(np.flatnonzero(alive), len(rows))
+            found_i.append(rows[rr])
+            found_j.append(idx[j0 + cc])
+    gi, gj = np.concatenate(found_i), np.concatenate(found_j)
+    for table, classes in plan.filters[_TILE_MODULI:]:
+        keep = table[classes[gi], classes[gj]]
+        gi, gj = gi[keep], gj[keep]
+    survivors: list[tuple[int, int]] = []
+    for i, j, n1, d1, n2, d2 in zip(
+            gi.tolist(), gj.tolist(), plan.nums[gi].tolist(),
+            plan.dens[gi].tolist(), plan.nums[gj].tolist(), plan.dens[gj].tolist()):
+        x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
+        big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+        if big >= 0 and isqrt(big) ** 2 == big:
+            survivors.append((i, j))
     survivors.sort()
     return survivors
 
@@ -512,7 +507,6 @@ class _ForwardPlan:
         frs = fractions_by_height(config.height_bound)
         self.c_values = [Fraction(0)] + [v for f in frs for v in (f, -f)]
         self.x_values = [Fraction(0)] + frs
-        self.axes = (self.c_values, self.x_values)
         self.size = len(self.c_values)
         self.live = np.arange(self.size)
         self.tile = _C_RUN
@@ -522,6 +516,9 @@ class _ForwardPlan:
         width = len(self.x_values)
         return ((ci, xi) for ci in range(first, end)
                 for xi in range((index - ci * width) % total, width, total))
+
+    def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
+        return self.c_values[ci], self.x_values[xi]
 
     def settle(self, ci: int, xi: int) -> Optional[SearchRecord]:
         c, depth = self.c_values[ci], self.config.depth

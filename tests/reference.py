@@ -8,10 +8,13 @@
   `elliptic.torsion_subgroup`.
 - The Sylvester-determinant resultant, the oracle for
   `exactmath.resultant`.
+- The height enumeration as a double loop over `Fraction`s, the oracle for
+  `search._height_order`, and the third-pair values (c, a) in `Fraction`
+  arithmetic, the oracle for `search._thirdpair_values`.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from quadpreim.dynamics import PreimageTree, TreeNode, preimages
 from quadpreim.elliptic import (
@@ -48,6 +51,33 @@ def reference_hit(c, a, target) -> bool:
     """Whether the reference signature of (c, a) dominates the target."""
     sig = reference_tree(c, a, max(len(target), 1)).signature()
     return all(s >= t for s, t in zip(sig, target))
+
+
+# -- third-pair search -------------------------------------------------------
+
+def reference_fractions_by_height(bound: int) -> list[Fraction]:
+    """All positive reduced fractions with height <= bound, ordered by
+    (height, value): at each height h, n/h for increasing n, then h/d for
+    decreasing d."""
+    out = [Fraction(1)]
+    for h in range(2, bound + 1):
+        for n in range(1, h):
+            if gcd(n, h) == 1:
+                out.append(Fraction(n, h))
+        for d in range(h - 1, 0, -1):
+            if gcd(h, d) == 1:
+                out.append(Fraction(h, d))
+    return out
+
+
+def reference_thirdpair_values(p1: Fraction, p2: Fraction):
+    """(c, a) of the third-pair candidate (p1, p2): c = -(p1^2 + p2^2)/2,
+    s = (p1^2 - p2^2)/2, t = s^2 + c, a = t^2 + c."""
+    sq1, sq2 = p1 * p1, p2 * p2
+    c = -(sq1 + sq2) / 2
+    s = (sq1 - sq2) / 2
+    t = s * s + c
+    return c, t * t + c
 
 
 # -- Lutz-Nagell torsion ------------------------------------------------------

@@ -19,7 +19,7 @@ from quadpreim.exactmath import (
     resultant,
 )
 from quadpreim.verify import PUBLISHED_246_PAIRS, REDISCOVERY_HEIGHT_BOUND
-from reference import reference_hit
+from reference import reference_hit, reference_thirdpair_values
 
 SEED = 987654321
 print("acceptance random seed:", SEED)
@@ -303,7 +303,7 @@ def test_criterion_11_property_suites():
         out = set()
         for i in range(len(frs)):
             for j in range(i + 1):
-                c, a = search._thirdpair_values(frs[i], frs[j])
+                c, a = reference_thirdpair_values(frs[i], frs[j])
                 if reference_hit(c, a, target):
                     out.add((c, a))
         return out

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import dynamics, elliptic, factor, search
-from quadpreim.cli import main
+from quadpreim import dynamics, elliptic, factor, models, search
+from quadpreim.cli import MODEL_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
 from quadpreim.search import SearchRecord
@@ -136,6 +136,27 @@ def test_model_command(capsys):
     payload = json.loads(out.strip())
     assert payload["variables"] == ["z0", "z1", "z2", "z3"]
     assert len(payload["generators"]) == 2
+
+
+def test_model_depth_beyond_cap_is_usage_error(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "model", "--tag", str(MODEL_MAX_DEPTH),
+                           "--format", "structured")
+    assert code == 0
+    assert len(json.loads(out)["generators"]) == MODEL_MAX_DEPTH - 1
+
+    def no_model(n):
+        raise AssertionError("ideal_j(%d) was called" % n)
+
+    monkeypatch.setattr(models, "ideal_j", no_model)
+    message = "error: model depth must be between 2 and %d" % MODEL_MAX_DEPTH
+    for tag in (str(MODEL_MAX_DEPTH + 1), "100000", "1", "-3"):
+        code, out, err = run_cli(capsys, "model", "--tag", tag)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+    # through the interpreter: exit status 2 at once, one line, no traceback
+    code, out, err = run_module("model", "--tag", "100000")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_search_structured_roundtrip(capsys):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from quadpreim.cli import main
+from quadpreim.cli import MODEL_MAX_DEPTH, main
 from test_cli import run_module
 
 SEED = int(os.environ.get("QUADPREIM_FUZZ_SEED", "6021"))
@@ -25,7 +25,8 @@ TARGETS = ["2,4,4", "2,4,6", "2,2,2", "2,2", "2,2,4", "0,0,0",
            "2,x", "", "-1,2,2", "2,4,6,8", "2"]
 SHARDS = ["0/1", "1/2", "0/3", "2/2", "x", "1/0", "-1/2", "1"]
 SECTIONS = ["2", "3.1", "4.2", "4.4", "genus", "6.2", "nope", ""]
-TAGS = ["224", "242", "2222", "2", "3", "4", "1", "x", ""]
+TAGS = ["224", "242", "2222", "2", "3", "4", "1", "x", "",
+        str(MODEL_MAX_DEPTH + 1), "100000"]
 GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff"]
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from quadpreim.search import (
     Provenance,
     SearchConfig,
     SearchRecord,
-    _square_table,
     _thirdpair_values,
     _two_square_mask,
     fractions_by_height,
@@ -22,7 +21,12 @@ from quadpreim.search import (
     scan_thirdpair,
     verify_pair,
 )
-from reference import reference_hit, reference_tree
+from reference import (
+    reference_fractions_by_height,
+    reference_hit,
+    reference_thirdpair_values,
+    reference_tree,
+)
 
 PAIR4 = (Fraction(-24361, 14400), Fraction(-42, 25))
 
@@ -76,12 +80,28 @@ def test_fraction_enumeration():
     assert set(frs) == expected
 
 
+def test_height_order_matches_reference():
+    for bound in list(range(1, 61)) + [200]:
+        nums, dens = search._height_order(bound)
+        ref = reference_fractions_by_height(bound)
+        assert nums.dtype == dens.dtype == np.int64
+        assert nums.tolist() == [f.numerator for f in ref]
+        assert dens.tolist() == [f.denominator for f in ref]
+
+
 def test_thirdpair_candidate_algebra():
-    c, a = _thirdpair_values(F(209, 120), F(71, 120))
-    assert (c, a) == PAIR4
+    assert _thirdpair_values(209, 120, 71, 120) == PAIR4
     # p1 = p2 collapses the second level; c is still well defined
-    c2, _ = _thirdpair_values(F(1, 2), F(1, 2))
+    c2, _ = _thirdpair_values(1, 2, 1, 2)
     assert c2 == -F(1, 4)
+    # the integer formula against Fraction arithmetic, far past any height
+    rng = random.Random(4242)
+    for _ in range(500):
+        p1, p2 = (F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                  for _ in range(2))
+        assert (_thirdpair_values(p1.numerator, p1.denominator,
+                                  p2.numerator, p2.denominator)
+                == reference_thirdpair_values(p1, p2))
 
 
 def test_scan_thirdpair_finds_published_pair():
@@ -113,11 +133,11 @@ def test_config_invariants():
 def _brute_thirdpair(bound, target):
     # independent oracle: plain double loop over every reduced fraction
     # pair, each settled by the reference tree
-    frs = fractions_by_height(bound)
+    frs = reference_fractions_by_height(bound)
     brute = set()
     for i in range(len(frs)):
         for j in range(i + 1):
-            c, a = _thirdpair_values(frs[i], frs[j])
+            c, a = reference_thirdpair_values(frs[i], frs[j])
             if reference_hit(c, a, target):
                 brute.add((c, a))
     return brute
@@ -147,10 +167,38 @@ def test_fast_path_frozen_regression():
     assert hits[-1] == ("-3970/81", "1546834/729")
 
 
-def test_square_table_matches_set():
-    for m in (360, 1001, 64 * 63):
+def test_filter_tables_match_direct_squareness():
+    # seeded coprime pairs with entries far past any height bound, a quarter
+    # of the denominators divisible by q: the class of each fraction follows
+    # its definition, every point of P^1(Z/m) occurs, and the table at the two
+    # classes says whether N, computed on Python ints, is a square mod m
+    rng = random.Random(8128)
+
+    def fraction(q):
+        while True:
+            n, d = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+            if rng.random() < 0.25:
+                d = q * rng.randint(1, 10 ** 6 // q)
+            if gcd(n, d) == 1:
+                return n, d
+
+    for m, q in search._MODULI:
+        classes, table = (t.tolist() for t in search._filter_tables(m, q))
         squares = {r * r % m for r in range(m)}
-        assert _square_table(m).tolist() == [x in squares for x in range(m)]
+        seen = set()
+        for _ in range(20000):
+            (n1, d1), (n2, d2) = fraction(q), fraction(q)
+            ks = []
+            for n, d in ((n1, d1), (n2, d2)):
+                k = classes[n % m][d % m]
+                assert k == (n * pow(d, -1, m) % m if d % q
+                             else m + d * pow(n, -1, m) % m // q)
+                ks.append(k)
+            x, y, e = n1 * d2, n2 * d1, d1 * d2
+            big = 4 * e * e * (x * x + y * y) - (x * x - y * y) ** 2
+            assert table[ks[0]][ks[1]] == (big % m in squares), (m, n1, d1, n2, d2)
+            seen.update(ks)
+        assert seen == set(range(m + m // q))
 
 
 def _num_den_arrays(frs):
@@ -267,6 +315,20 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
             with open(path, "w") as fh:
                 json.dump(payload, fh)
             assert _printed(scan(cfg, resume=True, jobs=jobs)) == full
+
+
+def test_tiny_bounds_every_shard():
+    # blocks whose rows meet no live column of their shard's class
+    for bound in range(1, 9):
+        full = {(r.c, r.a) for r in scan_thirdpair(
+            SearchConfig(height_bound=bound, depth=3, target=(2, 4, 4)))}
+        for total in range(2, 6):
+            union = set()
+            for index in range(total):
+                cfg = SearchConfig(height_bound=bound, depth=3, target=(2, 4, 4),
+                                   shard=(index, total))
+                union |= {(r.c, r.a) for r in scan_thirdpair(cfg)}
+            assert union == full
 
 
 def test_scan_determinism_and_shard_union():
