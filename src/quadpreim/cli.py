@@ -10,6 +10,7 @@ data type.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -282,7 +283,7 @@ def cmd_search(args, config) -> int:
                 print("hit %d: c = %s, a = %s, signature %s" %
                       (count, format_rat(record.c), format_rat(record.a),
                        ",".join(map(str, record.signature))))
-    except ValueError as exc:
+    except search.SearchArgumentError as exc:
         raise UsageError(str(exc))
     if args.format == "human":
         print("%d record(s)" % count)
@@ -290,10 +291,7 @@ def cmd_search(args, config) -> int:
 
 
 def cmd_verify_paper(args, config) -> int:
-    try:
-        results = verify.run_checks(args.section)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = verify.run_checks(args.section)
     failed = 0
     for result in results:
         if args.format == "structured":
@@ -324,7 +322,10 @@ def _rational_friendly(parser: argparse.ArgumentParser):
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call in a process and
+    shared by every later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadpreim",
         description="rational pre-image trees, pre-image curve models, and "
@@ -400,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-paper",
                               help="replay the published reference values")
     p_verify.add_argument("--section", default=None,
-                          help="one of: %s (default: all fast sections)"
-                               % ", ".join(verify.available_sections()))
+                          choices=verify.available_sections(),
+                          help="default: all fast sections")
     p_verify.add_argument("--format", **fmt)
     p_verify.set_defaults(func=cmd_verify_paper)
 

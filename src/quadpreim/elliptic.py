@@ -3,12 +3,19 @@ group law on long Weierstrass models, point orders bounded by Mazur's theorem,
 rational torsion subgroups by exact ell-division closure on an integral short
 model, and the specializations of the pre-image elliptic surfaces with their
 torsion-family parametrizations.
+
+The division closure runs on Python ints.  Its candidates are integer points
+of Y^2 = X^3 + a X + b, and every multiple of a torsion point is integral
+(Lutz-Nagell), so it adds points with an integer slope and stops at the first
+slope that is not an integer: that proves infinite order.  Points become
+`Fraction` points only when they are pulled back to the source curve.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -107,11 +114,13 @@ class WeierstrassCurve:
 
     @property
     def c4(self) -> Fraction:
-        return self.b2 * self.b2 - 24 * self.b4
+        b2 = self.b2
+        return b2 * b2 - 24 * self.b4
 
     @property
     def c6(self) -> Fraction:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        b2 = self.b2
+        return -b2 ** 3 + 36 * b2 * self.b4 - 216 * self.b6
 
     def discriminant(self) -> Fraction:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
@@ -268,10 +277,6 @@ class ShortIntegralModel:
     scale: Fraction
     source: WeierstrassCurve
 
-    @property
-    def curve(self) -> WeierstrassCurve:
-        return WeierstrassCurve.short(self.a, self.b)
-
     def push(self, p: ECPoint) -> ECPoint:
         if p.is_infinity:
             return INFINITY
@@ -280,13 +285,21 @@ class ShortIntegralModel:
         big_y = 108 * s ** 3 * (2 * p.y + self.source.a1 * p.x + self.source.a3)
         return ECPoint(big_x, big_y)
 
+    @cached_property
+    def _pull_constants(self) -> tuple[Fraction, ...]:
+        # x = X / (36 s^2) - b2 / 12 and y = Y / (216 s^3) - (a1 x + a3) / 2
+        s, source = self.scale, self.source
+        return (1 / (36 * s * s), source.b2 / 12, 1 / (216 * s ** 3),
+                source.a1 / 2, source.a3 / 2)
+
     def pull(self, p: ECPoint) -> ECPoint:
+        """The source-curve point of p, a point of this model whose
+        coordinates may be ints."""
         if p.is_infinity:
             return INFINITY
-        s = self.scale
-        x = (p.x / (s * s) - 3 * self.source.b2) / 36
-        y = (p.y / (108 * s ** 3) - self.source.a1 * x - self.source.a3) / 2
-        return ECPoint(x, y)
+        kx, cx, ky, hx, h = self._pull_constants
+        x = kx * p.x - cx
+        return ECPoint(x, ky * p.y - hx * x - h)
 
 
 def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
@@ -447,19 +460,64 @@ def _division_poly_pairs(a: int, b: int, n_max: int) -> list[tuple[QPoly, QPoly]
     return psi
 
 
-def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
-                    target: ECPoint, psi_cache: dict) -> list[ECPoint]:
-    """All rational Q on the integral model with [ell]Q = target, found by
-    solving x([ell]Q) = x(target) over the integers (torsion coordinates on
-    an integral model are integers) and verifying each candidate exactly."""
+# ---------------------------------------------------------------------------
+# the group law on integral points of Y^2 = X^3 + a X + b
+# ---------------------------------------------------------------------------
+#
+# A point is an (X, Y) int tuple and None the point at infinity; False
+# stands for a sum that is not integral, which proves that a summand has
+# infinite order.
+
+def _int_add(a: int, p, q):
+    """P + Q for integral points P and Q; False when the slope, and so
+    P + Q, is not integral."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    x1, y1 = p
+    x2, y2 = q
+    if x1 == x2:
+        if y1 != y2 or y1 == 0:
+            return None
+        num, den = 3 * x1 * x1 + a, 2 * y1
+    else:
+        num, den = y2 - y1, x2 - x1
+    slope, rem = divmod(num, den)
+    if rem:
+        return False
+    x3 = slope * slope - x1 - x2
+    return (x3, slope * (x1 - x3) - y1)
+
+
+def _torsion_multiples(a: int, p) -> Optional[list]:
+    """[P, 2P, ..., O] for an integral point P of finite order, whose length
+    is the order; None for infinite order.  By Mazur the order is at most 12,
+    and the first multiple that is not integral ends the search."""
+    multiples = [p]
+    while len(multiples) < 12:
+        q = _int_add(a, multiples[-1], p)
+        if q is False:
+            return None
+        multiples.append(q)
+        if q is None:
+            return multiples
+    return None
+
+
+def _division_solve(a: int, b: int, ell: int, target,
+                    psi_cache: dict) -> dict[tuple[int, int], int]:
+    """All rational Q on the integral model with [ell]Q = target, each with
+    its order, found by solving x([ell]Q) = x(target) over the integers
+    (torsion coordinates on an integral model are integers) and verifying
+    each candidate exactly.  The target is a torsion point, so every
+    solution is one too."""
     if ell == 2:
-        if target.is_infinity:
-            return [ECPoint.affine(x, 0) for x in integer_roots([b, a, 0, 1])]
-        xp = target.x
-        poly = QPoly([a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a,
-                      -4 * xp, 1])
-        cleared = poly.content_den_cleared()
-        xs = integer_roots([int(c) for c in cleared.coeffs])
+        if target is None:
+            return {(x, 0): 2 for x in integer_roots([b, a, 0, 1])}
+        xp = target[0]
+        xs = integer_roots([a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a,
+                            -4 * xp, 1])
     else:
         if ell not in psi_cache:
             psi_cache[ell] = _division_poly_pairs(a, b, ell + 1)
@@ -473,16 +531,16 @@ def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
         hi_u, hi_v = psi[ell + 1]
         # ell odd: neighbors are even-index, pure y-part
         prod = lo_v * hi_v * E
-        if target.is_infinity:
+        if target is None:
             # [ell]Q = O exactly on roots of psi_ell
             xs_poly = sq_u
         else:
-            xs_poly = (QPoly.x() - target.x) * psi_sq - prod
+            xs_poly = (QPoly.x() - target[0]) * psi_sq - prod
         cleared = xs_poly.content_den_cleared()
         if cleared.is_zero():
-            return []
+            return {}
         xs = integer_roots([int(c) for c in cleared.coeffs])
-    out = []
+    out = {}
     for x in xs:
         yy = x ** 3 + a * x + b
         if yy < 0:
@@ -491,9 +549,10 @@ def _division_solve(integral: "WeierstrassCurve", a: int, b: int, ell: int,
         if r is None:
             continue
         for y in ((0,) if r == 0 else (r, -r)):
-            q = ECPoint.affine(x, y)
-            if integral._mul_unchecked(ell, q) == target:
-                out.append(q)
+            multiples = _torsion_multiples(a, (x, y))
+            # [ell]Q is multiples[(ell - 1) % order]
+            if multiples and multiples[(ell - 1) % len(multiples)] == target:
+                out[(x, y)] = len(multiples)
     return out
 
 
@@ -527,28 +586,18 @@ def _torsion_order_bound(a: int, b: int, disc: int) -> int:
     return bound if bound else 16
 
 
-def _torsion_by_division(integral: "WeierstrassCurve", a: int, b: int,
+def _torsion_by_division(a: int, b: int,
                          disc: int) -> dict[tuple[int, int], int]:
-    """Exact torsion points of an integral short model via ell-division
-    closure: starting from the 2-torsion, repeatedly solve [ell]Q = P for
-    every known P and ell in {2, 3, 5, 7}, until no growth.  Any missing
-    torsion point would map into the current subgroup under some prime ell
-    dividing the (Mazur-bounded) index, so the fixpoint is the full group.
+    """Exact torsion points of the integral short model Y^2 = X^3 + a X + b,
+    each with its order, via ell-division closure: starting from the
+    2-torsion, repeatedly solve [ell]Q = P for every known P and ell in
+    {2, 3, 5, 7}, until no growth.  Any missing torsion point would map into
+    the current subgroup under some prime ell dividing the (Mazur-bounded)
+    index, so the fixpoint is the full group.
     """
     bound = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
     psi_cache: dict = {}
-
-    def register(q: ECPoint) -> bool:
-        key = (int(q.x), int(q.y))
-        if key in points:
-            return False
-        order = _order_on_integral_model(integral, q)
-        if order is None:
-            return False
-        points[key] = order
-        return True
-
     changed = True
     while changed:
         changed = False
@@ -558,10 +607,11 @@ def _torsion_by_division(integral: "WeierstrassCurve", a: int, b: int,
                 continue
             if group_order * ell > 16:
                 continue
-            targets = [INFINITY] + [ECPoint.affine(x, y) for x, y in points]
-            for target in targets:
-                for q in _division_solve(integral, a, b, ell, target, psi_cache):
-                    if register(q):
+            for target in [None, *points]:
+                found = _division_solve(a, b, ell, target, psi_cache)
+                for q, order in found.items():
+                    if q not in points:
+                        points[q] = order
                         changed = True
     return points
 
@@ -594,70 +644,45 @@ class TorsionGroup:
         return "Z/%d x Z/%d" % (m, n)
 
 
-def _order_on_integral_model(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
-    """point_order specialized to candidates on an integral model: every
-    multiple of a true torsion point is again integral, so the first
-    fractional coordinate proves infinite order without computing the rest
-    of the (rapidly growing) multiples."""
-    if p.is_infinity:
-        return 1
-    q = p
-    for k in range(2, 13):
-        q = curve._add_unchecked(q, p)
-        if q.is_infinity:
-            return k
-        if q.x.denominator != 1 or q.y.denominator != 1:
-            return None
-    return None
-
-
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     """Rational torsion subgroup, by ell-division closure on an integral
-    short model (see _torsion_by_division); no factoring of the
-    discriminant.  Every point found is checked to have integer
-    coordinates with Y = 0 or Y^2 | disc (Lutz-Nagell) and to map back onto
-    the source curve."""
+    short model (see _torsion_by_division), in integer arithmetic until the
+    points are pulled back; no factoring of the discriminant.  Every point
+    found is checked to have integer coordinates with Y = 0 or Y^2 | disc
+    (Lutz-Nagell) and to map back onto the source curve."""
     if curve.is_singular():
         raise ValueError("torsion of a singular model")
     model = short_integral_model(curve)
     a, b = model.a, model.b
     disc = -16 * (4 * a ** 3 + 27 * b ** 2)
-    integral = model.curve
-    torsion_raw = _torsion_by_division(integral, a, b, disc)
-    for (x, y) in torsion_raw:
+    orders = _torsion_by_division(a, b, disc)
+    for (x, y) in orders:
         if y != 0 and disc % (y * y) != 0:
             raise ArithmeticError("torsion point escapes y^2 | disc")
 
-    points_int = [INFINITY] + [ECPoint.affine(x, y) for x, y in torsion_raw]
-    orders = {INFINITY: 1}
-    orders.update({ECPoint.affine(x, y): o for (x, y), o in torsion_raw.items()})
-    order_total = len(points_int)
-
-    gen_max = max(points_int, key=lambda p: orders[p])
+    orders = {None: 1, **orders}
+    order_total = len(orders)
+    gen_max = max(orders, key=orders.get)
     max_order = orders[gen_max]
     if max_order == order_total:
         invariants = (1, order_total)
-        generators = (model.pull(gen_max),) if order_total > 1 else ()
+        generators = (gen_max,) if order_total > 1 else ()
     else:
         # over Q the only alternative shape is Z/2 x Z/(order/2)
         if max_order * 2 != order_total or max_order % 2 != 0:
             raise ArithmeticError("torsion points form no group over Q")
-        cyclic = set()
-        q = INFINITY
-        for _ in range(max_order):
-            q = integral._add_unchecked(q, gen_max)
-            cyclic.add((q.x, q.y))
-        two_tors = [p for p in points_int
-                    if not p.is_infinity and orders[p] == 2
-                    and (p.x, p.y) not in cyclic]
+        cyclic = set(_torsion_multiples(a, gen_max))
+        two_tors = [p for p, o in orders.items() if o == 2 and p not in cyclic]
         invariants = (2, max_order)
-        generators = (model.pull(two_tors[0]), model.pull(gen_max))
-    points = tuple(model.pull(p) for p in points_int)
-    for p in points:
+        generators = (two_tors[0], gen_max)
+    pulled = {p: INFINITY if p is None else model.pull(ECPoint(*p))
+              for p in orders}
+    for p in pulled.values():
         if curve.equation_residue(p) != 0:
             raise ArithmeticError("torsion point failed to map back")
-    return TorsionGroup(invariants=invariants, generators=generators,
-                        points=points)
+    return TorsionGroup(invariants=invariants,
+                        generators=tuple(pulled[p] for p in generators),
+                        points=tuple(pulled.values()))
 
 
 # ---------------------------------------------------------------------------

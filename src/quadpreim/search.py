@@ -49,6 +49,12 @@ from .dynamics import PreimageTree, iterate, preimage_levels, preimage_tree
 from .exactmath import format_rat, height, parse_rat
 
 
+class SearchArgumentError(ValueError):
+    """A scan cannot start from these arguments: a bad configuration, a
+    target or height bound the strategy refuses, or no usable checkpoint to
+    resume from."""
+
+
 class CheckpointError(RuntimeError):
     """Writing a checkpoint failed; the previous checkpoint file (if any)
     still holds a consistent resume state."""
@@ -64,14 +70,14 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.height_bound < 1:
-            raise ValueError("height_bound must be at least 1")
+            raise SearchArgumentError("height_bound must be at least 1")
         index, total = self.shard
         if total < 1 or not 0 <= index < total:
-            raise ValueError("shard must satisfy 0 <= index < total")
+            raise SearchArgumentError("shard must satisfy 0 <= index < total")
         if self.depth < len(self.target):
-            raise ValueError("depth must cover the target signature")
+            raise SearchArgumentError("depth must cover the target signature")
         if any(t < 0 for t in self.target):
-            raise ValueError("target counts are nonnegative")
+            raise SearchArgumentError("target counts are nonnegative")
 
     def canonical(self, strategy: str) -> dict:
         return {
@@ -193,8 +199,9 @@ def _write_checkpoint(path: str, payload: dict):
 
 def _load_checkpoint(path: str,
                      expected_digest: str) -> tuple[int, list[SearchRecord]]:
-    """The next block and the emitted records of a checkpoint; ValueError
-    for a file that is not a readable checkpoint of this configuration."""
+    """The next block and the emitted records of a checkpoint;
+    SearchArgumentError for a file that is not a readable checkpoint of this
+    configuration."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -202,12 +209,14 @@ def _load_checkpoint(path: str,
         records = [SearchRecord.from_json(data) for data in payload["records"]]
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             ZeroDivisionError) as exc:
-        raise ValueError("cannot resume from checkpoint %r: %r" % (path, exc))
+        raise SearchArgumentError("cannot resume from checkpoint %r: %r"
+                                  % (path, exc))
     if digest != expected_digest:
-        raise ValueError("checkpoint %r belongs to a different configuration"
-                         % (path,))
+        raise SearchArgumentError("checkpoint %r belongs to a different "
+                                  "configuration" % (path,))
     if type(next_block) is not int or next_block < 0:
-        raise ValueError("checkpoint %r has next_block %r" % (path, next_block))
+        raise SearchArgumentError("checkpoint %r has next_block %r"
+                                  % (path, next_block))
     return next_block, records
 
 
@@ -266,7 +275,8 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
     start, replayed = 0, []
     if resume:
         if not path:
-            raise ValueError("resume requested without a checkpoint path")
+            raise SearchArgumentError("resume requested without a checkpoint "
+                                      "path")
         start, replayed = _load_checkpoint(path, digest)
     yield from replayed
     seen = {rec.key() for rec in replayed}
@@ -356,11 +366,13 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False,
     over all shards equals the unsharded stream as a set.
     """
     if len(config.target) < 3:
-        raise ValueError("the third-pair strategy needs a depth-3 target")
+        raise SearchArgumentError("the third-pair strategy needs a depth-3 "
+                                  "target")
     if config.target[1] >= 4 and config.height_bound > _MASK_HEIGHT_BOUND:
-        raise ValueError("filtered third-pair scans stop at height bound %d: the "
-                         "two-square mask indexes a table of about 6 H^2 bytes "
-                         "by the int64 values d^2 + 2 n^2" % _MASK_HEIGHT_BOUND)
+        raise SearchArgumentError(
+            "filtered third-pair scans stop at height bound %d: the two-square "
+            "mask indexes a table of about 6 H^2 bytes by the int64 values "
+            "d^2 + 2 n^2" % _MASK_HEIGHT_BOUND)
     yield from _scan(_ThirdPairPlan, config, resume, jobs)
 
 

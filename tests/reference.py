@@ -20,6 +20,7 @@ from quadpreim.dynamics import PreimageTree, TreeNode, preimages
 from quadpreim.elliptic import (
     INFINITY,
     ECPoint,
+    WeierstrassCurve,
     point_order,
     short_integral_model,
 )
@@ -152,6 +153,7 @@ def reference_torsion(curve) -> dict:
     square divisor, so it suits small discriminants only."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
+    integral = WeierstrassCurve.short(a, b)
     ys = [1]
     for p, e in factorize(16 * (4 * a ** 3 + 27 * b ** 2)).items():
         ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
@@ -160,7 +162,7 @@ def reference_torsion(curve) -> dict:
         for x in _integer_roots_depressed_cubic(a, b - y * y):
             for yy in {y, -y}:
                 point = ECPoint.affine(x, yy)
-                order = point_order(model.curve, point)
+                order = point_order(integral, point)
                 if order is not None:
                     found[model.pull(point)] = order
     return found

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import dynamics, elliptic, factor, models, search
+from quadpreim import cli, dynamics, elliptic, factor, models, search
 from quadpreim.cli import MODEL_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -241,6 +241,18 @@ def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
         assert "Traceback" not in err and len(err.splitlines()) == 1, name
 
 
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only the scan's argument checks are usage errors: a ValueError from
+    # inside the scan propagates instead of becoming "error: ..." and exit 2
+    def broken(plan, tile):
+        raise ValueError("broken tile")
+
+    monkeypatch.setattr(search, "_square_pairs", broken)
+    with pytest.raises(ValueError, match="broken tile"):
+        main(list(H12))
+    assert capsys.readouterr().err == ""
+
+
 def test_search_jobs_beyond_cpu_count_is_usage_error(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -359,6 +371,22 @@ def test_verify_paper_sections(capsys):
     assert out.count("PASS") == 7
     code, _, err = run_cli(capsys, "verify-paper", "--section", "nope")
     assert code == 2
+
+
+def test_parser_shared_across_calls(capsys):
+    # main builds its parser once per process; each call must still read as
+    # it would through a freshly built parser
+    calls = [H12, ("search", "--strategy", "forward", "--height-bound", "2",
+                   "--depth", "3", "--target", "2,x,6"),
+             ("--version",), ("verify-paper", "--section", "genus"),
+             ("verify-paper", "--section", "nope")]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2]
 
 
 def test_verify_paper_structured(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quadpreim.elliptic import (
+    _int_add,
+    _torsion_multiples,
     ECPoint,
     INFINITY,
     OffCurveError,
@@ -285,6 +287,87 @@ def test_full_two_torsion_iff_minus_a_square():
         checked += 1
 
 
+def _int_point(p):
+    # the integer law's view of a Fraction point: None for O, False when a
+    # coordinate is fractional
+    if p.is_infinity:
+        return None
+    if p.x.denominator == 1 and p.y.denominator == 1:
+        return (int(p.x), int(p.y))
+    return False
+
+
+def _models_with_integer_points(rng):
+    """Seeded integral short models (a, b), each with integer points: the
+    torsion of fibers pushed to their integral models, and curves through
+    two random integer points (nearly always of infinite order)."""
+    models = []
+    fibers = [specialize_e24(F(rng.randint(-30, 30), rng.randint(1, 9)))
+              for _ in range(8)]
+    fibers += [specialize_e24(2), specialize_e24(F(-49, 4)),
+               specialize_e222(F(-1, 2)), specialize_e222(F(-7, 8))]
+    for fiber in fibers:
+        if fiber.singular:
+            continue
+        model = short_integral_model(fiber.curve)
+        points = [_int_point(model.push(p))
+                  for p in torsion_subgroup(fiber.curve).points]
+        models.append((model.a, model.b, [p for p in points if p]))
+    while len(models) < 40:
+        (x1, y1), (x2, y2) = [(rng.randint(-30, 30), rng.randint(-60, 60))
+                              for _ in range(2)]
+        num = (y2 * y2 - y1 * y1) - (x2 ** 3 - x1 ** 3)
+        if x1 == x2 or num % (x2 - x1):
+            continue
+        a = num // (x2 - x1)
+        b = y1 * y1 - x1 ** 3 - a * x1
+        if 4 * a ** 3 + 27 * b ** 2 != 0:
+            models.append((a, b, [(x1, y1), (x2, y2)]))
+    return models
+
+
+def test_integer_law_matches_fraction_law():
+    # the integer law on integral models against the Fraction chord-tangent
+    # law: equal sums and doublings whenever the Fraction result is integral,
+    # "not integral" exactly when it is not, and the multiples of a torsion
+    # point equal [n]P
+    rng = random.Random(SEED + 9)
+    seen = {"fractional": 0, "infinity": 0, "torsion": 0, "nontorsion": 0}
+    for a, b, points in _models_with_integer_points(rng):
+        curve = WeierstrassCurve.short(a, b)
+        pool = points + [(x, -y) for x, y in points if y]
+        for p in pool:
+            for q in pool:
+                expected = _int_point(curve._add_unchecked(ECPoint.affine(*p),
+                                                           ECPoint.affine(*q)))
+                assert _int_add(a, p, q) == expected, (a, b, p, q)
+                seen["fractional"] += expected is False
+                seen["infinity"] += expected is None
+            assert _int_add(a, p, None) == _int_add(a, None, p) == p
+        for p in pool:
+            point = ECPoint.affine(*p)
+            order = point_order(curve, point)
+            multiples = _torsion_multiples(a, p)
+            if order is None:
+                assert multiples is None, (a, b, p)
+                # P, 2P, ... agree up to the first fractional multiple
+                q, fraction_q = p, point
+                for _ in range(12):
+                    q = _int_add(a, q, p)
+                    fraction_q = curve._add_unchecked(fraction_q, point)
+                    assert q == _int_point(fraction_q), (a, b, p)
+                    if q is False:
+                        break
+                seen["nontorsion"] += 1
+                continue
+            assert len(multiples) == order, (a, b, p)
+            for n in range(1, 2 * order + 1):
+                assert multiples[(n - 1) % order] == _int_point(
+                    curve._mul_unchecked(n, point)), (a, b, p, n)
+            seen["torsion"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_integral_model_roundtrip():
     rng = random.Random(SEED + 7)
     for _ in range(10):
@@ -293,10 +376,11 @@ def test_integral_model_roundtrip():
         if fiber.singular:
             continue
         model = short_integral_model(fiber.curve)
-        assert model.curve.discriminant() != 0
+        integral = WeierstrassCurve.short(model.a, model.b)
+        assert integral.discriminant() != 0
         T = fiber.torsion_point
         image = model.push(T)
-        assert model.curve.contains(image)
+        assert integral.contains(image)
         assert model.pull(image) == T
 
 

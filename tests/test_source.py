@@ -3,8 +3,9 @@
 Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
-pool is made, so a one-job run never pays for it).  Every name that the
-benchmark harness traces still exists in the package.
+pool is made, so a one-job run never pays for it).  The torsion hot path
+stays on Python ints.  Every name that the benchmark harness traces still
+exists in the package.
 """
 
 import ast
@@ -15,6 +16,9 @@ import quadpreim
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
+# the integer group law and the division closure that runs on it
+INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_division_solve",
+                   "_torsion_by_division")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -70,6 +74,18 @@ def test_no_top_level_multiprocessing_import():
     for path in SOURCES:
         modules = list(_top_level_imports(_parse(path)))
         assert not any(m.split(".")[0] == "multiprocessing" for m in modules), path
+
+
+def test_torsion_hot_path_names_no_fraction_type():
+    tree = _parse(pathlib.Path(quadpreim.__file__).parent / "elliptic.py")
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in INTEGER_TORSION}
+    assert sorted(bodies) == sorted(INTEGER_TORSION)
+    named = {(name, node.id) for name, body in bodies.items()
+             for node in ast.walk(body) if isinstance(node, ast.Name)
+             and node.id in ("Fraction", "ECPoint")}
+    assert named == set()
 
 
 def test_benchmark_traced_names_resolve():
