@@ -4,11 +4,13 @@ rational torsion subgroups by exact ell-division closure on an integral short
 model, and the specializations of the pre-image elliptic surfaces with their
 torsion-family parametrizations.
 
-The division closure runs on Python ints.  Its candidates are integer points
+The division closure runs on Python ints.  Its candidates are the integer
+roots of division-polynomial equations with int coefficients, taken as points
 of Y^2 = X^3 + a X + b, and every multiple of a torsion point is integral
 (Lutz-Nagell), so it adds points with an integer slope and stops at the first
 slope that is not an integer: that proves infinite order.  Points become
-`Fraction` points only when they are pulled back to the source curve.
+`Fraction` points only when they are pulled back to the source curve.  The
+integral model refuses a singular curve, where 4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
+from .exactmath import RatLike, format_rat, int_sqrt, parse_rat
 from .factor import factorize
 
 
@@ -305,7 +307,8 @@ class ShortIntegralModel:
 def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     """Scale the standard short form Y^2 = X^3 - 27 c4 X - 54 c6 to integer
     coefficients, then strip superfluous (p^4, p^6) power pairs so the
-    discriminant stays as small as the scaling allows."""
+    discriminant stays as small as the scaling allows.  A singular curve
+    (4 a^3 + 27 b^2 = 0) raises ValueError."""
     a0 = -27 * curve.c4
     b0 = -54 * curve.c6
     # per-prime exponents k with 4k >= v_p(den a0) and 6k >= v_p(den b0)
@@ -325,6 +328,8 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     if a1.denominator != 1 or b1.denominator != 1:
         raise ArithmeticError("integral scaling left a fraction")
     a_int, b_int = int(a1), int(b1)
+    if 4 * a_int ** 3 + 27 * b_int ** 2 == 0:
+        raise ValueError("integral model of a singular curve")
     v = 1
     for p in sorted(set(exps) | {2, 3}):
         while True:
@@ -411,53 +416,47 @@ def integer_roots(coeffs: list[int]) -> list[int]:
 # division polynomials on y^2 = x^3 + a x + b
 # ---------------------------------------------------------------------------
 
-def _division_poly_pairs(a: int, b: int, n_max: int) -> list[tuple[QPoly, QPoly]]:
-    """Division polynomials psi_0..psi_n_max represented as u(x) + v(x) y in
-    Q[x, y]/(y^2 - (x^3 + a x + b)): the pair (u, v)."""
-    E = QPoly([b, a, 0, 1])
-    half = Fraction(1, 2)
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g):
+            out[i + j] += c * d
+    return out
 
-    def pair_mul(p, q):
-        (u1, v1), (u2, v2) = p, q
-        return (u1 * u2 + v1 * v2 * E, u1 * v2 + v1 * u2)
 
-    def pair_div_2y(p):
-        # (u + v y) / (2y) = v/2 + (u/E)/2 * y; u is divisible by E whenever
-        # the recurrence is applied to a genuine division polynomial
-        u, v = p
-        if u.is_zero():
-            u_quot = QPoly.zero()
-        else:
-            u_quot, rem = u.divmod(E)
-            if not rem.is_zero():
-                raise ArithmeticError("division polynomial parity broke")
-        return (v * half, u_quot * half)
+def _poly_sub(f: list[int], g: list[int]) -> list[int]:
+    # every difference taken here is of two polynomials of equal degree
+    return [c - d for c, d in zip(f, g, strict=True)]
 
-    zero = (QPoly.zero(), QPoly.zero())
-    psi = [zero] * (n_max + 1)
-    if n_max >= 1:
-        psi[1] = (QPoly.one(), QPoly.zero())
-    if n_max >= 2:
-        psi[2] = (QPoly.zero(), QPoly.constant(2))
-    if n_max >= 3:
-        psi[3] = (QPoly([-a * a, 12 * b, 6 * a, 0, 3]), QPoly.zero())
-    if n_max >= 4:
-        psi[4] = (QPoly.zero(),
-                  QPoly([-4 * (8 * b * b + a ** 3), -16 * a * b, -20 * a * a,
-                         80 * b, 20 * a, 0, 4]))
+
+def _division_polys(a: int, b: int, n_max: int) -> list[list[int]]:
+    """f_0 .. f_n_max (n_max >= 4) on Y^2 = X^3 + a X + b, as int coefficient
+    lists from the constant term up: f_n = psi_n for odd n and psi_n / (2Y)
+    for even n.  So every f_n is in Z[X], and the psi recurrences need the
+    factor (2Y)^4 = (4X^3 + 4aX + 4b)^2 only on the side with four
+    even-index factors."""
+    f = [[0], [1], [1], [-a * a, 12 * b, 6 * a, 0, 3],
+         [-2 * (8 * b * b + a ** 3), -8 * a * b, -10 * a * a, 40 * b,
+          10 * a, 0, 2]]
+    two_y_4 = _poly_mul([4 * b, 4 * a, 0, 4], [4 * b, 4 * a, 0, 4])
     for n in range(5, n_max + 1):
         m = n // 2
-        if n % 2 == 1:
-            first = pair_mul(psi[m + 2], pair_mul(psi[m], pair_mul(psi[m], psi[m])))
-            second = pair_mul(psi[m - 1],
-                              pair_mul(psi[m + 1], pair_mul(psi[m + 1], psi[m + 1])))
-            psi[n] = (first[0] - second[0], first[1] - second[1])
+        if n % 2 == 0:
+            # f_2m = f_m (f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2)
+            f.append(_poly_mul(f[m], _poly_sub(
+                _poly_mul(f[m + 2], _poly_mul(f[m - 1], f[m - 1])),
+                _poly_mul(f[m - 2], _poly_mul(f[m + 1], f[m + 1])))))
+            continue
+        # psi_2m+1 = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
+        first = _poly_mul(f[m + 2], _poly_mul(f[m], _poly_mul(f[m], f[m])))
+        second = _poly_mul(f[m - 1],
+                           _poly_mul(f[m + 1], _poly_mul(f[m + 1], f[m + 1])))
+        if m % 2 == 0:
+            first = _poly_mul(two_y_4, first)
         else:
-            lhs = pair_mul(psi[m + 2], pair_mul(psi[m - 1], psi[m - 1]))
-            rhs = pair_mul(psi[m - 2], pair_mul(psi[m + 1], psi[m + 1]))
-            inner = (lhs[0] - rhs[0], lhs[1] - rhs[1])
-            psi[n] = pair_div_2y(pair_mul(psi[m], inner))
-    return psi
+            second = _poly_mul(two_y_4, second)
+        f.append(_poly_sub(first, second))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +510,10 @@ def _division_solve(a: int, b: int, ell: int, target,
     its order, found by solving x([ell]Q) = x(target) over the integers
     (torsion coordinates on an integral model are integers) and verifying
     each candidate exactly.  The target is a torsion point, so every
-    solution is one too."""
+    solution is one too.  With x([ell]Q) = X - psi_{ell-1} psi_{ell+1} /
+    psi_ell^2 the equation is a hand-expanded quartic for ell = 2, and for
+    odd ell (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1} = 0 in
+    the f_n of _division_polys; [ell]Q = O exactly on the roots of f_ell."""
     if ell == 2:
         if target is None:
             return {(x, 0): 2 for x in integer_roots([b, a, 0, 1])}
@@ -520,26 +522,16 @@ def _division_solve(a: int, b: int, ell: int, target,
                             -4 * xp, 1])
     else:
         if ell not in psi_cache:
-            psi_cache[ell] = _division_poly_pairs(a, b, ell + 1)
-        psi = psi_cache[ell]
-        E = QPoly([b, a, 0, 1])
-        sq_u, sq_v = psi[ell]
-        if not sq_v.is_zero():
-            raise ArithmeticError("odd division polynomial has a y part")
-        psi_sq = sq_u * sq_u
-        lo_u, lo_v = psi[ell - 1]
-        hi_u, hi_v = psi[ell + 1]
-        # ell odd: neighbors are even-index, pure y-part
-        prod = lo_v * hi_v * E
+            f = _division_polys(a, b, ell + 1)
+            psi_cache[ell] = (f[ell], _poly_mul(f[ell], f[ell]),
+                              _poly_mul([4 * b, 4 * a, 0, 4],
+                                        _poly_mul(f[ell - 1], f[ell + 1])))
+        f_ell, f_ell_sq, neighbors = psi_cache[ell]
         if target is None:
-            # [ell]Q = O exactly on roots of psi_ell
-            xs_poly = sq_u
+            xs = integer_roots(f_ell)
         else:
-            xs_poly = (QPoly.x() - target[0]) * psi_sq - prod
-        cleared = xs_poly.content_den_cleared()
-        if cleared.is_zero():
-            return {}
-        xs = integer_roots([int(c) for c in cleared.coeffs])
+            xs = integer_roots(_poly_sub(_poly_mul([-target[0], 1], f_ell_sq),
+                                         neighbors))
     out = {}
     for x in xs:
         yy = x ** 3 + a * x + b
@@ -573,7 +565,8 @@ def _count_points_mod_p(a: int, b: int, p: int) -> int:
 
 def _torsion_order_bound(a: int, b: int, disc: int) -> int:
     """gcd of #E(F_p) over several good primes: a multiple of the rational
-    torsion order, since torsion injects under good reduction."""
+    torsion order, since torsion injects under good reduction.  0, which
+    every ell divides, when none of the primes is good."""
     bound = 0
     used = 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
@@ -583,7 +576,7 @@ def _torsion_order_bound(a: int, b: int, disc: int) -> int:
         used += 1
         if used >= 6 or bound in (1, 2):
             break
-    return bound if bound else 16
+    return bound
 
 
 def _torsion_by_division(a: int, b: int,
@@ -649,9 +642,8 @@ def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     short model (see _torsion_by_division), in integer arithmetic until the
     points are pulled back; no factoring of the discriminant.  Every point
     found is checked to have integer coordinates with Y = 0 or Y^2 | disc
-    (Lutz-Nagell) and to map back onto the source curve."""
-    if curve.is_singular():
-        raise ValueError("torsion of a singular model")
+    (Lutz-Nagell) and to map back onto the source curve.  A singular curve
+    raises ValueError from short_integral_model."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
     disc = -16 * (4 * a ** 3 + 27 * b ** 2)

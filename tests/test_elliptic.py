@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadpreim.elliptic import (
+    _division_polys,
     _int_add,
     _torsion_multiples,
     ECPoint,
@@ -247,16 +248,25 @@ def test_torsion_methods_agree():
             fibers.append(fiber)
     fibers += [specialize_e24(F(-49, 4)), specialize_e24(2),
                specialize_e222(F(-1, 2)), specialize_e222(F(-7, 8))]
-    for fiber in fibers:
-        expected = reference_torsion(fiber.curve)
+    # y^2 + x y + P y = x^3 with (0, 0) of order 3, where every prime
+    # 5 ... 43 that bounds the torsion order divides P and so the discriminant
+    bad_primes = WeierstrassCurve.from_coeffs(
+        1, 0, 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43, 0, 0)
+    # Tate normal forms y^2 + (1 - c) x y - b y = x^3 - b x^2 with Z/9, Z/7
+    # and Z/5, which need ell = 3 with a target, 7 and 5
+    tate = [WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+            for b, c in ((12, 4), (4, 2), (2, 2))]
+    curves = [fiber.curve for fiber in fibers] + [bad_primes] + tate
+    for curve in curves:
+        expected = reference_torsion(curve)
         n, m = len(expected), max(expected.values())
-        g = torsion_subgroup(fiber.curve)
-        assert g.invariants == ((1, n) if m == n else (2, m)), fiber.a
-        assert set(g.points) == set(expected), fiber.a
+        g = torsion_subgroup(curve)
+        assert g.invariants == ((1, n) if m == n else (2, m)), curve
+        assert set(g.points) == set(expected), curve
         for gen in g.generators:
-            assert point_order(fiber.curve, gen) == expected[gen]
-    assert [torsion_subgroup(f.curve).invariants for f in fibers[-4:]] == [
-        (2, 4), (1, 8), (1, 3), (1, 2)]
+            assert point_order(curve, gen) == expected[gen]
+    assert [torsion_subgroup(c).invariants for c in curves[-8:]] == [
+        (2, 4), (1, 8), (1, 3), (1, 2), (1, 3), (1, 9), (1, 7), (1, 5)]
 
 
 def test_torsion_families_produce_named_groups():
@@ -382,6 +392,63 @@ def test_integral_model_roundtrip():
         image = model.push(T)
         assert integral.contains(image)
         assert model.pull(image) == T
+
+
+def test_singular_curves_refused_by_integral_model():
+    # the node y^2 = x^3 - 3x + 2, the two singular two-four fibers, and the
+    # cusp y^2 = x^3, whose model coefficients are both 0
+    singular = [WeierstrassCurve.short(-3, 2), specialize_e24(0).curve,
+                specialize_e24(F(-1, 4)).curve, WeierstrassCurve.short(0, 0)]
+    for curve in singular:
+        with pytest.raises(ValueError):
+            short_integral_model(curve)
+        with pytest.raises(ValueError):
+            torsion_subgroup(curve)
+
+
+def _at(poly, x):
+    return sum(c * x ** i for i, c in enumerate(poly))
+
+
+def test_division_polys_match_fraction_law():
+    # X([n]P) = X - psi_{n-1} psi_{n+1} / psi_n^2 with psi_n = f_n for odd n
+    # and 2Y f_n for even n, so (2Y)^2 = 4 (X^3 + a X + b) sits on the
+    # even-index side, against the Fraction law for points of infinite
+    # order; and for odd n, f_n(X) = 0 exactly when the order divides n
+    rng = random.Random(SEED + 9)
+    models = _models_with_integer_points(rng)
+    # Tate normal forms y^2 + (1 - c) x y - b y = x^3 - b x^2 with (0, 0) of
+    # order 5 (b = c = 2) and 7 (b = 4, c = 2)
+    for b, c, order in ((2, 2, 5), (4, 2, 7)):
+        curve = WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+        model = short_integral_model(curve)
+        gen = ECPoint.affine(0, 0)
+        assert point_order(curve, gen) == order
+        models.append((model.a, model.b,
+                       [_int_point(model.push(curve._mul_unchecked(k, gen)))
+                        for k in range(1, order)]))
+    seen = {3: 0, 5: 0, 7: 0, "nontorsion": 0}
+    for a, b, points in models:
+        curve = WeierstrassCurve.short(a, b)
+        f = _division_polys(a, b, 9)
+        for x, y in points:
+            point = ECPoint.affine(x, y)
+            order = point_order(curve, point)
+            if order is not None:
+                for n in (3, 5, 7):
+                    assert (_at(f[n], x) == 0) == (n % order == 0), (a, b, x, n)
+                    seen[n] += n % order == 0
+                continue
+            two_y_sq = 4 * (x ** 3 + a * x + b)
+            for n in range(2, 9):
+                lo, mid, hi = (_at(f[k], x) for k in (n - 1, n, n + 1))
+                if n % 2:
+                    expected = x - Fraction(two_y_sq * lo * hi, mid * mid)
+                else:
+                    expected = x - Fraction(lo * hi, two_y_sq * mid * mid)
+                assert curve._mul_unchecked(n, point).x == expected, (a, b, x, n)
+            seen["nontorsion"] += 1
+    assert min(seen.values()) >= 2, seen
 
 
 def _poly_mul(f, g):

@@ -16,9 +16,10 @@ import quadpreim
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
-# the integer group law and the division closure that runs on it
-INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_division_solve",
-                   "_torsion_by_division")
+# the integer group law, the integer division polynomials and the division
+# closure that runs on them
+INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_poly_mul", "_poly_sub",
+                   "_division_polys", "_division_solve", "_torsion_by_division")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -84,7 +85,7 @@ def test_torsion_hot_path_names_no_fraction_type():
     assert sorted(bodies) == sorted(INTEGER_TORSION)
     named = {(name, node.id) for name, body in bodies.items()
              for node in ast.walk(body) if isinstance(node, ast.Name)
-             and node.id in ("Fraction", "ECPoint")}
+             and node.id in ("Fraction", "ECPoint", "QPoly")}
     assert named == set()
 
 
