@@ -32,17 +32,24 @@ from .exactmath import (
 )
 
 
+Pair = tuple[int, int]
+
+
 def iterate(c: RatLike, x: RatLike, n: int) -> Fraction:
     """f_c^n(x); n = 0 returns x."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    c = Fraction(c)
-    x = Fraction(x)
-    cn, cd = c.numerator, c.denominator
-    xn, xd = x.numerator, x.denominator
+    c, x = Fraction(c), Fraction(x)
+    return Fraction(*orbit((c.numerator, c.denominator),
+                           (x.numerator, x.denominator), n))
+
+
+def orbit(c: Pair, x: Pair, n: int) -> Pair:
+    """f_c^n(x) on (n, d) pairs with d > 0, not reduced."""
+    (cn, cd), (xn, xd) = c, x
     for _ in range(n):
         xn, xd = xn * xn * cd + cn * xd * xd, xd * xd * cd
-    return Fraction(xn, xd)
+    return xn, xd
 
 
 def preimages(c: RatLike, y: RatLike) -> tuple[Fraction, ...]:
@@ -94,9 +101,6 @@ class PreimageTree:
     def union_count(self) -> int:
         return len({node.value for level in self.levels for node in level})
 
-    def level_values(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(node.value for node in self.levels[k])
-
     def as_json(self) -> dict:
         return {
             "c": format_rat(self.c),
@@ -120,16 +124,12 @@ class PreimageTree:
         return cls(c=c, a=a, levels=tuple(levels))
 
 
-Pair = tuple[int, int]
-
-
-def preimage_levels(c: Fraction, a: Fraction,
-                    depth: int) -> Iterator[dict[Pair, Pair]]:
+def preimage_levels(c: Pair, a: Pair, depth: int) -> Iterator[dict[Pair, Pair]]:
     """Yield the first `depth` levels of the pre-image tree of a under f_c,
-    each as a map from every rational root (n, d), in lowest terms with
-    d > 0, to the (n, d) of its one-step image."""
-    cn, cd = c.numerator, c.denominator
-    previous: Iterable[Pair] = ((a.numerator, a.denominator),)
+    c and a as (n, d) with d > 0, each a map from every rational root (n, d),
+    in lowest terms with d > 0, to the (n, d) of its one-step image."""
+    cn, cd = c
+    previous: Iterable[Pair] = (a,)
     for _ in range(depth):
         found: dict[Pair, Pair] = {}
         for y in previous:
@@ -158,11 +158,11 @@ def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
     """The full rational pre-image tree of a under f_c to the given depth."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    c = Fraction(c)
-    a = Fraction(a)
+    c, a = Fraction(c), Fraction(a)
     levels: list[tuple[TreeNode, ...]] = []
-    index = {(a.numerator, a.denominator): 0}
-    for found in preimage_levels(c, a, depth):
+    root = (a.numerator, a.denominator)
+    index = {root: 0}
+    for found in preimage_levels((c.numerator, c.denominator), root, depth):
         values = sorted(((Fraction(*v), v) for v in found), reverse=True)
         levels.append(tuple(TreeNode(value, index[found[v]], value == 0)
                             for value, v in values))

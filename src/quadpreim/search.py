@@ -29,6 +29,7 @@ Both strategies cut their shard into ordered blocks of rows; one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
 workers, and alone dedups, emits and checkpoints.  Resume replays the records
 a checkpoint holds, so jobs and interruptions never change the output.
+A candidate is settled on int pairs (_meets); only a hit builds Fractions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PreimageTree, iterate, preimage_levels, preimage_tree
+from .dynamics import Pair, PreimageTree, orbit, preimage_levels, preimage_tree
+from .dynamics import iterate  # noqa: F401  traced by perfbench/run.py
 from .exactmath import format_rat, height, parse_rat
 
 
@@ -146,22 +148,31 @@ class SearchRecord:
 
 
 def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecord]:
-    """Re-derive the tree of (c, a) from scratch; a record results exactly
-    when the computed signature dominates the target component-wise.
-
-    The levels the target constrains are counted on integer pairs and the
-    walk stops at the first level short of its target; only a hit has its
-    tree built."""
+    """Re-derive the tree of (c, a); a record, tree and all, results exactly
+    when the signature dominates the target at every level (_meets)."""
     target = tuple(target)
     if depth < len(target):
         raise ValueError("depth must cover the target signature")
-    c = Fraction(c)
-    a = Fraction(a)
-    for want, level in zip(target, preimage_levels(c, a, len(target))):
-        if len(level) < want:
-            return None
+    c, a = Fraction(c), Fraction(a)
+    if not _meets((c.numerator, c.denominator), (a.numerator, a.denominator),
+                  target):
+        return None
     tree = preimage_tree(c, a, depth)
     return SearchRecord(c=c, a=a, signature=tree.signature(), tree=tree)
+
+
+def _meets(c: Pair, a: Pair, target: tuple[int, ...]) -> bool:
+    """Whether a's tree under f_c has target[k] roots or more at level k + 1."""
+    for want, level in zip(target, preimage_levels(c, a, len(target))):
+        if len(level) < want:
+            return False
+    return True
+
+
+def _settle(config: SearchConfig, c: Pair, a: Pair) -> Optional[SearchRecord]:
+    """verify_pair of a scan candidate on int pairs; a miss builds no Fraction."""
+    return (verify_pair(Fraction(*c), Fraction(*a), config.target, config.depth)
+            if _meets(c, a, config.target) else None)
 
 
 def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +187,7 @@ def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nums), np.concatenate(dens)
 
 
-def fractions_by_height(bound: int) -> list[Fraction]:
+def fractions_by_height(bound: int) -> list[Fraction]:  # perfbench/run.py traces it
     """The fractions of _height_order(bound); callers handle the signs."""
     nums, dens = _height_order(bound)
     return [Fraction(n, d) for k in range(0, len(nums), 4096)  # 4096 ints at a time
@@ -316,13 +327,13 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
 # third-pair strategy
 # ---------------------------------------------------------------------------
 
-def _thirdpair_values(n1: int, d1: int, n2: int, d2: int):
-    """(c, a) of p1 = n1/d1, p2 = n2/d2: with x, y, e as in N (module
-    docstring), c = -(x^2 + y^2) / (2 e^2) and t = s^2 + c = T / (4 e^4)."""
+def _thirdpair_values(n1: int, d1: int, n2: int, d2: int) -> tuple[Pair, Pair]:
+    """(c, a) of p1 = n1/d1, p2 = n2/d2 as unreduced (n, d): with x, y, e as in
+    N, c = -(x^2 + y^2) / (2 e^2) and t = s^2 + c = T / (4 e^4)."""
     x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
     t = (x2 - y2) ** 2 - 2 * e2 * (x2 + y2)
-    return (Fraction(-(x2 + y2), 2 * e2),
-            Fraction(t * t - 8 * e2 ** 3 * (x2 + y2), 16 * e2 ** 4))
+    return ((-(x2 + y2), 2 * e2),
+            (t * t - 8 * e2 ** 3 * (x2 + y2), 16 * e2 ** 4))
 
 
 # the filter's prime powers q^k as (q^k, q), most selective first
@@ -436,9 +447,8 @@ class _ThirdPairPlan:
 
     def settle(self, i: int, j: int) -> Optional[SearchRecord]:
         nums, dens = self.nums, self.dens
-        c, a = _thirdpair_values(int(nums[i]), int(dens[i]),
-                                 int(nums[j]), int(dens[j]))
-        return verify_pair(c, a, self.config.target, self.config.depth)
+        return _settle(self.config, *_thirdpair_values(
+            int(nums[i]), int(dens[i]), int(nums[j]), int(dens[j])))
 
 
 def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int]]:
@@ -509,16 +519,16 @@ def scan_forward(config: SearchConfig, resume: bool = False,
 
 
 class _ForwardPlan:
-    """The forward scan's candidates (ci, xi): c over 0 and +/- each
-    fraction, x0 over 0 and each fraction; every c index is a live row."""
+    """The forward scan's candidates (ci, xi) on (n, d) pairs: c over 0 and
+    +/- each fraction, x0 over 0 and each fraction; every c is a live row."""
 
     strategy, params = "forward", ("c", "x0")
 
     def __init__(self, config: SearchConfig):
         self.config = config
-        frs = fractions_by_height(config.height_bound)
-        self.c_values = [Fraction(0)] + [v for f in frs for v in (f, -f)]
-        self.x_values = [Fraction(0)] + frs
+        frs = list(zip(*(v.tolist() for v in _height_order(config.height_bound))))
+        self.c_values = [(0, 1)] + [v for n, d in frs for v in ((n, d), (-n, d))]
+        self.x_values = [(0, 1)] + frs
         self.size = len(self.c_values)
         self.live = np.arange(self.size)
         self.tile = _C_RUN
@@ -530,9 +540,9 @@ class _ForwardPlan:
                 for xi in range((index - ci * width) % total, width, total))
 
     def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
-        return self.c_values[ci], self.x_values[xi]
+        return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
 
     def settle(self, ci: int, xi: int) -> Optional[SearchRecord]:
-        c, depth = self.c_values[ci], self.config.depth
-        return verify_pair(c, iterate(c, self.x_values[xi], depth),
-                           self.config.target, depth)
+        c = self.c_values[ci]
+        return _settle(self.config, c,
+                       orbit(c, self.x_values[xi], self.config.depth))

@@ -49,9 +49,16 @@ def reference_tree(c, a, depth: int) -> PreimageTree:
 
 
 def reference_hit(c, a, target) -> bool:
-    """Whether the reference signature of (c, a) dominates the target."""
-    sig = reference_tree(c, a, max(len(target), 1)).signature()
-    return all(s >= t for s, t in zip(sig, target))
+    """Whether the reference signature of (c, a) dominates the target: the
+    walk of reference_tree, one `preimages` call per parent, stopped at the
+    first level short of its target."""
+    c = Fraction(c)
+    level = {Fraction(a)}
+    for want in target:
+        level = {v for y in level for v in preimages(c, y)}
+        if len(level) < want:
+            return False
+    return True
 
 
 # -- third-pair search -------------------------------------------------------

@@ -75,12 +75,16 @@ def test_preimages_brute_force_oracle():
             assert iterate(c, r, 1) == y
 
 
+def level_values(tree, k):
+    return tuple(node.value for node in tree.levels[k])
+
+
 def test_tree_for_full_246_pair():
     tree = preimage_tree(PAIR4_C, PAIR4_A, 3)
-    assert tree.level_values(0) == (F(13, 120), F(-13, 120))
-    assert tree.level_values(1) == (F(161, 120), F(151, 120), F(-151, 120), F(-161, 120))
-    assert tree.level_values(2) == (F(209, 120), F(79, 120), F(71, 120),
-                                    F(-71, 120), F(-79, 120), F(-209, 120))
+    assert level_values(tree, 0) == (F(13, 120), F(-13, 120))
+    assert level_values(tree, 1) == (F(161, 120), F(151, 120), F(-151, 120), F(-161, 120))
+    assert level_values(tree, 2) == (F(209, 120), F(79, 120), F(71, 120),
+                                     F(-71, 120), F(-79, 120), F(-209, 120))
     assert tree.signature() == (2, 4, 6)
     assert tree.union_count() == 12
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quadpreim import search
-from quadpreim.exactmath import height
+from quadpreim.exactmath import height, parse_rat
 from quadpreim.search import (
     CheckpointError,
     Provenance,
@@ -89,18 +89,25 @@ def test_height_order_matches_reference():
         assert dens.tolist() == [f.denominator for f in ref]
 
 
+def _thirdpair_fractions(n1, d1, n2, d2):
+    # the (n, d) pairs of _thirdpair_values, each with d > 0, as Fractions
+    pairs = _thirdpair_values(n1, d1, n2, d2)
+    assert all(type(n) is type(d) is int and d > 0 for n, d in pairs)
+    return tuple(F(n, d) for n, d in pairs)
+
+
 def test_thirdpair_candidate_algebra():
-    assert _thirdpair_values(209, 120, 71, 120) == PAIR4
+    assert _thirdpair_fractions(209, 120, 71, 120) == PAIR4
     # p1 = p2 collapses the second level; c is still well defined
-    c2, _ = _thirdpair_values(1, 2, 1, 2)
+    c2, _ = _thirdpair_fractions(1, 2, 1, 2)
     assert c2 == -F(1, 4)
     # the integer formula against Fraction arithmetic, far past any height
     rng = random.Random(4242)
     for _ in range(500):
         p1, p2 = (F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
                   for _ in range(2))
-        assert (_thirdpair_values(p1.numerator, p1.denominator,
-                                  p2.numerator, p2.denominator)
+        assert (_thirdpair_fractions(p1.numerator, p1.denominator,
+                                     p2.numerator, p2.denominator)
                 == reference_thirdpair_values(p1, p2))
 
 
@@ -396,6 +403,52 @@ def test_scan_forward_examples():
     deg_hits = {(r.c, r.a): r for r in scan_forward(deg_cfg)}
     witness = deg_hits[(F(-2), F(2))]
     assert any(node.degenerate for node in witness.tree.levels[2])
+
+
+def _fraction_orbit(c, x, depth):
+    for _ in range(depth):
+        x = x * x + c
+    return x
+
+
+def _brute_forward(bound, depth, target):
+    # independent oracle: every (c, x0) of the forward scan, iterated in plain
+    # Fraction arithmetic and settled by the reference walk
+    frs = reference_fractions_by_height(bound)
+    brute = set()
+    for c in [F(0)] + [v for f in frs for v in (f, -f)]:
+        for x0 in [F(0)] + frs:
+            a = _fraction_orbit(c, x0, depth)
+            if reference_hit(c, a, target):
+                brute.add((c, a))
+    return brute
+
+
+@pytest.mark.parametrize("depth, target", [
+    (1, (2,)), (2, (2, 2)), (3, (2, 2)), (3, (2, 2, 4)), (3, (0, 0, 0))])
+def test_scan_forward_matches_brute_force_oracle(depth, target):
+    # the integer settle against the Fraction oracle at every bound up to 5,
+    # the first where target 2,2,4 has hits; (0, 0, 0) takes every candidate,
+    # c = x0 = 0 and its degenerate root among them
+    for bound in range(1, 6):
+        brute = _brute_forward(bound, depth, target)
+        cfg = dict(height_bound=bound, depth=depth, target=target)
+        records = list(scan_forward(SearchConfig(**cfg)))
+        assert {(r.c, r.a) for r in records} == brute
+        for rec in records:
+            assert rec.tree == reference_tree(rec.c, rec.a, depth)
+            (prov,) = rec.provenance
+            assert parse_rat(prov.params["c"]) == rec.c
+            assert _fraction_orbit(rec.c, parse_rat(prov.params["x0"]), depth) == rec.a
+        union = set()
+        for index in range(3):
+            union |= {(r.c, r.a) for r in scan_forward(
+                SearchConfig(shard=(index, 3), **cfg))}
+        assert union == brute
+    assert len(brute) >= 10
+    assert _printed(scan_forward(SearchConfig(**cfg), jobs=2)) == _printed(records)
+    if target == (0, 0, 0):
+        assert (F(0), F(0)) in brute
 
 
 def test_scan_forward_shard_union():

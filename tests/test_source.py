@@ -4,8 +4,8 @@ Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it).  The torsion hot path
-stays on Python ints.  Every name that the benchmark harness traces still
-exists in the package.
+and the settling of a search candidate stay on Python ints.  Every name that
+the benchmark harness traces still exists in the package.
 """
 
 import ast
@@ -20,6 +20,12 @@ FLOAT_HOME = ("cli.py", "_display_float")
 # closure that runs on them
 INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_poly_mul", "_poly_sub",
                    "_division_polys", "_division_solve", "_torsion_by_division")
+# the search candidate's integer settle: the target check, the forward orbit,
+# the level walk and the plans' settle, as (module, qualified name)
+INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
+                  ("search", "_ForwardPlan.settle"),
+                  ("search", "_ThirdPairPlan.settle"),
+                  ("dynamics", "orbit"), ("dynamics", "preimage_levels"))
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -86,6 +92,24 @@ def test_torsion_hot_path_names_no_fraction_type():
     named = {(name, node.id) for name, body in bodies.items()
              for node in ast.walk(body) if isinstance(node, ast.Name)
              and node.id in ("Fraction", "ECPoint", "QPoly")}
+    assert named == set()
+
+
+def test_search_hot_path_names_no_fraction_type():
+    # a candidate that misses builds no Fraction: the functions that settle
+    # it never name the type (only search._settle does, for a hit)
+    found = {}
+    for module in {m for m, _ in INTEGER_SETTLE}:
+        tree = _parse(pathlib.Path(quadpreim.__file__).parent / (module + ".py"))
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            for fn in [node, *methods]:
+                if isinstance(fn, ast.FunctionDef):
+                    name = fn.name if fn is node else node.name + "." + fn.name
+                    found[(module, name)] = fn
+    assert set(INTEGER_SETTLE) <= set(found)
+    named = {key for key in INTEGER_SETTLE for node in ast.walk(found[key])
+             if isinstance(node, ast.Name) and node.id == "Fraction"}
     assert named == set()
 
 
