@@ -154,36 +154,21 @@ def cmd_model(args, config) -> int:
     return EXIT_OK
 
 
-def _curve_payload(fiber) -> dict:
-    out = fiber.as_json()
-    out["equation"] = str(fiber.curve)
-    return out
-
-
 def cmd_ec(args, config) -> int:
     digits = _config_int(config, "display_digits", 6)
 
-    if args.ec_command == "specialize-e24":
-        fiber = elliptic.specialize_e24(_rat(args.a))
+    if args.ec_command in ("specialize-e24", "specialize-e222"):
+        e24 = args.ec_command == "specialize-e24"
+        specialize = elliptic.specialize_e24 if e24 else elliptic.specialize_e222
+        fiber = specialize(_rat(args.a))
         if args.format == "structured":
-            _print_json(_curve_payload(fiber))
+            _print_json({**fiber.as_json(), "equation": str(fiber.curve)})
         else:
             print(fiber.curve)
-            print("section T = %s" % fiber.torsion_point)
-            print("delta = %s, singular = %s" % (format_rat(fiber.delta),
-                                                 fiber.singular))
-            if fiber.j is not None:
-                print("j = %s (~%s)" % (format_rat(fiber.j),
-                                        _display_float(fiber.j, digits)))
-        return EXIT_OK
-
-    if args.ec_command == "specialize-e222":
-        fiber = elliptic.specialize_e222(_rat(args.a))
-        if args.format == "structured":
-            _print_json(_curve_payload(fiber))
-        else:
-            print(fiber.curve)
-            print("sections P = %s, Q = %s" % (fiber.p_point, fiber.q_point))
+            if e24:
+                print("section T = %s" % fiber.torsion_point)
+            else:
+                print("sections P = %s, Q = %s" % (fiber.p_point, fiber.q_point))
             print("delta = %s, singular = %s" % (format_rat(fiber.delta),
                                                  fiber.singular))
             if fiber.j is not None:
@@ -368,19 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_244.add_argument("--format", **fmt)
     p_244.set_defaults(func=cmd_ec)
 
-    p_order = ec_sub.add_parser("order")
-    for coeff in ("a1", "a2", "a3", "a4", "a6"):
-        p_order.add_argument("--" + coeff, default="0")
-    p_order.add_argument("--x", required=True)
-    p_order.add_argument("--y", required=True)
-    p_order.add_argument("--format", **fmt)
-    p_order.set_defaults(func=cmd_ec)
-
-    p_tors = ec_sub.add_parser("torsion")
-    for coeff in ("a1", "a2", "a3", "a4", "a6"):
-        p_tors.add_argument("--" + coeff, default="0")
-    p_tors.add_argument("--format", **fmt)
-    p_tors.set_defaults(func=cmd_ec)
+    for name in ("order", "torsion"):
+        p = ec_sub.add_parser(name)
+        for coeff in ("a1", "a2", "a3", "a4", "a6"):
+            p.add_argument("--" + coeff, default="0")
+        if name == "order":
+            p.add_argument("--x", required=True)
+            p.add_argument("--y", required=True)
+        p.add_argument("--format", **fmt)
+        p.set_defaults(func=cmd_ec)
 
     p_search = sub.add_parser("search", help="height-bounded arrangement search")
     p_search.add_argument("--strategy", choices=("thirdpair", "forward"),

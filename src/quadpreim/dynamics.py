@@ -72,10 +72,6 @@ class TreeNode:
     parent: int          # index into the previous level (0 for level-1 nodes)
     degenerate: bool     # value == 0
 
-    def as_json(self) -> dict:
-        return {"value": format_rat(self.value), "parent": self.parent,
-                "degenerate": self.degenerate}
-
 
 @dataclass(frozen=True)
 class PreimageTree:

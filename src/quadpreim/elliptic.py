@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .exactmath import RatLike, format_rat, int_sqrt, parse_rat
+from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
 from .factor import factorize
 
 
@@ -149,10 +149,15 @@ class WeierstrassCurve:
     def contains(self, p: ECPoint) -> bool:
         return self.equation_residue(p) == 0
 
-    def _require_on_curve(self, p: ECPoint):
-        residue = self.equation_residue(p)
-        if residue != 0:
-            raise OffCurveError(p, residue)
+    def _require_points(self, *points: ECPoint):
+        """Refuse a singular model, where the group law is undefined, and any
+        point off the curve."""
+        if self.is_singular():
+            raise ValueError("group law on a singular model")
+        for p in points:
+            residue = self.equation_residue(p)
+            if residue != 0:
+                raise OffCurveError(p, residue)
 
     # -- group law ---------------------------------------------------------------
 
@@ -162,10 +167,7 @@ class WeierstrassCurve:
         return ECPoint(p.x, -p.y - self.a1 * p.x - self.a3)
 
     def add(self, p: ECPoint, q: ECPoint) -> ECPoint:
-        if self.is_singular():
-            raise ValueError("group law on a singular model")
-        self._require_on_curve(p)
-        self._require_on_curve(q)
+        self._require_points(p, q)
         return self._add_unchecked(p, q)
 
     def _add_unchecked(self, p: ECPoint, q: ECPoint) -> ECPoint:
@@ -189,9 +191,7 @@ class WeierstrassCurve:
 
     def mul(self, n: int, p: ECPoint) -> ECPoint:
         """[n]P by double-and-add (exact; n may be negative)."""
-        if self.is_singular():
-            raise ValueError("group law on a singular model")
-        self._require_on_curve(p)
+        self._require_points(p)
         return self._mul_unchecked(n, p)
 
     def _mul_unchecked(self, n: int, p: ECPoint) -> ECPoint:
@@ -221,27 +221,12 @@ class WeierstrassCurve:
                                  for k in ("a1", "a2", "a3", "a4", "a6")))
 
     def __str__(self):
-        def tack(parts, coef, mono):
-            if not coef:
-                return
-            sign = " - " if coef < 0 else " + "
-            mag = abs(coef)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = "%s*%s" % (format_rat(mag), mono)
-            else:
-                body = format_rat(mag)
-            parts.append(sign + body)
-
-        lhs = ["y^2"]
-        tack(lhs, self.a1, "x*y")
-        tack(lhs, self.a3, "y")
-        rhs = ["x^3"]
-        tack(rhs, self.a2, "x^2")
-        tack(rhs, self.a4, "x")
-        tack(rhs, self.a6, "")
-        return "".join(lhs) + " = " + "".join(rhs)
+        lhs = "y^2"
+        for coef, mono in ((self.a1, "x*y"), (self.a3, "y")):
+            if coef:
+                term = QPoly((0, coef)).format(mono)
+                lhs += " - " + term[1:] if coef < 0 else " + " + term
+        return lhs + " = " + QPoly((self.a6, self.a4, self.a2, 1)).format("x")
 
 
 def point_order(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
@@ -251,9 +236,7 @@ def point_order(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
     {1, ..., 10, 12}, so checking multiples up to 12 decides torsion without
     any height or reduction argument.
     """
-    if curve.is_singular():
-        raise ValueError("point order on a singular model")
-    curve._require_on_curve(p)
+    curve._require_points(p)
     if p.is_infinity:
         return 1
     q = p
@@ -278,14 +261,6 @@ class ShortIntegralModel:
     b: int
     scale: Fraction
     source: WeierstrassCurve
-
-    def push(self, p: ECPoint) -> ECPoint:
-        if p.is_infinity:
-            return INFINITY
-        s = self.scale
-        big_x = s * s * (36 * p.x + 3 * self.source.b2)
-        big_y = 108 * s ** 3 * (2 * p.y + self.source.a1 * p.x + self.source.a3)
-        return ECPoint(big_x, big_y)
 
     @cached_property
     def _pull_constants(self) -> tuple[Fraction, ...]:
@@ -591,6 +566,8 @@ def _torsion_by_division(a: int, b: int,
     bound = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
     psi_cache: dict = {}
+    # a solved (ell, target) gives nothing new in a later round
+    solved = set()
     changed = True
     while changed:
         changed = False
@@ -601,6 +578,9 @@ def _torsion_by_division(a: int, b: int,
             if group_order * ell > 16:
                 continue
             for target in [None, *points]:
+                if (ell, target) in solved:
+                    continue
+                solved.add((ell, target))
                 found = _division_solve(a, b, ell, target, psi_cache)
                 for q, order in found.items():
                     if q not in points:
@@ -681,6 +661,15 @@ def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
 # the pre-image elliptic surfaces
 # ---------------------------------------------------------------------------
 
+def _fiber_json(fiber, **sections) -> dict:
+    """A fiber's curve coefficients, a, delta, j and singularity, with the
+    fiber's own sections under their keyword names."""
+    return {**fiber.curve.as_json(), "a": format_rat(fiber.a),
+            "delta": format_rat(fiber.delta),
+            "j": None if fiber.j is None else format_rat(fiber.j),
+            "singular": fiber.singular, **sections}
+
+
 @dataclass(frozen=True)
 class E24Fiber:
     """Specialization of the two-four arrangement surface at a rational a:
@@ -695,15 +684,7 @@ class E24Fiber:
     singular: bool
 
     def as_json(self) -> dict:
-        out = self.curve.as_json()
-        out.update({
-            "a": format_rat(self.a),
-            "delta": format_rat(self.delta),
-            "j": None if self.j is None else format_rat(self.j),
-            "singular": self.singular,
-            "section": self.torsion_point.as_json(),
-        })
-        return out
+        return _fiber_json(self, section=self.torsion_point.as_json())
 
 
 def specialize_e24(a: RatLike) -> E24Fiber:
@@ -735,15 +716,8 @@ class E222Fiber:
     singular: bool
 
     def as_json(self) -> dict:
-        out = self.curve.as_json()
-        out.update({
-            "a": format_rat(self.a),
-            "delta": format_rat(self.delta),
-            "j": None if self.j is None else format_rat(self.j),
-            "singular": self.singular,
-            "sections": [self.p_point.as_json(), self.q_point.as_json()],
-        })
-        return out
+        return _fiber_json(self, sections=[self.p_point.as_json(),
+                                           self.q_point.as_json()])
 
 
 def specialize_e222(a: RatLike) -> E222Fiber:

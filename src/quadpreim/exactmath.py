@@ -231,14 +231,7 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly.one())
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Euclidean division over Q: self = q*other + r, deg r < deg other."""
@@ -328,6 +321,17 @@ class QPoly:
 
     def __repr__(self):
         return "QPoly(%s)" % (self.format(),)
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, in any ring with `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _as_qpoly(value) -> "QPoly":
@@ -503,14 +507,7 @@ class NFElem:
     def __pow__(self, n: int) -> "NFElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = NFElem(self.modulus, QPoly.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, NFElem(self.modulus, QPoly.one()))
 
     def inverse(self) -> "NFElem":
         """Inverse by the extended Euclidean algorithm.  If gcd(rep, modulus)

@@ -177,6 +177,15 @@ def ideal_j(n: int) -> QuadricModel:
     return QuadricModel(var_names=names, generators=tuple(gens))
 
 
+# each eight-point arrangement: its coordinate names, and one (x, y, sign)
+# per generator a z^2 - t^2 + x^2 - sign y z
+_ARRANGEMENTS = {
+    "224": ("qrstz", (("s", "t", 1), ("q", "s", 1), ("r", "s", -1))),
+    "242": ("qstuz", (("s", "t", 1), ("u", "t", -1), ("q", "s", 1))),
+    "2222": ("qstuvz", (("s", "t", 1), ("q", "s", 1), ("u", "q", 1))),
+}
+
+
 def arrangement_curve(tag: str) -> QuadricModel:
     """The displayed projective models of the three eight-point arrangements.
 
@@ -187,57 +196,18 @@ def arrangement_curve(tag: str) -> QuadricModel:
     the sixth coordinate v is carried unused and the count mismatch is left
     visible rather than silently repaired.
     """
-    a = QPoly.x()
-    one = QPoly.one()
-    neg = -one
-
-    def base(nv, t_idx, z_idx):
-        # a z^2 - t^2 common to every generator
-        return {
-            _mono(nv, z_idx, z_idx): a,
-            _mono(nv, t_idx, t_idx): neg,
-        }
-
-    if tag == "224":
-        names = ("q", "r", "s", "t", "z")
-        nv = 5
-        q, r, s, t, z = range(5)
-        specs = [
-            {_mono(nv, t, z): neg, _mono(nv, s, s): one},     # -(t z - s^2)
-            {_mono(nv, s, z): neg, _mono(nv, q, q): one},     # -(s z - q^2)
-            {_mono(nv, s, z): one, _mono(nv, r, r): one},     # -(-s z - r^2)
-        ]
-        t_idx, z_idx = t, z
-    elif tag == "242":
-        names = ("q", "s", "t", "u", "z")
-        nv = 5
-        q, s, t, u, z = range(5)
-        specs = [
-            {_mono(nv, t, z): neg, _mono(nv, s, s): one},     # -(t z - s^2)
-            {_mono(nv, t, z): one, _mono(nv, u, u): one},     # -(-t z - u^2)
-            {_mono(nv, s, z): neg, _mono(nv, q, q): one},     # -(s z - q^2)
-        ]
-        t_idx, z_idx = t, z
-    elif tag == "2222":
-        names = ("q", "s", "t", "u", "v", "z")
-        nv = 6
-        q, s, t, u, v, z = range(6)
-        specs = [
-            {_mono(nv, t, z): neg, _mono(nv, s, s): one},     # -(t z - s^2)
-            {_mono(nv, s, z): neg, _mono(nv, q, q): one},     # -(s z - q^2)
-            {_mono(nv, q, z): neg, _mono(nv, u, u): one},     # -(q z - u^2)
-        ]
-        t_idx, z_idx = t, z
-    else:
+    if tag not in _ARRANGEMENTS:
         raise ValueError("unknown arrangement tag %r" % (tag,))
-
+    names, specs = _ARRANGEMENTS[tag]
+    nv = len(names)
+    t, z = names.index("t"), names.index("z")
     gens = []
-    for spec in specs:
-        entries = dict(base(nv, t_idx, z_idx))
-        for mono, coeff in spec.items():
-            entries[mono] = entries.get(mono, QPoly.zero()) + coeff
-        gens.append(QuadricForm.build(nv, entries))
-    return QuadricModel(var_names=names, generators=tuple(gens))
+    for x, y, sign in specs:
+        x, y = names.index(x), names.index(y)
+        gens.append(QuadricForm.build(nv, {
+            _mono(nv, z, z): QPoly.x(), _mono(nv, t, t): -1,
+            _mono(nv, x, x): 1, _mono(nv, y, z): -sign}))
+    return QuadricModel(var_names=tuple(names), generators=tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +252,7 @@ def genus_with_delta(n: int, deltas: Sequence[int]) -> int:
     """Geometric genus after subtracting the supplied delta-invariants from
     the arithmetic genus of the depth-n complete intersection.  The deltas
     come from external blow-up analyses; this is bookkeeping only."""
-    if any(d <= 0 for d in deltas):
-        raise ValueError("delta invariants are positive")
-    g = genus_hilbert(n) - sum(deltas)
-    if g < 0:
-        raise ValueError("delta sum exceeds the arithmetic genus")
-    return g
+    return _subtract_deltas(genus_hilbert(n), deltas)
 
 
 def plane_genus_with_delta(degree: int, deltas: Sequence[int]) -> int:
@@ -295,9 +260,13 @@ def plane_genus_with_delta(degree: int, deltas: Sequence[int]) -> int:
     genus is (d-1)(d-2)/2 (the depth-4 tree curve is the degree-16 case)."""
     if degree < 3:
         raise ValueError("degree must be at least 3")
+    return _subtract_deltas((degree - 1) * (degree - 2) // 2, deltas)
+
+
+def _subtract_deltas(genus: int, deltas: Sequence[int]) -> int:
     if any(d <= 0 for d in deltas):
         raise ValueError("delta invariants are positive")
-    g = (degree - 1) * (degree - 2) // 2 - sum(deltas)
+    g = genus - sum(deltas)
     if g < 0:
         raise ValueError("delta sum exceeds the arithmetic genus")
     return g

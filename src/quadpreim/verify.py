@@ -84,12 +84,11 @@ def _checks_model() -> Iterable[CheckResult]:
         points = models.infinity_points(n)
         ok = len(points) == 2 ** (n - 1)
         model = models.ideal_j(n)
-        sym = QPoly.x()
-        ok = ok and all(model.contains(list(eps) + [0], sym) for eps in points)
+        ok = ok and all(model.contains(list(eps) + [0], A) for eps in points)
         smooth = True
         for eps in points:
             affine = [Fraction(e) for e in eps[:n - 1]] + [Fraction(0)]
-            minors = models.jacobian_minors(model, n - 1, affine, sym)
+            minors = models.jacobian_minors(model, n - 1, affine, A)
             smooth = smooth and not all(models._ring_is_zero(m)
                                         for m in minors)
         yield _bool_result("2", "§2 infinity points, depth %d" % n, ok and smooth)
@@ -108,6 +107,19 @@ def _checks_model() -> Iterable[CheckResult]:
 # sections 3.1 / 3.2: the two elliptic surfaces
 # --------------------------------------------------------------------------
 
+def _random_fibers(specialize, seed: int, count: int, num: int, den: int):
+    """The first `count` nonsingular fibers at seeded random a = n/d with
+    |n| <= num and 1 <= d <= den."""
+    rng = random.Random(seed)
+    fibers = []
+    while len(fibers) < count:
+        fiber = specialize(Fraction(rng.randint(-num, num),
+                                    rng.randint(1, den)))
+        if not fiber.singular:
+            fibers.append(fiber)
+    return fibers
+
+
 def _checks_e24() -> Iterable[CheckResult]:
     fiber = elliptic.specialize_e24(1)
     yield _result("3.1", "§3.1 model at a=1",
@@ -121,20 +133,13 @@ def _checks_e24() -> Iterable[CheckResult]:
                   [elliptic.specialize_e24(0).singular,
                    elliptic.specialize_e24(Fraction(-1, 4)).singular,
                    elliptic.specialize_e24(2).singular])
-    rng = random.Random(SEED + 1)
-    ok = True
-    checked = 0
-    while checked < 25:
-        a = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        fib = elliptic.specialize_e24(a)
-        if fib.singular:
-            continue
-        ok = ok and elliptic.point_order(fib.curve, fib.torsion_point) == 4
-        ok = ok and fib.curve.mul(2, fib.torsion_point) == \
-            elliptic.ECPoint.affine(1 - 4 * a, 0)
-        ok = ok and fib.curve.discriminant() == -1024 * fib.delta
-        ok = ok and fib.curve.j_invariant() == -4 * fib.j
-        checked += 1
+    ok = all(elliptic.point_order(fib.curve, fib.torsion_point) == 4
+             and fib.curve.mul(2, fib.torsion_point)
+             == elliptic.ECPoint.affine(1 - 4 * fib.a, 0)
+             and fib.curve.discriminant() == -1024 * fib.delta
+             and fib.curve.j_invariant() == -4 * fib.j
+             for fib in _random_fibers(elliptic.specialize_e24, SEED + 1,
+                                       25, 100, 100))
     yield _bool_result("3.1", "§3.1 section order/invariants", ok)
 
 
@@ -154,27 +159,15 @@ def _checks_e222() -> Iterable[CheckResult]:
     a2 = QPoly([Fraction(942, 13), 16])
     a4 = QPoly([Fraction(293084, 169), Fraction(10048, 13)])
     a6 = QPoly([Fraction(30250696, 2197), Fraction(1620800, 169), 1024])
-    b2 = 4 * a2
-    b4 = 2 * a4
-    b6 = 4 * a6
-    b8 = 4 * a2 * a6 - a4 * a4
-    disc = -(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    disc = elliptic.WeierstrassCurve(0, a2, 0, a4, a6).discriminant()
     closed = QPoly([1, 4]) ** 2 * QPoly([23, 104, 368, 256])
     yield _result("3.2", "§3.2 delta factorization",
                   closed * Fraction(-65536), disc)
-    rng = random.Random(SEED + 2)
-    ok = True
-    checked = 0
-    while checked < 10:
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 25))
-        fib = elliptic.specialize_e222(a)
-        if fib.singular:
-            continue
-        ok = ok and fib.curve.contains(fib.p_point)
-        ok = ok and fib.curve.contains(fib.q_point)
-        ok = ok and elliptic.point_order(fib.curve, fib.p_point) is None
-        ok = ok and elliptic.point_order(fib.curve, fib.q_point) is None
-        checked += 1
+    ok = all(fib.curve.contains(point)
+             and elliptic.point_order(fib.curve, point) is None
+             for fib in _random_fibers(elliptic.specialize_e222, SEED + 2,
+                                       10, 50, 25)
+             for point in (fib.p_point, fib.q_point))
     yield _bool_result("3.2", "§3.2 sections nontorsion", ok)
 
 

@@ -5,7 +5,8 @@
   `dynamics.preimage_tree`, and the search oracles that must not depend on
   it, are checked against this.
 - Lutz-Nagell torsion enumeration, the oracle for the division closure in
-  `elliptic.torsion_subgroup`.
+  `elliptic.torsion_subgroup`, and `push`, the map from a curve to its
+  integral short model that `ShortIntegralModel.pull` inverts.
 - The Sylvester-determinant resultant, the oracle for
   `exactmath.resultant`.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
@@ -152,20 +153,39 @@ def _integer_roots_depressed_cubic(a: int, b: int) -> list[int]:
     return sorted(roots)
 
 
+def push(model, p: ECPoint) -> ECPoint:
+    """The point of the integral short model over p on model.source:
+    X = s^2 (36x + 3 b2), Y = 108 s^3 (2y + a1 x + a3)."""
+    if p.is_infinity:
+        return INFINITY
+    s, source = model.scale, model.source
+    big_x = s * s * (36 * p.x + 3 * source.b2)
+    big_y = 108 * s ** 3 * (2 * p.y + source.a1 * p.x + source.a3)
+    return ECPoint(big_x, big_y)
+
+
 def reference_torsion(curve) -> dict:
     """{torsion point on curve: its order}, by Lutz-Nagell on the integral
     short model: a torsion point there has integer coordinates with Y = 0 or
     Y^2 | disc, so every square divisor Y^2 of the factored discriminant is
     tried, with X an integer root of X^3 + a X + b - Y^2.  Enumerates every
-    square divisor, so it suits small discriminants only."""
+    square divisor, so it suits small discriminants only; a Y with no root
+    of the cubic modulo some prime below 100 is dropped unsolved."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
     integral = WeierstrassCurve.short(a, b)
     ys = [1]
     for p, e in factorize(16 * (4 * a ** 3 + 27 * b ** 2)).items():
         ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
+    # an integer root X of X^3 + a X + b - Y^2 is a root modulo every prime,
+    # so a Y whose Y^2 misses the cubic's values modulo some p has no X
+    cubic_values = [(p, {(x ** 3 + a * x + b) % p for x in range(p)})
+                    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                              43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)]
     found = {INFINITY: 1}
     for y in [0] + ys:
+        if any(y * y % p not in values for p, values in cubic_values):
+            continue
         for x in _integer_roots_depressed_cubic(a, b - y * y):
             for yy in {y, -y}:
                 point = ECPoint.affine(x, yy)

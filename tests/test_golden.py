@@ -1,0 +1,155 @@
+"""Golden output of the printers that share one code path: the two fiber
+specializations, the rank-one curve, the eight-point arrangement models, and
+the long Weierstrass equation.  Every expected line is the exact stdout of
+the command; a change to any printer shows here byte for byte.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from quadpreim.cli import main
+from quadpreim.elliptic import WeierstrassCurve
+
+# (argv..., format): the stdout lines
+CLI_GOLDEN = {
+    ('ec', 'specialize-e24', '--a', '1', 'human'): (
+        'y^2 = x^3 + 3*x^2 + 16*x + 48',
+        'section T = (2, 10)',
+        'delta = 625, singular = False',
+        'j = -59319/625 (~-94.9104)',
+    ),
+    ('ec', 'specialize-e24', '--a', '1', 'structured'): (
+        '{"a": "1", "a1": "0", "a2": "3", "a3": "0", "a4": "16", "a6": "48", '
+        '"delta": "625", "equation": "y^2 = x^3 + 3*x^2 + 16*x + 48", "j": '
+        '"-59319/625", "section": ["2", "10"], "singular": false}',
+    ),
+    ('ec', 'specialize-e24', '--a', '-3/7', 'human'): (
+        'y^2 = x^3 - 19/7*x^2 - 48/7*x + 912/49',
+        'section T = (2, -10/7)',
+        'delta = -1875/16807, singular = False',
+        'j = -2565726409/13125 (~-195484)',
+    ),
+    ('ec', 'specialize-e24', '--a', '-3/7', 'structured'): (
+        '{"a": "-3/7", "a1": "0", "a2": "-19/7", "a3": "0", "a4": "-48/7", '
+        '"a6": "912/49", "delta": "-1875/16807", "equation": "y^2 = x^3 - '
+        '19/7*x^2 - 48/7*x + 912/49", "j": "-2565726409/13125", "section": '
+        '["2", "-10/7"], "singular": false}',
+    ),
+    ('ec', 'specialize-e24', '--a', '0', 'human'): (
+        'y^2 = x^3 - x^2',
+        'section T = (2, 2)',
+        'delta = 0, singular = True',
+    ),
+    ('ec', 'specialize-e24', '--a', '0', 'structured'): (
+        '{"a": "0", "a1": "0", "a2": "-1", "a3": "0", "a4": "0", "a6": "0", '
+        '"delta": "0", "equation": "y^2 = x^3 - x^2", "j": null, "section": '
+        '["2", "2"], "singular": true}',
+    ),
+    ('ec', 'specialize-e222', '--a', '4', 'human'): (
+        'y^2 = x^3 + 1774/13*x^2 + 815580/169*x + 150527944/2197',
+        'sections P = (-262/13, 136), Q = (-366/13, 136)',
+        'delta = 6563479, singular = False',
+        'j = -4447738624/6563479 (~-677.65)',
+    ),
+    ('ec', 'specialize-e222', '--a', '4', 'structured'): (
+        '{"a": "4", "a1": "0", "a2": "1774/13", "a3": "0", "a4": '
+        '"815580/169", "a6": "150527944/2197", "delta": "6563479", '
+        '"equation": "y^2 = x^3 + 1774/13*x^2 + 815580/169*x + '
+        '150527944/2197", "j": "-4447738624/6563479", "sections": '
+        '[["-262/13", "136"], ["-366/13", "136"]], "singular": false}',
+    ),
+    ('ec', 'specialize-e222', '--a', '-1/4', 'human'): (
+        'y^2 = x^3 + 890/13*x^2 + 260428/169*x + 25123704/2197',
+        'sections P = (-262/13, 0), Q = (-366/13, 0)',
+        'delta = 0, singular = True',
+    ),
+    ('ec', 'specialize-e222', '--a', '-1/4', 'structured'): (
+        '{"a": "-1/4", "a1": "0", "a2": "890/13", "a3": "0", "a4": '
+        '"260428/169", "a6": "25123704/2197", "delta": "0", "equation": "y^2 '
+        '= x^3 + 890/13*x^2 + 260428/169*x + 25123704/2197", "j": null, '
+        '"sections": [["-262/13", "0"], ["-366/13", "0"]], "singular": true}',
+    ),
+    ('ec', 'specialize-e222', '--a', '5/3', 'human'): (
+        'y^2 = x^3 + 3866/39*x^2 + 1532372/507*x + 644555464/19773',
+        'sections P = (-262/13, 184/3), Q = (-366/13, 184/3)',
+        'delta = 34332629/243, singular = False',
+        'j = -19930747648/102997887 (~-193.506)',
+    ),
+    ('ec', 'specialize-e222', '--a', '5/3', 'structured'): (
+        '{"a": "5/3", "a1": "0", "a2": "3866/39", "a3": "0", "a4": '
+        '"1532372/507", "a6": "644555464/19773", "delta": "34332629/243", '
+        '"equation": "y^2 = x^3 + 3866/39*x^2 + 1532372/507*x + '
+        '644555464/19773", "j": "-19930747648/102997887", "sections": '
+        '[["-262/13", "184/3"], ["-366/13", "184/3"]], "singular": false}',
+    ),
+    ('ec', 'curve-244', 'human'): (
+        'y^2 = x^3 + x^2 - 9*x + 7',
+        'infinite-order point: (3, 4)',
+    ),
+    ('ec', 'curve-244', 'structured'): (
+        '{"curve": {"a1": "0", "a2": "1", "a3": "0", "a4": "-9", "a6": "7"}, '
+        '"point": ["3", "4"]}',
+    ),
+    ('model', '--tag', '224', 'human'): (
+        'variables: q, r, s, t, z',
+        'g1: s^2 - t^2 - t*z + a*z^2',
+        'g2: q^2 - s*z - t^2 + a*z^2',
+        'g3: r^2 + s*z - t^2 + a*z^2',
+    ),
+    ('model', '--tag', '224', 'structured'): (
+        '{"generators": ["s^2 - t^2 - t*z + a*z^2", "q^2 - s*z - t^2 + '
+        'a*z^2", "r^2 + s*z - t^2 + a*z^2"], "tag": "224", "variables": '
+        '["q", "r", "s", "t", "z"]}',
+    ),
+    ('model', '--tag', '242', 'human'): (
+        'variables: q, s, t, u, z',
+        'g1: s^2 - t^2 - t*z + a*z^2',
+        'g2: -t^2 + t*z + u^2 + a*z^2',
+        'g3: q^2 - s*z - t^2 + a*z^2',
+    ),
+    ('model', '--tag', '242', 'structured'): (
+        '{"generators": ["s^2 - t^2 - t*z + a*z^2", "-t^2 + t*z + u^2 + '
+        'a*z^2", "q^2 - s*z - t^2 + a*z^2"], "tag": "242", "variables": '
+        '["q", "s", "t", "u", "z"]}',
+    ),
+    ('model', '--tag', '2222', 'human'): (
+        'variables: q, s, t, u, v, z',
+        'g1: s^2 - t^2 - t*z + a*z^2',
+        'g2: q^2 - s*z - t^2 + a*z^2',
+        'g3: -q*z - t^2 + u^2 + a*z^2',
+    ),
+    ('model', '--tag', '2222', 'structured'): (
+        '{"generators": ["s^2 - t^2 - t*z + a*z^2", "q^2 - s*z - t^2 + '
+        'a*z^2", "-q*z - t^2 + u^2 + a*z^2"], "tag": "2222", "variables": '
+        '["q", "s", "t", "u", "v", "z"]}',
+    ),
+}
+
+# (a1, a2, a3, a4, a6): the printed equation
+CURVE_GOLDEN = [
+    ((-1, 0, -1, 0, 0), 'y^2 - x*y - y = x^3'),
+    ((F(-1, 2), 1, F(3, 7), -1, F(-5, 3)),
+     'y^2 - 1/2*x*y + 3/7*y = x^3 + x^2 - x - 5/3'),
+    ((0, 0, -1, 0, 0), 'y^2 - y = x^3'),
+    ((1, -1, 0, 0, 1), 'y^2 + x*y = x^3 - x^2 + 1'),
+    ((F(1, 2), 0, F(-1, 2), 0, 0), 'y^2 + 1/2*x*y - 1/2*y = x^3'),
+    ((-3, F(2, 5), 2, F(-1, 3), 0),
+     'y^2 - 3*x*y + 2*y = x^3 + 2/5*x^2 - 1/3*x'),
+    ((0, 0, 0, 0, 0), 'y^2 = x^3'),
+    ((1, 0, 1, 1, -1), 'y^2 + x*y + y = x^3 + x - 1'),
+    ((F(-7, 3), F(-1, 4), 0, 0, F(9, 2)),
+     'y^2 - 7/3*x*y = x^3 - 1/4*x^2 + 9/2'),
+]
+
+
+@pytest.mark.parametrize("key", list(CLI_GOLDEN))
+def test_cli_output_is_golden(capsys, key):
+    assert main([*key[:-1], "--format", key[-1]]) == 0
+    assert capsys.readouterr().out == "".join(
+        line + "\n" for line in CLI_GOLDEN[key])
+
+
+@pytest.mark.parametrize("coeffs, text", CURVE_GOLDEN)
+def test_weierstrass_str_is_golden(coeffs, text):
+    assert str(WeierstrassCurve.from_coeffs(*coeffs)) == text

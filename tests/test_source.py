@@ -5,7 +5,8 @@ exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it).  The torsion hot path
 and the settling of a search candidate stay on Python ints.  Every name that
-the benchmark harness traces still exists in the package.
+the benchmark harness traces still exists in the package, and no module-level
+function or class is dead.
 """
 
 import ast
@@ -113,16 +114,45 @@ def test_search_hot_path_names_no_fraction_type():
     assert named == set()
 
 
-def test_benchmark_traced_names_resolve():
-    # `perfbench/run.py --trace 1` patches each (module, attr) of its TRACED
-    # tuple with a getattr that has no default, so a name dropped from the
-    # package breaks every traced run; read the tuple without importing it
+def _benchmark_traced():
+    # the (module, attr, ...) entries of perfbench/run.py's TRACED tuple,
+    # read without importing the harness
     traced = [ast.literal_eval(node.value) for node in _parse(BENCH_RUN).body
               if isinstance(node, ast.Assign)
               and [t.id for t in node.targets if isinstance(t, ast.Name)]
               == ["TRACED"]]
     assert len(traced) == 1 and traced[0]
-    missing = [(module, attr) for module, attr, *_ in traced[0]
+    return traced[0]
+
+
+def test_benchmark_traced_names_resolve():
+    # `perfbench/run.py --trace 1` patches each (module, attr) of its TRACED
+    # tuple with a getattr that has no default, so a name dropped from the
+    # package breaks every traced run
+    missing = [(module, attr) for module, attr, *_ in _benchmark_traced()
                if not hasattr(importlib.import_module("quadpreim." + module),
                               attr)]
     assert missing == []
+
+
+def test_no_dead_module_level_helpers():
+    # every module-level function and class is named somewhere in the package
+    # outside its own body, exported in quadpreim.__all__, or traced by the
+    # benchmark harness; an import alone is not a use
+    users = {}
+    defined = []
+    for path in SOURCES:
+        for top in _parse(path).body:
+            owner = (path.stem, getattr(top, "name", None))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(owner)
+    traced = {(module, attr) for module, attr, *_ in _benchmark_traced()}
+    dead = [owner for owner in defined
+            if not users.get(owner[1], set()) - {owner}
+            and owner[1] not in quadpreim.__all__ and owner not in traced]
+    assert dead == []
