@@ -7,7 +7,6 @@ from .dynamics import (
     PreimageTree,
     critical_avalues,
     critical_poly,
-    is_critical_value,
     iterate,
     preimage_tree,
     preimages,
@@ -64,8 +63,8 @@ __all__ = [
     "TorsionKind", "WeierstrassCurve", "arrangement_curve",
     "critical_avalues", "critical_poly", "curve_244", "eliminate_c",
     "format_rat", "genus_closed", "genus_hilbert", "genus_with_delta",
-    "height", "ideal_j", "infinity_points", "int_sqrt", "is_critical_value",
-    "iterate", "jacobian_minors", "parse_rat", "plane_genus_with_delta",
+    "height", "ideal_j", "infinity_points", "int_sqrt", "iterate",
+    "jacobian_minors", "parse_rat", "plane_genus_with_delta",
     "point_order", "preimage_tree", "preimages", "rat_sqrt", "resultant",
     "scan_forward", "scan_thirdpair", "specialize_e222",
     "specialize_e24", "torsion_family_a", "torsion_subgroup", "verify_pair",

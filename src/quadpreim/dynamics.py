@@ -211,11 +211,3 @@ def critical_avalues(n: int) -> CriticalData:
     minpoly = eliminate_c(critical_poly(n), _orbit_poly(n))
     return CriticalData(n=n, crit_poly_c=critical_poly(n), avalue_minpoly=minpoly)
 
-
-def is_critical_value(a: RatLike, n: int) -> bool:
-    """Whether a is a critical value at any level j with 2 <= j <= n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    a = Fraction(a)
-    return any(critical_avalues(j).avalue_minpoly.eval(a) == 0
-               for j in range(2, n + 1))

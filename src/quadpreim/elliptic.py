@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
@@ -90,10 +90,6 @@ class WeierstrassCurve:
         return cls(Fraction(a1), Fraction(a2), Fraction(a3),
                    Fraction(a4), Fraction(a6))
 
-    @classmethod
-    def short(cls, a: RatLike, b: RatLike) -> "WeierstrassCurve":
-        return cls.from_coeffs(0, 0, 0, a, b)
-
     # -- standard invariants -------------------------------------------------
 
     @property
@@ -118,11 +114,6 @@ class WeierstrassCurve:
     def c4(self) -> Fraction:
         b2 = self.b2
         return b2 * b2 - 24 * self.b4
-
-    @property
-    def c6(self) -> Fraction:
-        b2 = self.b2
-        return -b2 ** 3 + 36 * b2 * self.b4 - 216 * self.b6
 
     def discriminant(self) -> Fraction:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
@@ -251,6 +242,14 @@ def point_order(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
 # integral models and torsion
 # ---------------------------------------------------------------------------
 
+def _cleared(curve: WeierstrassCurve) -> tuple[int, ...]:
+    """(d, d a1, d a2, d a3, d a4, d a6) for the least common denominator d
+    of the curve's coefficients."""
+    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    d = lcm(*(c.denominator for c in coeffs))
+    return (d, *(c.numerator * (d // c.denominator) for c in coeffs))
+
+
 @dataclass(frozen=True)
 class ShortIntegralModel:
     """Integral short model Y^2 = X^3 + a X + b isomorphic to the source
@@ -263,20 +262,34 @@ class ShortIntegralModel:
     source: WeierstrassCurve
 
     @cached_property
-    def _pull_constants(self) -> tuple[Fraction, ...]:
-        # x = X / (36 s^2) - b2 / 12 and y = Y / (216 s^3) - (a1 x + a3) / 2
-        s, source = self.scale, self.source
-        return (1 / (36 * s * s), source.b2 / 12, 1 / (216 * s ** 3),
-                source.a1 / 2, source.a3 / 2)
+    def _pull_constants(self) -> tuple[int, ...]:
+        # With the source coefficients a_i = n_i / d and s = u / v, the
+        # source point over (X, Y) is (x_n / z^2, y_n / z^3) for z = 6 u d,
+        # where x_n = v^2 d^2 X - 3 u^2 (d^2 b2) and
+        # y_n = v^3 d^3 Y - 3 u (n1 x_n + n3 z^2).
+        d, n1, n2, n3, n4, n6 = _cleared(self.source)
+        u, v = self.scale.numerator, self.scale.denominator
+        z = 6 * u * d
+        return (z, v * v * d * d, 3 * u * u * (n1 * n1 + 4 * n2 * d),
+                v ** 3 * d ** 3, 3 * u, d, n1, n2, n3, n4, n6)
 
-    def pull(self, p: ECPoint) -> ECPoint:
-        """The source-curve point of p, a point of this model whose
-        coordinates may be ints."""
-        if p.is_infinity:
+    def pull(self, p) -> ECPoint:
+        """The source-curve point over p, an (X, Y) int pair on this model or
+        None for the point at infinity.  The image is checked exactly against
+        the source equation, cleared of denominators (times d z^6);
+        ArithmeticError when it misses."""
+        if p is None:
             return INFINITY
-        kx, cx, ky, hx, h = self._pull_constants
-        x = kx * p.x - cx
-        return ECPoint(x, ky * p.y - hx * x - h)
+        z, kx, cx, ky, ty, d, n1, n2, n3, n4, n6 = self._pull_constants
+        zz = z * z
+        xn = kx * p[0] - cx
+        lin = n1 * xn + n3 * zz
+        yn = ky * p[1] - ty * lin
+        if (d * (yn * yn - xn ** 3) + z * yn * lin
+                - zz * (n2 * xn * xn + zz * (n4 * xn + n6 * zz))):
+            raise ArithmeticError("point %s does not map onto the source curve"
+                                  % (p,))
+        return ECPoint(Fraction(xn, zz), Fraction(yn, zz * z))
 
 
 def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
@@ -284,25 +297,34 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     coefficients, then strip superfluous (p^4, p^6) power pairs so the
     discriminant stays as small as the scaling allows.  A singular curve
     (4 a^3 + 27 b^2 = 0) raises ValueError."""
-    a0 = -27 * curve.c4
-    b0 = -54 * curve.c6
-    # per-prime exponents k with 4k >= v_p(den a0) and 6k >= v_p(den b0)
+    d, n1, n2, n3, n4, n6 = _cleared(curve)
+    dd = d * d
+    # b2, b4 and b6 times d^2, then -27 c4 over d^4 and -54 c6 over d^6
+    b2 = n1 * n1 + 4 * n2 * d
+    b4 = 2 * n4 * d + n1 * n3
+    b6 = n3 * n3 + 4 * n6 * d
+    scaled = []
+    # per-prime exponents k with 4k and 6k at least the exponent of p in
+    # the reduced denominators of -27 c4 and -54 c6
     exps: dict[int, int] = {}
-    for value, weight in ((a0, 4), (b0, 6)):
-        den = value.denominator
-        if den == 1:
+    for num, den, weight in (
+            (-27 * (b2 * b2 - 24 * b4 * dd), dd * dd, 4),
+            (54 * (b2 ** 3 - 36 * b2 * b4 * dd + 216 * b6 * dd * dd),
+             dd ** 3, 6)):
+        g = gcd(num, den)
+        scaled.append((num // g, den // g, weight))
+        if den == g:
             continue
-        for p, e in factorize(den).items():
+        for p, e in factorize(den // g).items():
             need = -(-e // weight)       # ceil(e / weight)
             exps[p] = max(exps.get(p, 0), need)
     u = 1
     for p, k in exps.items():
         u *= p ** k
-    a1 = a0 * u ** 4
-    b1 = b0 * u ** 6
-    if a1.denominator != 1 or b1.denominator != 1:
+    (a_int, a_rem), (b_int, b_rem) = (divmod(num * u ** weight, den)
+                                      for num, den, weight in scaled)
+    if a_rem or b_rem:
         raise ArithmeticError("integral scaling left a fraction")
-    a_int, b_int = int(a1), int(b1)
     if 4 * a_int ** 3 + 27 * b_int ** 2 == 0:
         raise ValueError("integral model of a singular curve")
     v = 1
@@ -326,49 +348,114 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _with_crossings(coeffs: list[int], marks: list[int]) -> list[int]:
-    """The marks, plus the integers bracketing each sign change of a
-    polynomial that is monotone between consecutive marks: the crossing
-    itself when it is an integer, else the two integers around it."""
-    out = set(marks)
+def _low_degree_marks(coeffs: list[int], bound: int) -> list[int]:
+    """Sorted integers from -bound to bound for a polynomial of degree 1 or
+    2: the ends, and the floor and ceiling of each real root of it and of
+    its derivative, found exactly (isqrt of the discriminant)."""
+    if coeffs[-1] < 0:
+        coeffs = [-c for c in coeffs]
+    marks = {-bound, bound}
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        marks.update((-c0 // c1, -(c0 // c1)))
+    else:
+        c0, c1, c2 = coeffs
+        den = 2 * c2
+        marks.update((-c1 // den, -(c1 // den)))
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc >= 0:
+            r = isqrt(disc)
+            inexact = r * r != disc
+            # the floor of (-c1 -+ sqrt(disc)) / den is the floor of the
+            # integer floor(-c1 -+ sqrt(disc)) over den
+            for num in (-c1 - r - inexact, -c1 + r):
+                q, rem = divmod(num, den)
+                marks.update((q, q + (inexact or rem != 0)))
+    return sorted(m for m in marks if -bound <= m <= bound)
+
+
+def _crossing(coeffs: list[int], lo: int, hi: int, f_lo: int, f_hi: int,
+              slope_lo: int, slope_hi: int):
+    """The integers around the one crossing of a polynomial on [lo, hi], as
+    (mark, value) pairs: the crossing itself when it is an integer, else its
+    floor and ceiling.  The polynomial is monotone and convex or concave
+    there, f_lo and f_hi have opposite signs, and slope_lo, slope_hi are its
+    derivative at the ends.
+
+    Newton steps run from the steeper end e, where f and f'' share a sign,
+    so every iterate stays on e's side of the crossing; after the first
+    step the slope is the secant through the last two iterates on that side,
+    so a step costs one evaluation.  A step is taken when it jumps past the
+    middle of the bracket or is at most half the previous step (near the
+    crossing, where the steps shrink fast); otherwise the bracket is
+    bisected."""
+    # e walks toward the other end o in direction s; |f| falls from e to the
+    # crossing at the rate drop / dist
+    if abs(slope_hi) >= abs(slope_lo):
+        e, f_e, o, f_o, s, drop = hi, f_hi, lo, f_lo, -1, abs(slope_hi)
+    else:
+        e, f_e, o, f_o, s, drop = lo, f_lo, hi, f_hi, 1, abs(slope_lo)
+    sign = -1 if f_e < 0 else 1
+    width, dist, last = hi - lo, 1, 0
+    while width > 1:
+        # the distance to the Newton point, rounded away from e so that
+        # near the crossing it lands across, kept inside the bracket; the
+        # Newton point never passes the crossing, so the probe lands at
+        # most one past it
+        step = -(-sign * f_e * dist // drop) if drop > 0 else width
+        if step >= width:
+            step = width - 1
+        if 2 * step >= width or 2 * step <= last:
+            last = step
+        else:
+            step, last = width // 2, 0
+        x = e + s * step
+        f_x = _horner(coeffs, x)
+        if f_x == 0:
+            return ((x, 0),)
+        if (f_x < 0) == (sign < 0):
+            drop, dist = sign * (f_e - f_x), step
+            e, f_e = x, f_x
+            width -= step
+        else:
+            o, f_o = x, f_x
+            width = step
+    return ((e, f_e), (o, f_o)) if e < o else ((o, f_o), (e, f_e))
+
+
+def _sign_marks(coeffs: list[int], bound: int) -> list[tuple[int, int]]:
+    """Sorted integers from -bound to bound, as (mark, value) pairs, such
+    that the polynomial has no real root strictly between two consecutive
+    marks more than 1 apart: its derivative's marks, between which both the
+    polynomial and its derivative are monotone, plus the integers around
+    each sign change.  Every integer root is a mark: a root of even
+    multiplicity changes no sign, but the derivative changes sign there.
+    Degrees 1 and 2 are solved exactly."""
+    if len(coeffs) <= 3:
+        return [(m, _horner(coeffs, m))
+                for m in _low_degree_marks(coeffs, bound)]
+    marks, slopes = zip(*_sign_marks(
+        [i * c for i, c in enumerate(coeffs)][1:], bound))
     values = [_horner(coeffs, m) for m in marks]
-    for left, right, f_left, f_right in zip(marks, marks[1:], values, values[1:]):
-        if not (f_left < 0 < f_right or f_right < 0 < f_left):
-            continue
-        lo, hi = left, right
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            f_mid = _horner(coeffs, mid)
-            if f_mid == 0:
-                lo = hi = mid
-            elif (f_mid < 0) == (f_left < 0):
-                lo = mid
-            else:
-                hi = mid
-        out.update((lo, hi))
-    return sorted(out)
-
-
-def _monotone_marks(coeffs: list[int], bound: int) -> list[int]:
-    """Sorted integers from -bound to bound between any two consecutive of
-    which the polynomial is monotone: the derivative's own marks plus the
-    integers bracketing each of its sign changes."""
-    if len(coeffs) <= 2:
-        return [-bound, bound]
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    return _with_crossings(deriv, _monotone_marks(deriv, bound))
+    out = [(marks[0], values[0])]
+    for i in range(1, len(marks)):
+        lo, hi, f_lo, f_hi = marks[i - 1], marks[i], values[i - 1], values[i]
+        if hi - lo > 1 and (f_lo < 0 < f_hi or f_hi < 0 < f_lo):
+            out += [(m, v) for m, v in _crossing(coeffs, lo, hi, f_lo, f_hi,
+                                                 slopes[i - 1], slopes[i])
+                    if lo < m < hi]
+        out.append((hi, f_hi))
+    return out
 
 
 def integer_roots(coeffs: list[int]) -> list[int]:
     """All integer roots of a nonzero integer polynomial (coefficients from
-    the constant term up), sorted.
+    the constant term up), sorted: the marks of _sign_marks where it
+    vanishes.
 
-    The real roots lie within Fujiwara's bound 2 max |c_i/c_n|^(1/(n-i)),
-    rounded up here to a power of two.  Between consecutive marks the
-    polynomial is monotone, so each integer root is a mark or the one sign
-    change in its gap.  A root of even multiplicity changes no sign, but the
-    derivative changes sign there, so it is already a mark.  Plain integer
-    arithmetic throughout.
+    The real roots of the polynomial and of its derivatives lie within
+    Fujiwara's bound 2 max |c_i/c_n|^(1/(n-i)), rounded up here to a power
+    of two.  Plain integer arithmetic throughout.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -383,8 +470,7 @@ def integer_roots(coeffs: list[int]) -> list[int]:
     # k (n - i) >= bits(c_i) - bits(c_n) + 1 bounds its (n-i)-th root
     k = max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
             for i, c in enumerate(coeffs[:-1]))
-    marks = _with_crossings(coeffs, _monotone_marks(coeffs, 2 << k))
-    return [m for m in marks if _horner(coeffs, m) == 0]
+    return [m for m, value in _sign_marks(coeffs, 2 << k) if value == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +625,11 @@ def _count_points_mod_p(a: int, b: int, p: int) -> int:
 
 
 def _torsion_order_bound(a: int, b: int, disc: int) -> int:
-    """gcd of #E(F_p) over several good primes: a multiple of the rational
-    torsion order, since torsion injects under good reduction.  0, which
-    every ell divides, when none of the primes is good."""
+    """gcd of #E(F_p) over several primes p >= 5 that do not divide disc: a
+    multiple of the rational torsion order.  The model has good reduction
+    at such a p, and for odd p reduction is injective on the rational
+    torsion, which so embeds in E(F_p).  0, which every ell divides, when
+    none of the primes is good."""
     bound = 0
     used = 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
@@ -562,6 +650,13 @@ def _torsion_by_division(a: int, b: int,
     {2, 3, 5, 7}, until no growth.  Any missing torsion point would map into
     the current subgroup under some prime ell dividing the (Mazur-bounded)
     index, so the fixpoint is the full group.
+
+    The torsion order divides the point-count bound of
+    _torsion_order_bound (Lagrange, in E(F_p) for each good p >= 5).  So an
+    ell that does not divide the bound never divides the order and is
+    skipped (an odd bound rules out 2-torsion, and a bound of 1 needs no
+    solve), and the closure stops as soon as it holds bound points, O
+    included: no torsion point is left.
     """
     bound = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
@@ -573,9 +668,7 @@ def _torsion_by_division(a: int, b: int,
         changed = False
         group_order = len(points) + 1
         for ell in (2, 3, 5, 7):
-            if bound % ell != 0 and ell != 2:
-                continue
-            if group_order * ell > 16:
+            if bound % ell or group_order * ell > 16:
                 continue
             for target in [None, *points]:
                 if (ell, target) in solved:
@@ -586,6 +679,8 @@ def _torsion_by_division(a: int, b: int,
                     if q not in points:
                         points[q] = order
                         changed = True
+                if len(points) + 1 == bound:
+                    return points
     return points
 
 
@@ -620,10 +715,13 @@ class TorsionGroup:
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     """Rational torsion subgroup, by ell-division closure on an integral
     short model (see _torsion_by_division), in integer arithmetic until the
-    points are pulled back; no factoring of the discriminant.  Every point
-    found is checked to have integer coordinates with Y = 0 or Y^2 | disc
-    (Lutz-Nagell) and to map back onto the source curve.  A singular curve
-    raises ValueError from short_integral_model."""
+    points are pulled back; no factoring of the discriminant.  The closure
+    stops once it has as many points as the gcd of #E(F_p) over good primes
+    p >= 5, which the torsion order divides, since for odd p reduction
+    embeds the torsion in E(F_p).  Every point found is checked to have
+    integer coordinates with Y = 0 or Y^2 | disc (Lutz-Nagell) and, on
+    integers, to map back onto the source curve.  A singular curve raises
+    ValueError from short_integral_model."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
     disc = -16 * (4 * a ** 3 + 27 * b ** 2)
@@ -647,11 +745,7 @@ def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
         two_tors = [p for p, o in orders.items() if o == 2 and p not in cyclic]
         invariants = (2, max_order)
         generators = (two_tors[0], gen_max)
-    pulled = {p: INFINITY if p is None else model.pull(ECPoint(*p))
-              for p in orders}
-    for p in pulled.values():
-        if curve.equation_residue(p) != 0:
-            raise ArithmeticError("torsion point failed to map back")
+    pulled = {p: model.pull(p) for p in orders}
     return TorsionGroup(invariants=invariants,
                         generators=tuple(pulled[p] for p in generators),
                         points=tuple(pulled.values()))

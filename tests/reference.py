@@ -4,9 +4,14 @@
   through `dynamics.preimages`.  The integer walk in
   `dynamics.preimage_tree`, and the search oracles that must not depend on
   it, are checked against this.
+- `is_critical_value`, a membership test against the critical-value
+  polynomials of `dynamics.critical_avalues`.
 - Lutz-Nagell torsion enumeration, the oracle for the division closure in
-  `elliptic.torsion_subgroup`, and `push`, the map from a curve to its
-  integral short model that `ShortIntegralModel.pull` inverts.
+  `elliptic.torsion_subgroup`; `push`, the map from a curve to its integral
+  short model, and `reference_pull`, its inverse in `Fraction` arithmetic,
+  the oracle for the integer `ShortIntegralModel.pull`; and the integer
+  roots of a polynomial by the rational root theorem, the oracle for
+  `elliptic.integer_roots`.
 - The Sylvester-determinant resultant, the oracle for
   `exactmath.resultant`.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
@@ -17,7 +22,12 @@
 from fractions import Fraction
 from math import gcd, isqrt
 
-from quadpreim.dynamics import PreimageTree, TreeNode, preimages
+from quadpreim.dynamics import (
+    PreimageTree,
+    TreeNode,
+    critical_avalues,
+    preimages,
+)
 from quadpreim.elliptic import (
     INFINITY,
     ECPoint,
@@ -47,6 +57,15 @@ def reference_tree(c, a, depth: int) -> PreimageTree:
         levels.append(nodes)
         previous = tuple(n.value for n in nodes)
     return PreimageTree(c=c, a=a, levels=tuple(levels))
+
+
+def is_critical_value(a, n: int) -> bool:
+    """Whether a is a critical value at any level j with 2 <= j <= n."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    a = Fraction(a)
+    return any(critical_avalues(j).avalue_minpoly.eval(a) == 0
+               for j in range(2, n + 1))
 
 
 def reference_hit(c, a, target) -> bool:
@@ -164,6 +183,22 @@ def push(model, p: ECPoint) -> ECPoint:
     return ECPoint(big_x, big_y)
 
 
+def reference_pull(model, p: ECPoint) -> ECPoint:
+    """The point on model.source over p, a point of the integral model, in
+    `Fraction` arithmetic: x = X / (36 s^2) - b2 / 12 and
+    y = Y / (216 s^3) - (a1 x + a3) / 2."""
+    if p.is_infinity:
+        return INFINITY
+    s, source = model.scale, model.source
+    x = p.x / (36 * s * s) - source.b2 / 12
+    return ECPoint(x, p.y / (216 * s ** 3) - (source.a1 * x + source.a3) / 2)
+
+
+def short_curve(a, b) -> WeierstrassCurve:
+    """y^2 = x^3 + a x + b as a long Weierstrass model."""
+    return WeierstrassCurve.from_coeffs(0, 0, 0, a, b)
+
+
 def reference_torsion(curve) -> dict:
     """{torsion point on curve: its order}, by Lutz-Nagell on the integral
     short model: a torsion point there has integer coordinates with Y = 0 or
@@ -173,7 +208,7 @@ def reference_torsion(curve) -> dict:
     of the cubic modulo some prime below 100 is dropped unsolved."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
-    integral = WeierstrassCurve.short(a, b)
+    integral = short_curve(a, b)
     ys = [1]
     for p, e in factorize(16 * (4 * a ** 3 + 27 * b ** 2)).items():
         ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
@@ -191,8 +226,40 @@ def reference_torsion(curve) -> dict:
                 point = ECPoint.affine(x, yy)
                 order = point_order(integral, point)
                 if order is not None:
-                    found[model.pull(point)] = order
+                    found[reference_pull(model, point)] = order
     return found
+
+
+def reference_integer_roots(coeffs) -> list[int]:
+    """The integer roots of a nonzero integer polynomial (coefficients from
+    the constant term up), by the rational root theorem: 0 when x divides
+    it, and then every divisor of the constant term left after stripping
+    the powers of x, with either sign, that is a root.  A root r also has
+    r - 1 | f(1) and r + 1 | f(-1), which skips most evaluations.  The
+    constant term is factored, so it suits constant terms with small prime
+    factors."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    roots = set()
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs.pop(0)
+        roots.add(0)
+
+    def f(x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    at_one, at_minus_one = f(1), f(-1)
+    divisors = [1]
+    for p, e in factorize(abs(coeffs[0])).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    for d in divisors:
+        for x in (d, -d):
+            if ((x == 1 or at_one % (x - 1) == 0)
+                    and (x == -1 or at_minus_one % (x + 1) == 0)
+                    and f(x) == 0):
+                roots.add(x)
+    return sorted(roots)
 
 
 # -- resultants -----------------------------------------------------------------

@@ -8,13 +8,12 @@ from quadpreim.dynamics import (
     PreimageTree,
     critical_avalues,
     critical_poly,
-    is_critical_value,
     iterate,
     preimage_tree,
     preimages,
 )
 from quadpreim.exactmath import QPoly, height
-from reference import reference_tree
+from reference import is_critical_value, reference_tree
 
 SEED = 424242
 print("test_dynamics random seed:", SEED)

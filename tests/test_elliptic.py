@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from quadpreim import elliptic
 from quadpreim.elliptic import (
     _division_polys,
     _int_add,
     _torsion_multiples,
+    _torsion_order_bound,
     ECPoint,
     INFINITY,
     OffCurveError,
@@ -21,7 +23,14 @@ from quadpreim.elliptic import (
     torsion_family_a,
     torsion_subgroup,
 )
-from reference import push, reference_torsion
+from quadpreim.exactmath import int_sqrt
+from reference import (
+    push,
+    reference_integer_roots,
+    reference_pull,
+    reference_torsion,
+    short_curve,
+)
 
 SEED = 777
 print("test_elliptic random seed:", SEED)
@@ -269,6 +278,46 @@ def test_torsion_methods_agree():
         (2, 4), (1, 8), (1, 3), (1, 2), (1, 3), (1, 9), (1, 7), (1, 5)]
 
 
+def test_torsion_below_point_count_bound():
+    # two-four fibers whose point-count bound, the gcd of #E(F_p), exceeds
+    # the torsion order (an isogenous curve carries Z/8 or Z/12): the
+    # closure cannot stop at the bound and must find that nothing more
+    # exists
+    for a in (6, -46, 30, F(3, 4), F(15, 4), F(21, 4), F(-5, 3), F(-8, 3),
+              F(-17, 33)):
+        curve = specialize_e24(a).curve
+        model = short_integral_model(curve)
+        bound = _torsion_order_bound(
+            model.a, model.b, -16 * (4 * model.a ** 3 + 27 * model.b ** 2))
+        expected = reference_torsion(curve)
+        g = torsion_subgroup(curve)
+        assert g.invariants == (1, 4) and set(g.points) == set(expected), a
+        assert bound in (8, 12), a
+
+
+def test_odd_point_count_bound_skips_two_division(monkeypatch):
+    # an odd bound rules out 2-torsion, so the closure makes no ell = 2
+    # solve, and a bound of 1 proves the group trivial with no solve at all:
+    # y^2 + y = x^3 (Z/3), the Tate normal form with Z/5, and
+    # y^2 + y = x^3 - x (trivial)
+    calls = []
+    solve = elliptic._division_solve
+
+    def recording(a, b, ell, target, cache):
+        calls.append(ell)
+        return solve(a, b, ell, target, cache)
+
+    monkeypatch.setattr(elliptic, "_division_solve", recording)
+    cases = [(WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0), (1, 3)),
+             (WeierstrassCurve.from_coeffs(-1, -2, -2, 0, 0), (1, 5)),
+             (WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0), (1, 1))]
+    for curve, invariants in cases:
+        calls.clear()
+        assert torsion_subgroup(curve).invariants == invariants
+        assert 2 not in calls, calls
+    assert calls == []
+
+
 def test_torsion_families_produce_named_groups():
     cases = [
         (TorsionKind.Z2xZ4, F(3, 2)),
@@ -344,7 +393,7 @@ def test_integer_law_matches_fraction_law():
     rng = random.Random(SEED + 9)
     seen = {"fractional": 0, "infinity": 0, "torsion": 0, "nontorsion": 0}
     for a, b, points in _models_with_integer_points(rng):
-        curve = WeierstrassCurve.short(a, b)
+        curve = short_curve(a, b)
         pool = points + [(x, -y) for x, y in points if y]
         for p in pool:
             for q in pool:
@@ -386,19 +435,57 @@ def test_integral_model_roundtrip():
         if fiber.singular:
             continue
         model = short_integral_model(fiber.curve)
-        integral = WeierstrassCurve.short(model.a, model.b)
+        integral = short_curve(model.a, model.b)
         assert integral.discriminant() != 0
         T = fiber.torsion_point
         image = push(model, T)
         assert integral.contains(image)
-        assert model.pull(image) == T
+        assert model.pull(_int_point(image)) == T == reference_pull(model, image)
+
+
+def test_pull_matches_fraction_route():
+    # the integer pull against the Fraction formulas of the reference, on
+    # torsion points and on the other small integral points of the integral
+    # models of curves with a1, a3 != 0 and with denominators; an integral
+    # point off the model does not map onto the source curve, and the
+    # integer check refuses it
+    curves = [specialize_e24(F(-7, 3)).curve, specialize_e24(F(5, 4)).curve,
+              specialize_e222(F(-1, 2)).curve, specialize_e222(F(3, 7)).curve,
+              WeierstrassCurve.from_coeffs(F(1, 2), F(-3, 5), F(7, 3), 2, F(1, 6))]
+    curves += [WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+               for b, c in ((12, 4), (4, 2), (2, 2))]
+    checked = refused = 0
+    for curve in curves:
+        model = short_integral_model(curve)
+        integral = short_curve(model.a, model.b)
+        points = {_int_point(push(model, p))
+                  for p in torsion_subgroup(curve).points} - {None}
+        for x in range(-60, 61):
+            rhs = x ** 3 + model.a * x + model.b
+            y = int_sqrt(rhs) if rhs >= 0 else None
+            if y is not None:
+                points.update({(x, y), (x, -y)})
+        assert model.pull(None) == INFINITY
+        for x, y in points:
+            image = ECPoint.affine(x, y)
+            assert integral.contains(image)
+            pulled = model.pull((x, y))
+            assert pulled == reference_pull(model, image), (curve, x, y)
+            assert curve.contains(pulled)
+            checked += 1
+            with pytest.raises(ArithmeticError):
+                model.pull((x, y + 1))
+            assert curve.equation_residue(
+                reference_pull(model, ECPoint.affine(x, y + 1))) != 0
+            refused += 1
+    assert checked >= 40 and refused == checked
 
 
 def test_singular_curves_refused_by_integral_model():
     # the node y^2 = x^3 - 3x + 2, the two singular two-four fibers, and the
     # cusp y^2 = x^3, whose model coefficients are both 0
-    singular = [WeierstrassCurve.short(-3, 2), specialize_e24(0).curve,
-                specialize_e24(F(-1, 4)).curve, WeierstrassCurve.short(0, 0)]
+    singular = [short_curve(-3, 2), specialize_e24(0).curve,
+                specialize_e24(F(-1, 4)).curve, short_curve(0, 0)]
     for curve in singular:
         with pytest.raises(ValueError):
             short_integral_model(curve)
@@ -429,7 +516,7 @@ def test_division_polys_match_fraction_law():
                         for k in range(1, order)]))
     seen = {3: 0, 5: 0, 7: 0, "nontorsion": 0}
     for a, b, points in models:
-        curve = WeierstrassCurve.short(a, b)
+        curve = short_curve(a, b)
         f = _division_polys(a, b, 9)
         for x, y in points:
             point = ECPoint.affine(x, y)
@@ -470,6 +557,46 @@ def _brute_integer_roots(coeffs):
         r += 1
     return [x for x in range(-r, r + 1)
             if sum(c * x ** i for i, c in enumerate(coeffs)) == 0]
+
+
+def test_integer_roots_against_divisor_oracle():
+    # seeded polynomials of degree 1 to 8: planted integer roots (0 among
+    # them, some repeated, some of even multiplicity) times factors with no
+    # integer root, with coefficients up to and past 2^200; roots and
+    # constant terms have small prime factors, so that the rational-root
+    # oracle can enumerate the divisors
+    rng = random.Random(SEED + 10)
+    rootless = [[1, 0, 1], [-2, 0, 1], [-3, 2], [5, 2 ** 201],
+                [3 ** 130, 0, 1], [1, 0, 0, 0, 2 ** 200], [-3, 0, 0, 1]]
+    seen = {"zero": 0, "even": 0, "huge": 0, "rootless": 0}
+    for trial in range(160):
+        degree = rng.randint(1, 8)
+        poly = [rng.choice([1, -1, 3, -2])]
+        planted = []
+        big = trial % 3 == 0
+        while len(poly) - 1 < degree:
+            room = degree - len(poly) + 1
+            fits = [f for f in rootless if len(f) - 1 <= room]
+            if fits and rng.random() < 0.3:
+                poly = _poly_mul(poly, rng.choice(fits))
+                continue
+            if big:
+                r = rng.choice([-1, 1]) * 2 ** rng.randint(60, 200)
+                big = False
+            else:
+                r = rng.choice([0, rng.randint(-12, 12)])
+            mult = min(room, rng.choice([1, 1, 2, 3]))
+            planted += [r] * mult
+            for _ in range(mult):
+                poly = _poly_mul(poly, [-r, 1])
+        found = integer_roots(poly)
+        assert found == sorted(set(planted)), (poly, planted)
+        assert found == reference_integer_roots(poly), poly
+        seen["zero"] += 0 in planted
+        seen["even"] += any(planted.count(r) == 2 for r in planted)
+        seen["huge"] += max(abs(c) for c in poly) >= 2 ** 200
+        seen["rootless"] += len(planted) < degree
+    assert min(seen.values()) >= 10, seen
 
 
 def test_integer_roots_random():

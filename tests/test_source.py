@@ -17,10 +17,13 @@ import quadpreim
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
-# the integer group law, the integer division polynomials and the division
-# closure that runs on them
+# the integer group law, the integer division polynomials, the integer root
+# isolation, the point-count bound and the division closure that runs on them
 INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_poly_mul", "_poly_sub",
-                   "_division_polys", "_division_solve", "_torsion_by_division")
+                   "_division_polys", "_horner", "_low_degree_marks",
+                   "_crossing", "_sign_marks", "integer_roots",
+                   "_count_points_mod_p", "_torsion_order_bound",
+                   "_division_solve", "_torsion_by_division")
 # the search candidate's integer settle: the target check, the forward orbit,
 # the level walk and the plans' settle, as (module, qualified name)
 INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
