@@ -120,15 +120,17 @@ class PreimageTree:
         return cls(c=c, a=a, levels=tuple(levels))
 
 
-def preimage_levels(c: Pair, a: Pair, depth: int) -> Iterator[dict[Pair, Pair]]:
-    """Yield the first `depth` levels of the pre-image tree of a under f_c,
-    c and a as (n, d) with d > 0, each a map from every rational root (n, d),
-    in lowest terms with d > 0, to the (n, d) of its one-step image."""
+def preimage_levels(c: Pair, level: Iterable[Pair],
+                    depth: int) -> Iterator[dict[Pair, Pair]]:
+    """Yield the `depth` levels of the pre-image tree under f_c that follow
+    the complete level `level` (the root a of the tree is the level (a,)),
+    c and the level's values as (n, d) with d > 0.  Each is a map from every
+    rational root (n, d), in lowest terms with d > 0, to the (n, d) of its
+    one-step image."""
     cn, cd = c
-    previous: Iterable[Pair] = (a,)
     for _ in range(depth):
         found: dict[Pair, Pair] = {}
-        for y in previous:
+        for y in level:
             yn, yd = y
             num = yn * cd - cn * yd
             if num < 0:
@@ -147,7 +149,7 @@ def preimage_levels(c: Pair, a: Pair, depth: int) -> Iterator[dict[Pair, Pair]]:
             if rn:
                 found[(-rn, rd)] = y
         yield found
-        previous = found
+        level = found
 
 
 def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
@@ -158,7 +160,7 @@ def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
     levels: list[tuple[TreeNode, ...]] = []
     root = (a.numerator, a.denominator)
     index = {root: 0}
-    for found in preimage_levels((c.numerator, c.denominator), root, depth):
+    for found in preimage_levels((c.numerator, c.denominator), (root,), depth):
         values = sorted(((Fraction(*v), v) for v in found), reverse=True)
         levels.append(tuple(TreeNode(value, index[found[v]], value == 0)
                             for value, v in values))

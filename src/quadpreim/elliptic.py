@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional
@@ -609,18 +609,23 @@ def _division_solve(a: int, b: int, ell: int, target,
     return out
 
 
+@cache
+def _root_counts(p: int) -> tuple[int, ...]:
+    """For each v mod the odd prime p, the number of Y mod p with Y^2 = v;
+    one table per prime of _torsion_order_bound."""
+    counts = [0] * p
+    for y in range(p):
+        counts[y * y % p] += 1
+    return tuple(counts)
+
+
 def _count_points_mod_p(a: int, b: int, p: int) -> int:
-    squares = [False] * p
-    for i in range(p):
-        squares[i * i % p] = True
-    count = 1
+    """#E(F_p) of Y^2 = X^3 + a X + b, the point at infinity included."""
+    roots = _root_counts(p)
     am, bm = a % p, b % p
+    count = 1
     for x in range(p):
-        v = (x * x * x + am * x + bm) % p
-        if v == 0:
-            count += 1
-        elif squares[v]:
-            count += 2
+        count += roots[(x * x * x + am * x + bm) % p]
     return count
 
 

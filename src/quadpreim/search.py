@@ -25,11 +25,21 @@ the classes of p1 and p2 in P^1(Z/m) over tiles of pairs, and re-checks the
 survivors with exact integer arithmetic; it emits exactly the pairs whose N
 is a perfect square.
 
-Both strategies cut their shard into ordered blocks of rows; one driver
+The forward strategy seeds a = f_c^depth(x0).  A rational tree is a real
+one, and for c >= 0 every level of a real tree of f_c is empty, {0} or
+{r, -r}: by induction, as -r - c < 0 for r > 0, only r has real
+pre-images, and 0 has them only for c = 0, namely {0}.  So when the
+target asks for more than two points at some level, no c >= 0 can meet it,
+and the forward scan keeps only the rows with c < 0.
+
+Both strategies cut their shard into ordered blocks of live rows; one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
 workers, and alone dedups, emits and checkpoints.  Resume replays the records
 a checkpoint holds, so jobs and interruptions never change the output.
-A candidate is settled on int pairs (_meets); only a hit builds Fractions.
+A candidate is settled on int pairs (_settle): each plan knows a y with
+a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
+{0}, and the walk (_meets) starts there: a miss never square-tests a, the
+largest number of the candidate.  Only a hit builds Fractions.
 """
 
 from __future__ import annotations
@@ -76,6 +86,8 @@ class SearchConfig:
         index, total = self.shard
         if total < 1 or not 0 <= index < total:
             raise SearchArgumentError("shard must satisfy 0 <= index < total")
+        if self.depth < 1:
+            raise SearchArgumentError("depth must be at least 1")
         if self.depth < len(self.target):
             raise SearchArgumentError("depth must cover the target signature")
         if any(t < 0 for t in self.target):
@@ -154,25 +166,33 @@ def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecor
     if depth < len(target):
         raise ValueError("depth must cover the target signature")
     c, a = Fraction(c), Fraction(a)
-    if not _meets((c.numerator, c.denominator), (a.numerator, a.denominator),
-                  target):
+    if not _meets((c.numerator, c.denominator),
+                  ((a.numerator, a.denominator),), target):
         return None
     tree = preimage_tree(c, a, depth)
     return SearchRecord(c=c, a=a, signature=tree.signature(), tree=tree)
 
 
-def _meets(c: Pair, a: Pair, target: tuple[int, ...]) -> bool:
-    """Whether a's tree under f_c has target[k] roots or more at level k + 1."""
-    for want, level in zip(target, preimage_levels(c, a, len(target))):
-        if len(level) < want:
+def _meets(c: Pair, level: Sequence[Pair], target: tuple[int, ...]) -> bool:
+    """Whether the levels after the complete level `level` of a tree under
+    f_c have target[k] roots or more at the k-th one (level = (a,) asks it of
+    a's tree)."""
+    for want, found in zip(target, preimage_levels(c, level, len(target))):
+        if len(found) < want:
             return False
     return True
 
 
-def _settle(config: SearchConfig, c: Pair, a: Pair) -> Optional[SearchRecord]:
-    """verify_pair of a scan candidate on int pairs; a miss builds no Fraction."""
-    return (verify_pair(Fraction(*c), Fraction(*a), config.target, config.depth)
-            if _meets(c, a, config.target) else None)
+def _settle(config: SearchConfig, c: Pair, y: Pair) -> Optional[SearchRecord]:
+    """verify_pair of the scan candidate a = y^2 + c on int pairs, from its
+    level 1, which is exactly {y, -y} (or {0}); a miss builds no Fraction."""
+    yn, yd = y
+    level = ((yn, yd), (-yn, yd)) if yn else ((0, 1),)
+    target = config.target
+    if (target and len(level) < target[0]) or not _meets(c, level, target[1:]):
+        return None
+    c, y = Fraction(*c), Fraction(*y)
+    return verify_pair(c, y * y + c, target, config.depth)
 
 
 def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +256,11 @@ def _load_checkpoint(path: str,
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_BLOCKS = 32      # blocks between two checkpoint writes
+
+
+def _live_rows(live: np.ndarray, first: int, end: int) -> np.ndarray:
+    """The live rows in [first, end)."""
+    return live[np.searchsorted(live, first):np.searchsorted(live, end)]
 
 
 def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
@@ -328,12 +353,12 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
 # ---------------------------------------------------------------------------
 
 def _thirdpair_values(n1: int, d1: int, n2: int, d2: int) -> tuple[Pair, Pair]:
-    """(c, a) of p1 = n1/d1, p2 = n2/d2 as unreduced (n, d): with x, y, e as in
-    N, c = -(x^2 + y^2) / (2 e^2) and t = s^2 + c = T / (4 e^4)."""
+    """(c, t) of p1 = n1/d1, p2 = n2/d2 as unreduced (n, d), t the root of
+    a = t^2 + c: with x, y, e as in N, c = -(x^2 + y^2) / (2 e^2) and
+    t = s^2 + c = T / (4 e^4)."""
     x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
-    t = (x2 - y2) ** 2 - 2 * e2 * (x2 + y2)
     return ((-(x2 + y2), 2 * e2),
-            (t * t - 8 * e2 ** 3 * (x2 + y2), 16 * e2 ** 4))
+            ((x2 - y2) ** 2 - 2 * e2 * (x2 + y2), 4 * e2 * e2))
 
 
 # the filter's prime powers q^k as (q^k, q), most selective first
@@ -434,8 +459,7 @@ class _ThirdPairPlan:
     def candidates(self, first: int, end: int):
         """The shard's pairs (i, j <= i) over the live rows in [first, end),
         in candidate order; a filtered scan keeps those with N a square."""
-        live = self.live
-        rows = live[np.searchsorted(live, first):np.searchsorted(live, end)]
+        rows = _live_rows(self.live, first, end)
         if self.filtered:
             return _square_pairs(self, rows)
         index, total = self.config.shard
@@ -446,6 +470,7 @@ class _ThirdPairPlan:
         return tuple(Fraction(int(self.nums[k]), int(self.dens[k])) for k in (i, j))
 
     def settle(self, i: int, j: int) -> Optional[SearchRecord]:
+        """_settle of a = t^2 + c (_thirdpair_values)."""
         nums, dens = self.nums, self.dens
         return _settle(self.config, *_thirdpair_values(
             int(nums[i]), int(dens[i]), int(nums[j]), int(dens[j])))
@@ -520,7 +545,9 @@ def scan_forward(config: SearchConfig, resume: bool = False,
 
 class _ForwardPlan:
     """The forward scan's candidates (ci, xi) on (n, d) pairs: c over 0 and
-    +/- each fraction, x0 over 0 and each fraction; every c is a live row."""
+    +/- each fraction, x0 over 0 and each fraction.  Every c is a live row,
+    but for a target above 2 at some level only the rows with c < 0 are: a
+    level of a real tree of f_c with c >= 0 is empty, {0} or {r, -r}."""
 
     strategy, params = "forward", ("c", "x0")
 
@@ -530,19 +557,25 @@ class _ForwardPlan:
         self.c_values = [(0, 1)] + [v for n, d in frs for v in ((n, d), (-n, d))]
         self.x_values = [(0, 1)] + frs
         self.size = len(self.c_values)
-        self.live = np.arange(self.size)
+        # the rows with c < 0 are 2, 4, ..., size - 1
+        self.live = (np.arange(2, self.size, 2)
+                     if max(config.target, default=0) > 2
+                     else np.arange(self.size))
         self.tile = _C_RUN
 
     def candidates(self, first: int, end: int):
+        """The shard's pairs (ci, xi) over the live rows in [first, end), in
+        candidate order."""
         index, total = self.config.shard
         width = len(self.x_values)
-        return ((ci, xi) for ci in range(first, end)
+        return ((ci, xi) for ci in _live_rows(self.live, first, end).tolist()
                 for xi in range((index - ci * width) % total, width, total))
 
     def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
         return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
 
     def settle(self, ci: int, xi: int) -> Optional[SearchRecord]:
+        """_settle of a = f_c^depth(x0) = y^2 + c, y = f_c^(depth-1)(x0)."""
         c = self.c_values[ci]
         return _settle(self.config, c,
-                       orbit(c, self.x_values[xi], self.config.depth))
+                       orbit(c, self.x_values[xi], self.config.depth - 1))

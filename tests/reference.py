@@ -16,7 +16,8 @@
   `exactmath.resultant`.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
   `search._height_order`, and the third-pair values (c, a) in `Fraction`
-  arithmetic, the oracle for `search._thirdpair_values`.
+  arithmetic, the oracle for `search._thirdpair_values` (which gives c and
+  the t with a = t^2 + c).
 """
 
 from fractions import Fraction

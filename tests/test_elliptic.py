@@ -5,6 +5,7 @@ import pytest
 
 from quadpreim import elliptic
 from quadpreim.elliptic import (
+    _count_points_mod_p,
     _division_polys,
     _int_add,
     _torsion_multiples,
@@ -293,6 +294,18 @@ def test_torsion_below_point_count_bound():
         g = torsion_subgroup(curve)
         assert g.invariants == (1, 4) and set(g.points) == set(expected), a
         assert bound in (8, 12), a
+
+
+def test_count_points_mod_p_against_pairs():
+    # #E(F_p) against a count of the affine pairs (X, Y) mod p, for seeded
+    # coefficients far past p and of both signs, each prime's table reused
+    rng = random.Random(1913)
+    for _ in range(300):
+        a, b = (rng.randint(-10 ** 20, 10 ** 20) for _ in range(2))
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            pairs = sum((y * y - x ** 3 - a * x - b) % p == 0
+                        for x in range(p) for y in range(p))
+            assert _count_points_mod_p(a, b, p) == 1 + pairs, (a, b, p)
 
 
 def test_odd_point_count_bound_skips_two_division(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from quadpreim import search
+from quadpreim.dynamics import orbit
 from quadpreim.exactmath import height, parse_rat
 from quadpreim.search import (
     CheckpointError,
@@ -90,10 +92,12 @@ def test_height_order_matches_reference():
 
 
 def _thirdpair_fractions(n1, d1, n2, d2):
-    # the (n, d) pairs of _thirdpair_values, each with d > 0, as Fractions
-    pairs = _thirdpair_values(n1, d1, n2, d2)
+    # c of _thirdpair_values and a = f_c(t), each (n, d) with d > 0, as
+    # Fractions
+    c, t = _thirdpair_values(n1, d1, n2, d2)
+    pairs = (c, t, orbit(c, t, 1))
     assert all(type(n) is type(d) is int and d > 0 for n, d in pairs)
-    return tuple(F(n, d) for n, d in pairs)
+    return F(*c), F(*pairs[2])
 
 
 def test_thirdpair_candidate_algebra():
@@ -133,6 +137,8 @@ def test_config_invariants():
         SearchConfig(height_bound=0, depth=3, target=(2, 4, 6))
     with pytest.raises(ValueError):
         SearchConfig(height_bound=5, depth=2, target=(2, 4, 6))
+    with pytest.raises(ValueError):
+        SearchConfig(height_bound=5, depth=0, target=())
     with pytest.raises(ValueError):
         SearchConfig(height_bound=5, depth=3, target=(2, 4, 6), shard=(3, 3))
 
@@ -296,6 +302,9 @@ def _printed(records):
      ("_ROW_TILE", 8)),
     (scan_forward, dict(height_bound=4, depth=2, target=(2, 2)),
      ("_C_RUN", 2)),
+    # a target above 2 drops the c >= 0 rows, so most checkpoints name one
+    (scan_forward, dict(height_bound=5, depth=2, target=(2, 3)),
+     ("_C_RUN", 2)),
 ])
 def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
                                               cfg, tile):
@@ -322,6 +331,31 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
             with open(path, "w") as fh:
                 json.dump(payload, fh)
             assert _printed(scan(cfg, resume=True, jobs=jobs)) == full
+
+
+def test_forward_resume_from_every_row(tmp_path):
+    # checkpoints as a layout of one row per block writes them, c >= 0 rows
+    # that the cut drops included: the record prefix emitted before the row,
+    # then the rest of the scan, for one job and two
+    path = str(tmp_path / "scan.ckpt")
+    cfg = SearchConfig(height_bound=5, depth=2, target=(2, 3),
+                       checkpoint_path=path)
+    records = list(scan_forward(cfg))
+    full = _printed(records)
+    plan = search._ForwardPlan(cfg)
+    row = {F(*c): k for k, c in enumerate(plan.c_values)}
+    first = [row[parse_rat(r.provenance[0].params["c"])] for r in records]
+    assert len(full) == 12 and first == sorted(first)
+    assert set(range(plan.size)) - set(plan.live.tolist()) == {
+        k for k, (n, _) in enumerate(plan.c_values) if n >= 0}
+    for next_block in range(plan.size + 1):
+        emitted = [r.as_json() for r, k in zip(records, first) if k < next_block]
+        with open(path, "w") as fh:
+            json.dump({"config_sha": cfg.digest("forward"),
+                       "config": cfg.canonical("forward"),
+                       "next_block": next_block, "records": emitted}, fh)
+        for jobs in (1, 2):
+            assert _printed(scan_forward(cfg, resume=True, jobs=jobs)) == full
 
 
 def test_tiny_bounds_every_shard():
@@ -425,11 +459,13 @@ def _brute_forward(bound, depth, target):
 
 
 @pytest.mark.parametrize("depth, target", [
-    (1, (2,)), (2, (2, 2)), (3, (2, 2)), (3, (2, 2, 4)), (3, (0, 0, 0))])
+    (1, (2,)), (2, (2, 2)), (3, (2, 2)), (3, (2, 2, 4)), (3, (0, 0, 0)),
+    (2, (2, 3)), (2, (2, 4)), (3, (1, 2, 3))])
 def test_scan_forward_matches_brute_force_oracle(depth, target):
     # the integer settle against the Fraction oracle at every bound up to 5,
     # the first where target 2,2,4 has hits; (0, 0, 0) takes every candidate,
-    # c = x0 = 0 and its degenerate root among them
+    # c = x0 = 0 and its degenerate root among them.  The oracle walks every
+    # c, so a target above 2 checks that the rows with c >= 0 hold no hit
     for bound in range(1, 6):
         brute = _brute_forward(bound, depth, target)
         cfg = dict(height_bound=bound, depth=depth, target=target)
@@ -449,6 +485,71 @@ def test_scan_forward_matches_brute_force_oracle(depth, target):
     assert _printed(scan_forward(SearchConfig(**cfg), jobs=2)) == _printed(records)
     if target == (0, 0, 0):
         assert (F(0), F(0)) in brute
+
+
+def test_scans_verify_only_hits(monkeypatch):
+    # a candidate reaches verify_pair only when its integer settle already
+    # met the target: level 1 included, which is {0} when y = 0 (forward:
+    # c = -1, x0 = 0 at depth 3 gives y = 0 and a level 2 of {1, -1})
+    results = []
+    verify = search.verify_pair
+
+    def spy(*args):
+        results.append(verify(*args))
+        return results[-1]
+
+    monkeypatch.setattr(search, "verify_pair", spy)
+    for scan, cfg in ((scan_forward, dict(height_bound=5, depth=3, target=(2, 2))),
+                      (scan_thirdpair, dict(height_bound=12, depth=3,
+                                            target=(2, 4, 4)))):
+        results.clear()
+        records = list(scan(SearchConfig(**cfg)))
+        assert len(results) >= len(records) > 0 and None not in results
+
+
+def test_nonnegative_c_trees_have_two_points_per_level():
+    # what the forward scan's row cut rests on: for c >= 0 each level of a
+    # real tree of f_c is empty, {0} or {r, -r}, as -r - c < 0
+    rng = random.Random(2718)
+    full = 0
+    for _ in range(400):
+        c = F(rng.randint(0, 40), rng.randint(1, 12))
+        x0 = F(rng.randint(-20, 20), rng.randint(1, 9))
+        a = _fraction_orbit(c, x0, rng.randint(0, 4))
+        signature = reference_tree(c, a, 4).signature()
+        assert max(signature) <= 2, (c, a)
+        full += signature[-1] == 2
+    assert full >= 20
+
+
+# count and sha256 of the structured lines of the forward scan at H = 8,
+# depth 3, as the scan over every row of c prints them
+FORWARD_H8 = {
+    (2, 2, 4): (15, "f8f64271a2a7ce80faf756ccce3e4a3ba2260691538b4644ccf950659f1e7d67"),
+    (2, 2, 2): (3727, "433e2e91c29d3af33b763c708cbb11cb6ecd9b4972878ee1492cc261d873df8a"),
+}
+
+
+@pytest.mark.parametrize("target, settled, cut", [
+    ((2, 2, 4), 1892, True), ((2, 2, 2), 3828, False)])
+def test_forward_cut_funnel(monkeypatch, target, settled, cut):
+    # at H = 8, depth 3 (87 values of c, 44 of x0): a target above 2 settles
+    # the 43 rows with c < 0 only, a target of 2's, which the cut cannot
+    # decide, every row; the records are those recorded before the cut
+    calls = []
+    settle = search._ForwardPlan.settle
+
+    def spy(plan, ci, xi):
+        calls.append(plan.c_values[ci])
+        return settle(plan, ci, xi)
+
+    monkeypatch.setattr(search._ForwardPlan, "settle", spy)
+    lines = _printed(scan_forward(SearchConfig(height_bound=8, depth=3,
+                                               target=target)))
+    assert len(calls) == settled
+    assert all(n < 0 for n, _ in calls) == cut
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == FORWARD_H8[target]
 
 
 def test_scan_forward_shard_union():

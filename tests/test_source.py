@@ -22,7 +22,8 @@ FLOAT_HOME = ("cli.py", "_display_float")
 INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_poly_mul", "_poly_sub",
                    "_division_polys", "_horner", "_low_degree_marks",
                    "_crossing", "_sign_marks", "integer_roots",
-                   "_count_points_mod_p", "_torsion_order_bound",
+                   "_root_counts", "_count_points_mod_p",
+                   "_torsion_order_bound",
                    "_division_solve", "_torsion_by_division")
 # the search candidate's integer settle: the target check, the forward orbit,
 # the level walk and the plans' settle, as (module, qualified name)
