@@ -19,11 +19,15 @@ Y = p2^2, A = X - Y and 2u = sqrt(N)/e^2, exactly
 so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
 it to an even power) a sum of two integer squares.  The fast path drops
-every fraction failing that test before any pair is formed, rejects
-non-square N by tables of its squareness modulo twelve prime powers, read at
-the classes of p1 and p2 in P^1(Z/m) over tiles of pairs, and re-checks the
-survivors with exact integer arithmetic; it emits exactly the pairs whose N
-is a perfect square.
+every fraction failing that test before any pair is formed, then rejects
+non-square N by tables of its squareness modulo twelve prime powers.  Whether
+N is a square mod m depends only on the classes of p1 and p2 in P^1(Z/m);
+classes whose table rows agree are merged into kinds (126 over the twelve
+moduli, of 766 classes), and each kind's row is kept as bits over a shard's
+columns, so a row of pairs is filtered by one AND of twelve bit rows.  The
+surviving bits are unpacked, the pairs above the diagonal dropped, and the
+rest re-checked with exact integer arithmetic; the fast path emits exactly
+the pairs whose N is a perfect square.
 
 The forward strategy seeds a = f_c^depth(x0).  A rational tree is a real
 one, and for c >= 0 every level of a real tree of f_c is empty, {0} or
@@ -199,12 +203,23 @@ def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerators and denominators (int64) of all positive reduced fractions
     with height <= bound, ordered by (height, value): at height h, each n/h
     with n < h coprime to h, then h/d for the same d, decreasing."""
-    nums, dens = [np.ones(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
-    for h in range(2, bound + 1):
-        k = np.flatnonzero(np.gcd(np.arange(h), h) == 1)
-        nums += [k, np.full_like(k, h)]
-        dens += [np.full_like(k, h), k[::-1]]
-    return np.concatenate(nums), np.concatenate(dens)
+    # every (k, h) with 1 <= k < h <= bound, h-major; h's run starts at
+    # (h - 1)(h - 2)/2
+    h = np.repeat(np.arange(bound + 1, dtype=np.int64),
+                  np.maximum(np.arange(-1, bound), 0))
+    k = np.arange(len(h)) - (h - 1) * (h - 2) // 2 + 1
+    coprime = np.gcd(k, h) == 1
+    k, h = k[coprime], h[coprime]
+    # height h holds 2 phi(h) fractions after the 1 + 2 sum phi of those below
+    phi = np.bincount(h, minlength=bound + 1)
+    below = np.cumsum(phi) - phi
+    rank = np.arange(len(h)) - below[h]
+    first = 1 + 2 * below[h] + rank
+    last = first + 2 * (phi[h] - rank) - 1
+    nums = np.ones(1 + 2 * len(h), dtype=np.int64)
+    dens = nums.copy()
+    nums[first], dens[first], nums[last], dens[last] = k, h, h, k
+    return nums, dens
 
 
 def fractions_by_height(bound: int) -> list[Fraction]:  # perfbench/run.py traces it
@@ -364,7 +379,6 @@ def _thirdpair_values(n1: int, d1: int, n2: int, d2: int) -> tuple[Pair, Pair]:
 # the filter's prime powers q^k as (q^k, q), most selective first
 _MODULI = ((256, 2), (81, 3), (25, 5), (49, 7), (11, 11), (13, 13), (17, 17),
            (19, 19), (23, 23), (29, 29), (31, 31), (37, 37))
-_TILE_MODULI = 5         # the moduli read over whole tiles, the rest on pairs
 
 
 @functools.cache
@@ -387,6 +401,22 @@ def _filter_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     table = squares[(4 * e2 * (x2 + x2.T) - (x2 - x2.T) ** 2) % m]
     classes.flags.writeable = table.flags.writeable = False
     return classes, table
+
+
+@functools.cache
+def _kind_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """For m = q^k: kinds[n mod m, d mod m], the kind of a reduced n/d, and
+    table[k1, k2], whether N is a square mod m for p1, p2 of kinds k1, k2.
+    Two classes of _filter_tables are of one kind when their rows agree; the
+    table is symmetric, so their columns agree too and the kinds decide."""
+    classes, table = _filter_tables(m, q)
+    ids: dict[bytes, int] = {}
+    kind = [ids.setdefault(row.tobytes(), len(ids)) for row in table]
+    first = np.unique(kind, return_index=True)[1]
+    kinds = np.array(kind, dtype=np.uint8)[classes]
+    table = table[first][:, first]
+    kinds.flags.writeable = table.flags.writeable = False
+    return kinds, table
 
 
 _MASK_HEIGHT_BOUND = 50000
@@ -425,13 +455,14 @@ def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
 
 
 _ROW_TILE = 256
-_COL_TILE = 1 << 15
 
 
 class _ThirdPairPlan:
     """What every block of a third-pair scan reads: the height-ordered
     fractions n_i/d_i as int64 arrays, the live rows, and for a filtered scan
-    each fraction's class under every filter modulus (see _square_pairs)."""
+    each live fraction's kind under every filter modulus and, per column
+    class of the shard, the kind tables as bits over its columns (see
+    _square_pairs)."""
 
     strategy, params = "thirdpair", ("p1", "p2")
 
@@ -447,14 +478,27 @@ class _ThirdPairPlan:
             self.live = np.arange(self.size)
             return
         self.live = live = np.flatnonzero(_two_square_mask(nums, dens))
-        # per modulus, its table and the class of each fraction
-        self.filters = []
+        # per modulus, its kind table and the kind of each live fraction
+        tables, kinds = [], []
         for m, q in _MODULI:
-            classes, table = _filter_tables(m, q)
-            self.filters.append((table, classes[nums % m, dens % m]))
-        # the live columns j = w mod shard total
+            kind, table = _kind_tables(m, q)
+            tables.append(table)
+            kinds.append(kind[nums[live] % m, dens[live] % m])
+        # the kinds as row offsets into the tables stacked over the moduli
+        bases = np.cumsum([0] + [len(t) for t in tables[:-1]]).astype(np.uint8)
+        self.offsets = np.stack(kinds, axis=1) + bases
+        # per class w of the shard total, the live columns j = w mod total,
+        # and bits[w][r] holds stacked row r over them, 64 columns a word
         total = config.shard[1]
-        self.columns = [live[live % total == w] for w in range(total)]
+        self.columns, self.bits = [], []
+        for w in range(total):
+            at = np.flatnonzero(live % total == w)
+            stacked = np.concatenate([t[:, k[at]] for t, k in zip(tables, kinds)])
+            bits = np.zeros((len(stacked), (len(at) + 63) // 64), dtype=np.uint64)
+            packed = np.packbits(stacked, axis=1, bitorder="little")
+            bits.view(np.uint8)[:, :packed.shape[1]] = packed
+            self.columns.append(live[at])
+            self.bits.append(bits)
 
     def candidates(self, first: int, end: int):
         """The shard's pairs (i, j <= i) over the live rows in [first, end),
@@ -482,39 +526,33 @@ def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int
 
     Rows and columns are live fractions (_two_square_mask) under their
     original indices, so candidate numbering, shards, provenance and
-    next_block keep their meaning; the rows are split by the column class the
-    shard wants of them.  The first _TILE_MODULI tables (_filter_tables) are
-    gathered over the whole tile at class indices, with no arithmetic per
-    pair; the pairs passing them on or below the diagonal are looked up in the
-    other tables, and the survivors are checked exactly with isqrt.
+    next_block keep their meaning; the rows are split by the column class w
+    the shard wants of them.  Each row reads, for each of the twelve moduli,
+    the row of its kind (_kind_tables) as bits over the columns of w, up to
+    the word that holds its block's last row; the AND of the twelve marks the
+    pairs that N may make a square.  The words left nonzero are unpacked,
+    the pairs above the diagonal (j > i) dropped, and the rest checked
+    exactly with isqrt.
     """
     shard_index, shard_total = plan.config.shard
     # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
     want = (shard_index - tile * (tile + 1) // 2) % shard_total
+    offsets = plan.offsets[np.searchsorted(plan.live, tile)]
     found_i, found_j = [tile[:0]], [tile[:0]]      # a class may meet no column
     for w in np.unique(want).tolist():
-        rows = tile[want == w]
-        idx = plan.columns[w]
-        # by_class[k] holds the table's entries (k, class of each row)
-        tiled = [(np.ascontiguousarray(table[:, classes[rows]]), classes)
-                 for table, classes in plan.filters[:_TILE_MODULI]]
-        width = int(np.searchsorted(idx, rows[-1], side="right"))
-        diagonal = int(np.searchsorted(idx, rows[0], side="right"))
-        for j0 in range(0, width, _COL_TILE):
-            j1 = min(j0 + _COL_TILE, width)
-            alive = np.ones((j1 - j0, len(rows)), dtype=bool)
-            for by_class, classes in tiled:
-                alive &= by_class[classes[idx[j0:j1]]]
-            # only the columns past the first row can lie above the diagonal
-            above = max(diagonal - j0, 0)
-            alive[above:] &= idx[j0 + above:j1, None] <= rows
-            cc, rr = np.divmod(np.flatnonzero(alive), len(rows))
-            found_i.append(rows[rr])
-            found_j.append(idx[j0 + cc])
+        at = want == w
+        rows, idx = tile[at], plan.columns[w]
+        words = (int(np.searchsorted(idx, rows[-1], side="right")) + 63) // 64
+        alive = np.bitwise_and.reduce(plan.bits[w][:, :words][offsets[at]], axis=1)
+        r, word = np.nonzero(alive)
+        bits = np.unpackbits(alive[r, word].view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        i, j = rows[r[k]], idx[64 * word[k] + b]
+        below = j <= i
+        found_i.append(i[below])
+        found_j.append(j[below])
     gi, gj = np.concatenate(found_i), np.concatenate(found_j)
-    for table, classes in plan.filters[_TILE_MODULI:]:
-        keep = table[classes[gi], classes[gj]]
-        gi, gj = gi[keep], gj[keep]
     survivors: list[tuple[int, int]] = []
     for i, j, n1, d1, n2, d2 in zip(
             gi.tolist(), gj.tolist(), plan.nums[gi].tolist(),

@@ -191,6 +191,17 @@ def test_search_jobs_merge_matches_single(capsys):
     assert single[1] and jobs[1] == single[1]
 
 
+@pytest.mark.parametrize("shard", ["0/2", "1/2"])
+def test_search_jobs_match_single_at_height_100(capsys, shard):
+    # the workers receive the plan, bit matrices and all, from the parent
+    argv = ("search", "--strategy", "thirdpair", "--height-bound", "100",
+            "--depth", "3", "--target", "2,4,6", "--shard", shard,
+            "--format", "structured")
+    single = run_cli(capsys, *argv, "--jobs", "1")
+    assert single[0] == 0 and single[1]
+    assert run_cli(capsys, *argv, "--jobs", "2") == single
+
+
 H12 = ("search", "--strategy", "thirdpair", "--height-bound", "12",
        "--depth", "3", "--target", "2,4,4", "--format", "structured")
 

@@ -214,6 +214,28 @@ def test_filter_tables_match_direct_squareness():
         assert seen == set(range(m + m // q))
 
 
+def test_kind_tables_merge_equal_rows():
+    # the kind of a class is read at a fraction of that class (n/1 for class
+    # n < m, 1/((k - m) q) for class k >= m); the kind table gives the class
+    # table back at every pair of classes, and no two kinds share a row
+    counts = []
+    for m, q in search._MODULI:
+        _, table = search._filter_tables(m, q)
+        kinds, kind_table = search._kind_tables(m, q)
+        k = np.arange(m + m // q)
+        kind = kinds[np.where(k < m, k, 1), np.where(k < m, 1, (k - m) * q % m)]
+        assert np.array_equal(table, kind_table[kind][:, kind]), m
+        assert len({row.tobytes() for row in kind_table}) == len(kind_table)
+        counts.append(len(kind_table))
+    assert counts == [7, 7, 5, 6, 7, 8, 9, 11, 13, 16, 17, 20]
+    # the stacked row offsets of a plan fit uint8
+    assert sum(counts) == 126
+    plan = search._ThirdPairPlan(SearchConfig(height_bound=40, depth=3,
+                                              target=(2, 4, 6)))
+    assert plan.offsets.dtype == np.uint8 and plan.offsets.max() < 126
+    assert [bits.shape[0] for bits in plan.bits] == [126]
+
+
 def _num_den_arrays(frs):
     return (np.array([f.numerator for f in frs], dtype=np.int64),
             np.array([f.denominator for f in frs], dtype=np.int64))
@@ -249,6 +271,8 @@ def _square_pairs(frs):
 
 
 def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
+    # at height 2 one fraction is live, so most column classes are empty; at
+    # 40 a class of five shards holds fewer columns than one 64-bit word
     reached = []
     settle = search._ThirdPairPlan.settle
 
@@ -257,15 +281,40 @@ def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
         return settle(plan, i, j)
 
     monkeypatch.setattr(search._ThirdPairPlan, "settle", spy)
-    squares = _square_pairs(fractions_by_height(40))
-    assert squares
-    for index, total in ((0, 1), (0, 3), (1, 3), (2, 3)):
-        reached.clear()
-        cfg = SearchConfig(height_bound=40, depth=3, target=(2, 4, 6),
-                           shard=(index, total))
-        list(scan_thirdpair(cfg))
-        assert reached == [(i, j) for i, j in squares
-                           if (i * (i + 1) // 2 + j) % total == index]
+    for bound in (2, 40):
+        squares = _square_pairs(fractions_by_height(bound))
+        assert squares or bound == 2
+        for total in (1, 2, 3, 5):
+            for index in range(total):
+                reached.clear()
+                cfg = SearchConfig(height_bound=bound, depth=3,
+                                   target=(2, 4, 6), shard=(index, total))
+                list(scan_thirdpair(cfg))
+                assert reached == [(i, j) for i, j in squares
+                                   if (i * (i + 1) // 2 + j) % total == index]
+
+
+@pytest.mark.parametrize("index, checks, squares", [(0, 196, 123),
+                                                    (1, 221, 139)])
+def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
+    # the exact checks (isqrt calls) the filter lets through and the squares
+    # among them, per shard of two: a weaker filter makes more checks
+    calls, funnel = [], [0, 0]
+    square_pairs, real_isqrt = search._square_pairs, search.isqrt
+
+    def counted(plan, tile):
+        before = len(calls)
+        found = square_pairs(plan, tile)
+        funnel[0] += len(calls) - before
+        funnel[1] += len(found)
+        return found
+
+    monkeypatch.setattr(search, "isqrt",
+                        lambda v: calls.append(v) or real_isqrt(v))
+    monkeypatch.setattr(search, "_square_pairs", counted)
+    list(scan_thirdpair(SearchConfig(height_bound=100, depth=3,
+                                     target=(2, 4, 6), shard=(index, 2))))
+    assert funnel == [checks, squares]
 
 
 def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it).  The torsion hot path
-and the settling of a search candidate stay on Python ints.  Every name that
+and the settling of a search candidate stay on Python ints, and the
+third-pair filter's numpy code has no true division and no float dtype.  Every name that
 the benchmark harness traces still exists in the package, and no module-level
 function or class is dead.
 """
@@ -12,6 +13,8 @@ function or class is dead.
 import ast
 import importlib
 import pathlib
+
+import numpy as np
 
 import quadpreim
 
@@ -31,6 +34,9 @@ INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
                   ("search", "_ForwardPlan.settle"),
                   ("search", "_ThirdPairPlan.settle"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"))
+# the third-pair filter's numpy code, which decides candidates on int arrays
+INTEGER_FILTER = ("_height_order", "_two_square_mask", "_filter_tables",
+                  "_kind_tables", "_ThirdPairPlan.__init__", "_square_pairs")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -100,22 +106,68 @@ def test_torsion_hot_path_names_no_fraction_type():
     assert named == set()
 
 
+def _functions(module):
+    # the module-level functions and methods of a module, by qualified name
+    tree = _parse(pathlib.Path(quadpreim.__file__).parent / (module + ".py"))
+    found = {}
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else ()
+        for fn in [node, *methods]:
+            if isinstance(fn, ast.FunctionDef):
+                name = fn.name if fn is node else node.name + "." + fn.name
+                found[(module, name)] = fn
+    return found
+
+
 def test_search_hot_path_names_no_fraction_type():
     # a candidate that misses builds no Fraction: the functions that settle
     # it never name the type (only search._settle does, for a hit)
     found = {}
     for module in {m for m, _ in INTEGER_SETTLE}:
-        tree = _parse(pathlib.Path(quadpreim.__file__).parent / (module + ".py"))
-        for node in tree.body:
-            methods = node.body if isinstance(node, ast.ClassDef) else ()
-            for fn in [node, *methods]:
-                if isinstance(fn, ast.FunctionDef):
-                    name = fn.name if fn is node else node.name + "." + fn.name
-                    found[(module, name)] = fn
+        found.update(_functions(module))
     assert set(INTEGER_SETTLE) <= set(found)
     named = {key for key in INTEGER_SETTLE for node in ast.walk(found[key])
              if isinstance(node, ast.Name) and node.id == "Fraction"}
     assert named == set()
+
+
+def _float_dtype(node):
+    # a string argument that numpy reads as a float or complex dtype
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return False
+    try:
+        return np.dtype(node.value).kind in "fc"
+    except TypeError:
+        return False
+
+
+def _inexact(node):
+    # true division, a float type named as a dtype (float, np.float64, ...),
+    # a float dtype string passed to a call, or numpy's true division
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "complex")
+    if isinstance(node, ast.Attribute):
+        return (node.attr.startswith(("float", "complex", "double", "half",
+                                      "single", "longdouble"))
+                or node.attr in ("divide", "true_divide", "inexact"))
+    if isinstance(node, ast.Call):
+        return any(_float_dtype(arg) for arg in
+                   [*node.args, *(kw.value for kw in node.keywords)])
+    return False
+
+
+def test_thirdpair_filter_has_no_float_arithmetic():
+    # no float array decides a candidate: the enumeration, the masks, the
+    # tables and the filter divide only with // and build only int and bool
+    # arrays
+    found = _functions("search")
+    keys = [("search", name) for name in INTEGER_FILTER]
+    assert set(keys) <= set(found)
+    inexact = [(name, node.lineno) for module, name in keys
+               for node in ast.walk(found[(module, name)]) if _inexact(node)]
+    assert inexact == []
 
 
 def _benchmark_traced():
