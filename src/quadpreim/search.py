@@ -36,6 +36,20 @@ pre-images, and 0 has them only for c = 0, namely {0}.  So when the
 target asks for more than two points at some level, no c >= 0 can meet it,
 and the forward scan keeps only the rows with c < 0.
 
+Such a target also needs the tree to branch off the orbit.  With
+x_m = f_c^m(x0) and D = depth, level j of a's tree holds the spine
+{x_(D-j), -x_(D-j)}, and level 1 is all spine.  A root off the spine at
+level j maps to -x_(D-j+1) != x_(D-j+1), or to a root off the spine one
+level up; so if k is the first level whose target is above 2, a hit needs
+the branch value B_m = -x_m - c to be a rational square for some m in
+[D-k+1, D-1] (none for k = 1: such a target has no hit).  With c = u/v,
+x0 = n/d and (P_m, Q_m) = orbit(c, x0, m) (P <- P^2 v + u Q^2,
+Q <- Q^2 v), Q_m v = (d v)^(2^m) is a square, so B_m is a rational square
+exactly when the integer G_m = -(P_m v + u Q_m) is a perfect square.  The
+forward filter evaluates G_m modulo the twelve prime powers on residues of
+n, d, u and v, and settles only the candidates whose G_m is a square
+modulo all of them for some m in the range.
+
 Both strategies cut their shard into ordered blocks of live rows; one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
 workers, and alone dedups, emits and checkpoints.  Resume replays the records
@@ -382,6 +396,16 @@ _MODULI = ((256, 2), (81, 3), (25, 5), (49, 7), (11, 11), (13, 13), (17, 17),
 
 
 @functools.cache
+def _squares(m: int) -> np.ndarray:
+    """squares[r] for 0 <= r < m: whether r is a square mod m."""
+    r = np.arange(m)
+    squares = np.zeros(m, dtype=bool)
+    squares[r * r % m] = True
+    squares.flags.writeable = False
+    return squares
+
+
+@functools.cache
 def _filter_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """For m = q^k: classes[n mod m, d mod m], the point of P^1(Z/m) of a
     reduced n/d (n/d mod m if q does not divide d, else m + (d/n mod m)/q),
@@ -396,9 +420,7 @@ def _filter_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     n, d = np.where(k < m, k, 1), np.where(k < m, 1, (k - m) * q)
     # x = n1 d2 and e = d1 d2 reduced, y = n2 d1 is x transposed: N fits int64
     x2, e2 = (np.outer(n, d) % m) ** 2, (np.outer(d, d) % m) ** 2
-    squares = np.zeros(m, dtype=bool)
-    squares[r * r % m] = True
-    table = squares[(4 * e2 * (x2 + x2.T) - (x2 - x2.T) ** 2) % m]
+    table = _squares(m)[(4 * e2 * (x2 + x2.T) - (x2 - x2.T) ** 2) % m]
     classes.flags.writeable = table.flags.writeable = False
     return classes, table
 
@@ -569,7 +591,7 @@ def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int
 # forward-orbit strategy
 # ---------------------------------------------------------------------------
 
-_C_RUN = 8
+_FORWARD_BLOCK = 1 << 15     # candidates in a forward block, at least one row
 
 
 def scan_forward(config: SearchConfig, resume: bool = False,
@@ -577,37 +599,55 @@ def scan_forward(config: SearchConfig, resume: bool = False,
     """Seed a = f_c^depth(x0) over all c (any sign) and x0 >= 0 of height
     within the bound, and keep the pairs whose tree dominates the target.
     Same ordering, sharding, dedup, checkpoint and jobs contract as the
-    third-pair scan; a block is a run of _C_RUN c candidates."""
+    third-pair scan; a block is a run of rows of about _FORWARD_BLOCK
+    candidates."""
     yield from _scan(_ForwardPlan, config, resume, jobs)
 
 
 class _ForwardPlan:
     """The forward scan's candidates (ci, xi) on (n, d) pairs: c over 0 and
-    +/- each fraction, x0 over 0 and each fraction.  Every c is a live row,
-    but for a target above 2 at some level only the rows with c < 0 are: a
-    level of a real tree of f_c with c >= 0 is empty, {0} or {r, -r}."""
+    +/- each fraction, x0 over 0 and each fraction, as int lists for the
+    settle and int64 arrays for the filter.  Every c is a live row, but for
+    a target above 2 at some level only the rows with c < 0 are (a level of
+    a real tree of f_c with c >= 0 is empty, {0} or {r, -r}), and only the
+    candidates that may branch off the orbit are settled (_branch_mask)."""
 
     strategy, params = "forward", ("c", "x0")
 
     def __init__(self, config: SearchConfig):
         self.config = config
-        frs = list(zip(*(v.tolist() for v in _height_order(config.height_bound))))
-        self.c_values = [(0, 1)] + [v for n, d in frs for v in ((n, d), (-n, d))]
-        self.x_values = [(0, 1)] + frs
+        nums, dens = _height_order(config.height_bound)
+        self.x_num, self.x_den = np.append(0, nums), np.append(1, dens)
+        self.c_num = np.append(0, np.stack((nums, -nums), axis=1).ravel())
+        self.c_den = np.append(1, np.repeat(dens, 2))
+        self.c_values = list(zip(self.c_num.tolist(), self.c_den.tolist()))
+        self.x_values = list(zip(self.x_num.tolist(), self.x_den.tolist()))
         self.size = len(self.c_values)
+        # the first level whose target is above 2, if any
+        self.wide = next((k for k, want in enumerate(config.target, 1)
+                          if want > 2), None)
         # the rows with c < 0 are 2, 4, ..., size - 1
-        self.live = (np.arange(2, self.size, 2)
-                     if max(config.target, default=0) > 2
+        self.live = (np.arange(2, self.size, 2) if self.wide
                      else np.arange(self.size))
-        self.tile = _C_RUN
+        self.tile = max(1, _FORWARD_BLOCK // len(self.x_values))
 
-    def candidates(self, first: int, end: int):
+    def candidates(self, first: int, end: int) -> list[tuple[int, int]]:
         """The shard's pairs (ci, xi) over the live rows in [first, end), in
-        candidate order."""
+        candidate order; for a target above 2, only those that may branch
+        off the orbit before its first wide level."""
         index, total = self.config.shard
         width = len(self.x_values)
-        return ((ci, xi) for ci in _live_rows(self.live, first, end).tolist()
-                for xi in range((index - ci * width) % total, width, total))
+        rows = _live_rows(self.live, first, end)
+        ci = np.repeat(rows, width)
+        xi = np.tile(np.arange(width), len(rows))
+        keep = (ci * width + xi) % total == index
+        ci, xi = ci[keep], xi[keep]
+        if self.wide:
+            depth = self.config.depth
+            keep = _branch_mask(self.c_num[ci], self.c_den[ci], self.x_num[xi],
+                                self.x_den[xi], depth - self.wide + 1, depth)
+            ci, xi = ci[keep], xi[keep]
+        return list(zip(ci.tolist(), xi.tolist()))
 
     def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
         return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
@@ -617,3 +657,28 @@ class _ForwardPlan:
         c = self.c_values[ci]
         return _settle(self.config, c,
                        orbit(c, self.x_values[xi], self.config.depth - 1))
+
+
+def _branch_mask(u: np.ndarray, v: np.ndarray, n: np.ndarray, d: np.ndarray,
+                 first: int, end: int) -> np.ndarray:
+    """For each candidate c = u/v, x0 = n/d (v, d > 0), whether
+    G_m = -(P_m v + u Q_m), (P_m, Q_m) = orbit(c, x0, m), is a square modulo
+    every filter modulus for some m in [first, end); False throughout for an
+    empty range.  Each modulus runs the orbit on residues, and the
+    candidates left with no such m are dropped before the next."""
+    at = np.arange(len(u) if first < end else 0)
+    alive = np.ones((end - first, len(at)), dtype=bool)
+    for mod, _ in _MODULI:
+        if not len(at):
+            break
+        squares = _squares(mod)
+        cu, cv, p, q = u[at] % mod, v[at] % mod, n[at] % mod, d[at] % mod
+        for m in range(1, end):
+            p, q = (p * p * cv + cu * q * q) % mod, q * q * cv % mod
+            if m >= first:
+                alive[m - first] &= squares[-(p * cv + cu * q) % mod]
+        kept = alive.any(axis=0)
+        at, alive = at[kept], alive[:, kept]
+    mask = np.zeros(len(u), dtype=bool)
+    mask[at] = True
+    return mask

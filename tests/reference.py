@@ -14,6 +14,9 @@
   `elliptic.integer_roots`.
 - The Sylvester-determinant resultant, the oracle for
   `exactmath.resultant`.
+- The branch test of the forward scan on Python ints (`reference_branches`:
+  is G_m a perfect square), the oracle for the residue filter
+  `search._branch_mask`.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
   `search._height_order`, and the third-pair values (c, a) in `Fraction`
   arithmetic, the oracle for `search._thirdpair_values` (which gives c and
@@ -80,6 +83,27 @@ def reference_hit(c, a, target) -> bool:
         if len(level) < want:
             return False
     return True
+
+
+# -- forward search -----------------------------------------------------------
+
+def reference_branches(c, x0, depth: int, target) -> bool:
+    """Whether a = f_c^depth(x0) may have a root off its orbit's spine at
+    the first level k whose target is above 2: whether, for some m in
+    [depth - k + 1, depth - 1], the integer G_m = -(P_m v + u Q_m) is a
+    perfect square, where c = u/v and P_m/Q_m is f_c^m(x0) unreduced
+    (P <- P^2 v + u Q^2, Q <- Q^2 v, from x0 in lowest terms), all on
+    Python ints.  The oracle for the forward scan's residue filter."""
+    c, x0 = Fraction(c), Fraction(x0)
+    u, v = c.numerator, c.denominator
+    k = next(k for k, want in enumerate(target, 1) if want > 2)
+    p, q = x0.numerator, x0.denominator
+    for m in range(1, depth):
+        p, q = p * p * v + u * q * q, q * q * v
+        g = -(p * v + u * q)
+        if m >= depth - k + 1 and g >= 0 and isqrt(g) ** 2 == g:
+            return True
+    return False
 
 
 # -- third-pair search -------------------------------------------------------

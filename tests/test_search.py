@@ -8,9 +8,9 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from quadpreim import search
+from quadpreim import cli, search
 from quadpreim.dynamics import orbit
-from quadpreim.exactmath import height, parse_rat
+from quadpreim.exactmath import height, parse_rat, rat_sqrt
 from quadpreim.search import (
     CheckpointError,
     Provenance,
@@ -24,6 +24,7 @@ from quadpreim.search import (
     verify_pair,
 )
 from reference import (
+    reference_branches,
     reference_fractions_by_height,
     reference_hit,
     reference_thirdpair_values,
@@ -349,11 +350,12 @@ def _printed(records):
 @pytest.mark.parametrize("scan, cfg, tile", [
     (scan_thirdpair, dict(height_bound=40, depth=3, target=(2, 4, 4)),
      ("_ROW_TILE", 8)),
+    # blocks of two rows: 12 values of x0 at H = 4, 20 at H = 5
     (scan_forward, dict(height_bound=4, depth=2, target=(2, 2)),
-     ("_C_RUN", 2)),
+     ("_FORWARD_BLOCK", 24)),
     # a target above 2 drops the c >= 0 rows, so most checkpoints name one
     (scan_forward, dict(height_bound=5, depth=2, target=(2, 3)),
-     ("_C_RUN", 2)),
+     ("_FORWARD_BLOCK", 40)),
 ])
 def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
                                               cfg, tile):
@@ -571,20 +573,17 @@ def test_nonnegative_c_trees_have_two_points_per_level():
     assert full >= 20
 
 
-# count and sha256 of the structured lines of the forward scan at H = 8,
-# depth 3, as the scan over every row of c prints them
-FORWARD_H8 = {
-    (2, 2, 4): (15, "f8f64271a2a7ce80faf756ccce3e4a3ba2260691538b4644ccf950659f1e7d67"),
-    (2, 2, 2): (3727, "433e2e91c29d3af33b763c708cbb11cb6ecd9b4972878ee1492cc261d873df8a"),
+# count and sha256 of the structured lines of the forward scan at depth 3,
+# as the scan that settled every candidate printed them
+FORWARD_LINES = {
+    (8, (2, 2, 4)): (15, "f8f64271a2a7ce80faf756ccce3e4a3ba2260691538b4644ccf950659f1e7d67"),
+    (8, (2, 2, 2)): (3727, "433e2e91c29d3af33b763c708cbb11cb6ecd9b4972878ee1492cc261d873df8a"),
+    (16, (2, 2, 4)): (83, "d9c811e735a0767701fd3c1e080c76f3cac099f83170460973808cbafc7743d5"),
 }
 
 
-@pytest.mark.parametrize("target, settled, cut", [
-    ((2, 2, 4), 1892, True), ((2, 2, 2), 3828, False)])
-def test_forward_cut_funnel(monkeypatch, target, settled, cut):
-    # at H = 8, depth 3 (87 values of c, 44 of x0): a target above 2 settles
-    # the 43 rows with c < 0 only, a target of 2's, which the cut cannot
-    # decide, every row; the records are those recorded before the cut
+def _settled(monkeypatch):
+    # the c of every candidate the forward scan settles, in order
     calls = []
     settle = search._ForwardPlan.settle
 
@@ -593,12 +592,93 @@ def test_forward_cut_funnel(monkeypatch, target, settled, cut):
         return settle(plan, ci, xi)
 
     monkeypatch.setattr(search._ForwardPlan, "settle", spy)
-    lines = _printed(scan_forward(SearchConfig(height_bound=8, depth=3,
+    return calls
+
+
+def _check_funnel(monkeypatch, bound, target, settled, cut):
+    calls = _settled(monkeypatch)
+    lines = _printed(scan_forward(SearchConfig(height_bound=bound, depth=3,
                                                target=target)))
     assert len(calls) == settled
     assert all(n < 0 for n, _ in calls) == cut
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == FORWARD_H8[target]
+    assert (len(lines), digest) == FORWARD_LINES[bound, target]
+
+
+@pytest.mark.parametrize("target, settled, cut", [
+    ((2, 2, 4), 43, True), ((2, 2, 2), 3828, False)])
+def test_forward_cut_funnel(monkeypatch, target, settled, cut):
+    # at H = 8, depth 3 (87 values of c, 44 of x0): a target above 2 settles
+    # only candidates with c < 0 whose G_m passes the residue filter, 43 of
+    # the 1,892 on the 43 rows with c < 0; a target of 2's, which neither
+    # cut can decide, every candidate.  The records are those of the scan
+    # that settled every candidate
+    _check_funnel(monkeypatch, 8, target, settled, cut)
+
+
+def test_forward_cut_funnel_at_height_16(monkeypatch):
+    # 185 of the 25,440 candidates on the rows with c < 0
+    _check_funnel(monkeypatch, 16, (2, 2, 4), 185, True)
+
+
+@pytest.mark.parametrize("target", [(4, 2, 2), (3,)])
+def test_forward_wide_first_level_settles_nothing(monkeypatch, capsys, target):
+    # level 1 is {y, -y}: a target above 2 there has no hit, the branch
+    # range of the filter is empty, and the scan settles no candidate
+    calls = _settled(monkeypatch)
+    argv = ["search", "--strategy", "forward", "--height-bound", "8",
+            "--depth", "3", "--target", ",".join(map(str, target)),
+            "--format", "structured"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "" and calls == []
+
+
+def test_branch_square_is_a_rational_square():
+    # G_m = -(P_m v + u Q_m) is a perfect square exactly when the branch
+    # value -f_c^m(x0) - c is a rational square, as Q_m v is a square
+    squares = 0
+    for c in {F(-n, d) for n in range(25) for d in range(1, 5)}:
+        for x0 in {F(n, d) for n in range(7) for d in range(1, 4)}:
+            for m in range(1, 4):
+                branch = rat_sqrt(-_fraction_orbit(c, x0, m) - c) is not None
+                # target 2,4 at depth m + 1 asks about G_m alone
+                assert reference_branches(c, x0, m + 1, (2, 4)) == branch
+                squares += branch
+    assert squares >= 40
+
+
+@pytest.mark.parametrize("depth, target, records", [
+    (2, (2, 4), 33), (3, (2, 4), 7), (4, (2, 4), 2), (3, (2, 2, 4), 33),
+    (4, (2, 2, 4), 7), (3, (2, 4, 4), 2), (4, (2, 4, 4), 2), (3, (2, 2, 6), 0),
+    (4, (2, 2, 2, 4), 33), (3, (1, 2, 3), 41)])
+def test_forward_branch_filter_matches_oracle(depth, target, records):
+    # on the rows with c < 0, the residue filter keeps every candidate whose
+    # G_m the Python-int oracle finds a perfect square; the scan emits the
+    # records of settling every candidate, c >= 0 rows included, in
+    # candidate order: the same (c, a) and the same first x0, for one job
+    # and two (H = 12)
+    for index, total in ((0, 1), (1, 3)):
+        cfg = SearchConfig(height_bound=12, depth=depth, target=target,
+                           shard=(index, total))
+        plan = search._ForwardPlan(cfg)
+        width = len(plan.x_values)
+        every = [(ci, xi) for ci in range(plan.size) for xi in range(width)
+                 if (ci * width + xi) % total == index]
+        kept = set(plan.candidates(0, plan.size))
+        live = set(plan.live.tolist())
+        branching = {(ci, xi) for ci, xi in every if ci in live
+                     and reference_branches(*plan.values(ci, xi), depth, target)}
+        assert branching <= kept and len(kept) < len(every) // 4
+        expected = {}
+        for ci, xi in every:
+            rec = plan.settle(ci, xi)
+            if rec is not None:
+                expected.setdefault(rec.key(), plan.values(ci, xi)[1])
+        assert total > 1 or len(expected) == records
+        for jobs in (1, 2):
+            assert [(r.c, r.a, parse_rat(r.provenance[0].params["x0"]))
+                    for r in scan_forward(cfg, jobs=jobs)] == [
+                        (c, a, x0) for (c, a), x0 in expected.items()]
 
 
 def test_scan_forward_shard_union():

@@ -5,9 +5,9 @@ exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it).  The torsion hot path
 and the settling of a search candidate stay on Python ints, and the
-third-pair filter's numpy code has no true division and no float dtype.  Every name that
-the benchmark harness traces still exists in the package, and no module-level
-function or class is dead.
+numpy code of the scans' filters has no true division and no float dtype.
+Every name that the benchmark harness traces still exists in the package, and
+no module-level function or class is dead.
 """
 
 import ast
@@ -34,9 +34,11 @@ INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
                   ("search", "_ForwardPlan.settle"),
                   ("search", "_ThirdPairPlan.settle"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"))
-# the third-pair filter's numpy code, which decides candidates on int arrays
-INTEGER_FILTER = ("_height_order", "_two_square_mask", "_filter_tables",
-                  "_kind_tables", "_ThirdPairPlan.__init__", "_square_pairs")
+# the scans' numpy filter code, which decides candidates on int arrays
+INTEGER_FILTER = ("_height_order", "_two_square_mask", "_squares",
+                  "_filter_tables", "_kind_tables", "_ThirdPairPlan.__init__",
+                  "_square_pairs", "_ForwardPlan.__init__",
+                  "_ForwardPlan.candidates", "_branch_mask")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
