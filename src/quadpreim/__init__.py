@@ -9,7 +9,6 @@ from .dynamics import (
     critical_poly,
     iterate,
     preimage_tree,
-    preimages,
 )
 from .elliptic import (
     ECPoint,
@@ -65,7 +64,7 @@ __all__ = [
     "format_rat", "genus_closed", "genus_hilbert", "genus_with_delta",
     "height", "ideal_j", "infinity_points", "int_sqrt", "iterate",
     "jacobian_minors", "parse_rat", "plane_genus_with_delta",
-    "point_order", "preimage_tree", "preimages", "rat_sqrt", "resultant",
+    "point_order", "preimage_tree", "rat_sqrt", "resultant",
     "scan_forward", "scan_thirdpair", "specialize_e222",
     "specialize_e24", "torsion_family_a", "torsion_subgroup", "verify_pair",
 ]

@@ -28,8 +28,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# each level of critical_avalues costs about 8 times the one before; level 8
-# takes most of a minute, and level 30 would build a degree-2^29 polynomial
+# each level of critical_avalues costs over ten times the one before; level 8
+# takes a few seconds, and level 30 would build a degree-2^29 polynomial
 CRITICAL_MAX_N = 8
 # ideal_j(n) holds n - 1 quadrics over (n + 1)-tuple monomials: O(n^2) memory
 MODEL_MAX_DEPTH = 1000

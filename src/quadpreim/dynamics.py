@@ -28,8 +28,8 @@ from .exactmath import (
     eliminate_c,
     format_rat,
     parse_rat,
-    rat_sqrt,
 )
+from .exactmath import rat_sqrt  # noqa: F401  traced by perfbench/run.py
 
 
 Pair = tuple[int, int]
@@ -50,20 +50,6 @@ def orbit(c: Pair, x: Pair, n: int) -> Pair:
     for _ in range(n):
         xn, xd = xn * xn * cd + cn * xd * xd, xd * xd * cd
     return xn, xd
-
-
-def preimages(c: RatLike, y: RatLike) -> tuple[Fraction, ...]:
-    """All rational x with x^2 + c = y, sorted descending.
-
-    The result is empty, {0} (the degenerate critical point, its own
-    negation), or a pair {r, -r}.
-    """
-    r = rat_sqrt(Fraction(y) - Fraction(c))
-    if r is None:
-        return ()
-    if r == 0:
-        return (Fraction(0),)
-    return (r, -r)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
+from .exactmath import _cleared, _horner, _poly_mul, _poly_sub
 from .factor import factorize
 
 
@@ -242,14 +243,6 @@ def point_order(curve: WeierstrassCurve, p: ECPoint) -> Optional[int]:
 # integral models and torsion
 # ---------------------------------------------------------------------------
 
-def _cleared(curve: WeierstrassCurve) -> tuple[int, ...]:
-    """(d, d a1, d a2, d a3, d a4, d a6) for the least common denominator d
-    of the curve's coefficients."""
-    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-    d = lcm(*(c.denominator for c in coeffs))
-    return (d, *(c.numerator * (d // c.denominator) for c in coeffs))
-
-
 @dataclass(frozen=True)
 class ShortIntegralModel:
     """Integral short model Y^2 = X^3 + a X + b isomorphic to the source
@@ -267,7 +260,8 @@ class ShortIntegralModel:
         # source point over (X, Y) is (x_n / z^2, y_n / z^3) for z = 6 u d,
         # where x_n = v^2 d^2 X - 3 u^2 (d^2 b2) and
         # y_n = v^3 d^3 Y - 3 u (n1 x_n + n3 z^2).
-        d, n1, n2, n3, n4, n6 = _cleared(self.source)
+        c = self.source
+        d, (n1, n2, n3, n4, n6) = _cleared((c.a1, c.a2, c.a3, c.a4, c.a6))
         u, v = self.scale.numerator, self.scale.denominator
         z = 6 * u * d
         return (z, v * v * d * d, 3 * u * u * (n1 * n1 + 4 * n2 * d),
@@ -297,7 +291,8 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     coefficients, then strip superfluous (p^4, p^6) power pairs so the
     discriminant stays as small as the scaling allows.  A singular curve
     (4 a^3 + 27 b^2 = 0) raises ValueError."""
-    d, n1, n2, n3, n4, n6 = _cleared(curve)
+    d, (n1, n2, n3, n4, n6) = _cleared(
+        (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     dd = d * d
     # b2, b4 and b6 times d^2, then -27 c4 over d^4 and -54 c6 over d^6
     b2 = n1 * n1 + 4 * n2 * d
@@ -339,13 +334,6 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
             v *= p
     return ShortIntegralModel(a=a_int, b=b_int, scale=Fraction(u, v),
                               source=curve)
-
-
-def _horner(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _low_degree_marks(coeffs: list[int], bound: int) -> list[int]:
@@ -476,19 +464,6 @@ def integer_roots(coeffs: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # division polynomials on y^2 = x^3 + a x + b
 # ---------------------------------------------------------------------------
-
-def _poly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, c in enumerate(f):
-        for j, d in enumerate(g):
-            out[i + j] += c * d
-    return out
-
-
-def _poly_sub(f: list[int], g: list[int]) -> list[int]:
-    # every difference taken here is of two polynomials of equal degree
-    return [c - d for c, d in zip(f, g, strict=True)]
-
 
 def _division_polys(a: int, b: int, n_max: int) -> list[list[int]]:
     """f_0 .. f_n_max (n_max >= 4) on Y^2 = X^3 + a X + b, as int coefficient

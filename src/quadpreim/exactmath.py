@@ -1,17 +1,19 @@
 """Exact arithmetic foundation: integer and rational square roots, dense
-univariate polynomials over Q, resultants and the elimination of c, and
-quotient-ring (number field) arithmetic.
+univariate polynomials over Q, int coefficient lists, resultants and the
+elimination of c, and quotient-ring (number field) arithmetic.
 
 Everything here is immutable and pure; values can be shared freely between
-threads.  Rationals are ``fractions.Fraction`` throughout (already stored in
-lowest terms with a positive denominator), aliased as ``Rat``.
+threads.  Rationals are ``fractions.Fraction`` (already stored in lowest
+terms with a positive denominator), aliased as ``Rat``.  Resultants and the
+division polynomials of `elliptic` run on int coefficient lists, from the
+constant term up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Optional, Union
 
 Rat = Fraction
 
@@ -223,11 +225,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return QPoly(c / scalar for c in self.coeffs)
-        return NotImplemented
-
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -254,11 +251,6 @@ class QPoly:
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
 
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        return self / self.lc()
-
     def derivative(self) -> "QPoly":
         return QPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -271,27 +263,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    # -- normalization -----------------------------------------------------
-
-    def content_den_cleared(self) -> "QPoly":
-        """Integer-primitive normalization: clear denominators, divide by the
-        integer content, force a positive leading coefficient.  Fixes the
-        representative of a polynomial known only up to a nonzero scalar.
-        """
-        if self.is_zero():
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return QPoly(ints)
 
     # -- display -----------------------------------------------------------
 
@@ -343,51 +314,86 @@ def _as_qpoly(value) -> "QPoly":
 
 
 # ---------------------------------------------------------------------------
+# int coefficient lists
+# ---------------------------------------------------------------------------
+
+def _cleared(coeffs: tuple[RatLike, ...]) -> tuple[int, list[int]]:
+    """(d, [d q for each q]) for the least common denominator d of the
+    rationals."""
+    d = lcm(*(q.denominator for q in coeffs))
+    return d, [q.numerator * (d // q.denominator) for q in coeffs]
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g):
+            out[i + j] += c * d
+    return out
+
+
+def _poly_sub(f: list[int], g: list[int]) -> list[int]:
+    # its callers (the division polynomials) subtract equal degrees only
+    return [c - d for c, d in zip(f, g, strict=True)]
+
+
+# ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
 
 def resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Resultant of two univariate polynomials over Q.
-
-    Computed with the subresultant polynomial remainder sequence (Cohen,
-    Algorithm 3.3.7) rather than a Sylvester determinant, which keeps
-    intermediate coefficients under control for the degree-7/8 eliminations
-    this package performs.  Zero iff f and g share a root over the closure.
-    """
+    """Resultant of two univariate polynomials over Q, zero iff f and g
+    share a root over the closure: Res(l f, m g) = l^deg g m^deg f Res(f, g)
+    with the denominators l and m cleared once."""
     if f.is_zero() and g.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
+    lam, fs = _cleared(f.coeffs)
+    mu, gs = _cleared(g.coeffs)
+    return Fraction(_int_resultant(fs, gs), lam ** g.degree * mu ** f.degree)
 
-    sign = 1
-    a, b = f, g
-    if a.degree < b.degree:
-        if (a.degree & 1) and (b.degree & 1):
-            sign = -sign
-        a, b = b, a
 
-    g_coef = Fraction(1)
-    h_coef = Fraction(1)
-    while True:
-        delta = a.degree - b.degree
-        if (a.degree & 1) and (b.degree & 1):
+def _int_resultant(a: list[int], b: list[int]) -> int:
+    """Resultant of two int coefficient lists with nonzero leading terms (a
+    constant may be [0]), by the subresultant polynomial remainder sequence
+    (Cohen, Algorithm 3.3.7): every division by g h^delta is exact, so the
+    coefficients stay integers no larger than the subresultants."""
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    if len(a) < len(b):
+        # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+        return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _int_resultant(b, a)
+    sign = g_coef = h_coef = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
             sign = -sign
         # pseudo-remainder: lc(b)^(delta+1) * a  mod  b
-        rem = (b.lc() ** (delta + 1) * a) % b
-        a, b = b, rem / (g_coef * h_coef ** delta)
-        if b.is_zero():
-            return Fraction(0)
-        g_coef = a.lc()
+        rem, lead = list(a), b[-1]
+        for top in range(da, db - 1, -1):
+            q = rem.pop()
+            rem = [lead * c for c in rem]
+            for j in range(db):
+                rem[top - db + j] -= q * b[j]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return 0
+        div = g_coef * h_coef ** delta
+        a, b = b, [c // div for c in rem]
+        g_coef = a[-1]
         if delta > 0:
-            h_coef = g_coef ** delta / h_coef ** (delta - 1)
-        if b.degree == 0:
-            break
-    res = b.coeffs[0] ** a.degree / h_coef ** (a.degree - 1)
-    return sign * res
+            h_coef = g_coef ** delta // h_coef ** (delta - 1)
+    return sign * (b[0] ** (len(a) - 1) // h_coef ** (len(a) - 2))
 
 
 def eliminate_c(f: QPoly, g: QPoly) -> QPoly:
@@ -396,41 +402,37 @@ def eliminate_c(f: QPoly, g: QPoly) -> QPoly:
     leading coefficient.
 
     Both leading c-coefficients are constants, so specializing a commutes
-    with the resultant, and the result has degree at most deg f: it is the
-    interpolation of the univariate resultants at a = 0, 1, ..., deg f.
+    with the resultant, and the result has degree m = deg f.  With the
+    denominators cleared (d for g), it is a multiple of the p with integer
+    values p(k) = Res(d' f, d k - d g) at k = 0, 1, ..., m, and m! p is the
+    sum over j of (m!/j!) (Delta^j p)(0) a (a - 1) ... (a - j + 1).
     """
-    if f.degree < 1:
+    m = f.degree
+    if m < 1:
         raise ValueError("eliminate_c requires positive degree in c")
-    samples = [(Fraction(k), resultant(f, k - g)) for k in range(f.degree + 1)]
-    return _lagrange(samples).content_den_cleared()
-
-
-def _lagrange(samples: Sequence[tuple[Fraction, Fraction]]) -> QPoly:
-    """The polynomial of degree < len(samples) through the (x, y) samples;
-    each basis polynomial is the product of all (X - x) divided by one."""
-    master = QPoly.one()
-    for x, _ in samples:
-        master = master * QPoly((-x, 1))
-    total = QPoly.zero()
-    for x, y in samples:
-        if y:
-            basis = master.divmod(QPoly((-x, 1)))[0]
-            total = total + basis * (y / basis.eval(x))
-    return total
+    _, fs = _cleared(f.coeffs)
+    d, gs = _cleared(g.coeffs or (0,))
+    tail = [-c for c in gs[1:]]
+    row = [_int_resultant(fs, [d * k - gs[0]] + tail) for k in range(m + 1)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    # Horner in the Newton basis: acc <- acc (a - j) + (m!/j!) Delta^j p(0)
+    acc, scale = [diffs[m]], 1
+    for j in range(m - 1, -1, -1):
+        scale *= j + 1
+        acc = _poly_mul(acc, [-j, 1])
+        acc[0] += scale * diffs[j]
+    content = gcd(*acc)
+    if acc[-1] < 0:
+        content = -content
+    return QPoly([c // content for c in acc])
 
 
 # ---------------------------------------------------------------------------
 # quotient-ring (number field) arithmetic
 # ---------------------------------------------------------------------------
-
-class ReducibleModulusError(ArithmeticError):
-    """Inversion failed because the modulus is reducible; carries the factor
-    discovered by the extended Euclidean algorithm."""
-
-    def __init__(self, factor: QPoly):
-        self.factor = factor
-        super().__init__("modulus is reducible; discovered factor %r" % (factor,))
-
 
 class NFElem:
     """Element of Q[x]/(modulus): a representative of degree < deg(modulus).
@@ -506,36 +508,8 @@ class NFElem:
 
     def __pow__(self, n: int) -> "NFElem":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power in a quotient ring")
         return _power(self, n, NFElem(self.modulus, QPoly.one()))
-
-    def inverse(self) -> "NFElem":
-        """Inverse by the extended Euclidean algorithm.  If gcd(rep, modulus)
-        is nontrivial the modulus is reducible and the gcd is surfaced as the
-        discovered factor."""
-        if self.rep.is_zero():
-            raise ZeroDivisionError("inverse of zero in quotient ring")
-        r0, r1 = self.modulus, self.rep
-        s0, s1 = QPoly.zero(), QPoly.one()
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree > 0:
-            raise ReducibleModulusError(r0.monic())
-        return NFElem(self.modulus, s0 / r0.coeffs[0])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __repr__(self):
         return "NFElem(%s mod %s)" % (self.rep.format(), self.modulus.format())

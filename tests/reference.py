@@ -1,9 +1,9 @@
 """Slow reference implementations for the tests.
 
-- The plain pre-image level walk in `Fraction`s, one `rat_sqrt` per parent
-  through `dynamics.preimages`.  The integer walk in
-  `dynamics.preimage_tree`, and the search oracles that must not depend on
-  it, are checked against this.
+- `preimages`, the rational roots of x^2 + c = y by one `rat_sqrt`, and the
+  plain pre-image level walk in `Fraction`s on it, one call per parent.
+  The integer walk in `dynamics.preimage_tree`, and the search oracles that
+  must not depend on it, are checked against this.
 - `is_critical_value`, a membership test against the critical-value
   polynomials of `dynamics.critical_avalues`.
 - Lutz-Nagell torsion enumeration, the oracle for the division closure in
@@ -12,8 +12,9 @@
   the oracle for the integer `ShortIntegralModel.pull`; and the integer
   roots of a polynomial by the rational root theorem, the oracle for
   `elliptic.integer_roots`.
-- The Sylvester-determinant resultant, the oracle for
-  `exactmath.resultant`.
+- The Sylvester-determinant resultant in `Fraction`s, the oracle for the
+  integer subresultant route of `exactmath.resultant` and, specialized at
+  values of a, for the interpolation in `exactmath.eliminate_c`.
 - The branch test of the forward scan on Python ints (`reference_branches`:
   is G_m a perfect square), the oracle for the residue filter
   `search._branch_mask`.
@@ -26,12 +27,7 @@
 from fractions import Fraction
 from math import gcd, isqrt
 
-from quadpreim.dynamics import (
-    PreimageTree,
-    TreeNode,
-    critical_avalues,
-    preimages,
-)
+from quadpreim.dynamics import PreimageTree, TreeNode, critical_avalues
 from quadpreim.elliptic import (
     INFINITY,
     ECPoint,
@@ -39,8 +35,19 @@ from quadpreim.elliptic import (
     point_order,
     short_integral_model,
 )
-from quadpreim.exactmath import QPoly
+from quadpreim.exactmath import QPoly, rat_sqrt
 from quadpreim.factor import factorize
+
+
+def preimages(c, y) -> tuple[Fraction, ...]:
+    """All rational x with x^2 + c = y, sorted descending: empty, {0} (the
+    degenerate critical point, its own negation), or a pair {r, -r}."""
+    r = rat_sqrt(Fraction(y) - Fraction(c))
+    if r is None:
+        return ()
+    if r == 0:
+        return (Fraction(0),)
+    return (r, -r)
 
 
 def reference_tree(c, a, depth: int) -> PreimageTree:

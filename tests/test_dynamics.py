@@ -10,10 +10,9 @@ from quadpreim.dynamics import (
     critical_poly,
     iterate,
     preimage_tree,
-    preimages,
 )
 from quadpreim.exactmath import QPoly, height
-from reference import is_critical_value, reference_tree
+from reference import is_critical_value, preimages, reference_tree
 
 SEED = 424242
 print("test_dynamics random seed:", SEED)

@@ -1,9 +1,13 @@
 """Golden output of the printers that share one code path: the two fiber
 specializations, the rank-one curve, the eight-point arrangement models, and
 the long Weierstrass equation.  Every expected line is the exact stdout of
-the command; a change to any printer shows here byte for byte.
+the command; a change to any printer shows here byte for byte.  The
+critical-value polynomials of levels 6 and 7, too long to spell out, are
+pinned by the sha256 of their structured stdout: a change to the
+elimination of c that alters a single coefficient shows there.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +130,12 @@ CLI_GOLDEN = {
     ),
 }
 
+# critical --n level --format structured: the sha256 of the stdout
+CRITICAL_SHA256 = {
+    6: "4406f3e242410477e27576a36bddf6dc08e59bb9310e93f39d1f38e525e7df2e",
+    7: "5647d054ddd8e92c57ae169b02ed8586c3d4685295c478a97aa2a1602761ad96",
+}
+
 # (a1, a2, a3, a4, a6): the printed equation
 CURVE_GOLDEN = [
     ((-1, 0, -1, 0, 0), 'y^2 - x*y - y = x^3'),
@@ -148,6 +158,13 @@ def test_cli_output_is_golden(capsys, key):
     assert main([*key[:-1], "--format", key[-1]]) == 0
     assert capsys.readouterr().out == "".join(
         line + "\n" for line in CLI_GOLDEN[key])
+
+
+@pytest.mark.parametrize("n", list(CRITICAL_SHA256))
+def test_critical_output_hash_is_golden(capsys, n):
+    assert main(["critical", "--n", str(n), "--format", "structured"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CRITICAL_SHA256[n]
 
 
 @pytest.mark.parametrize("coeffs, text", CURVE_GOLDEN)

@@ -3,9 +3,10 @@
 Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
-pool is made, so a one-job run never pays for it).  The torsion hot path
-and the settling of a search candidate stay on Python ints, and the
-numpy code of the scans' filters has no true division and no float dtype.
+pool is made, so a one-job run never pays for it).  The torsion hot path,
+the elimination of c and the settling of a search candidate stay on Python
+ints, and the numpy code of the scans' filters has no true division and no
+float dtype.
 Every name that the benchmark harness traces still exists in the package, and
 no module-level function or class is dead.
 """
@@ -21,13 +22,20 @@ import quadpreim
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
 # the integer group law, the integer division polynomials, the integer root
-# isolation, the point-count bound and the division closure that runs on them
-INTEGER_TORSION = ("_int_add", "_torsion_multiples", "_poly_mul", "_poly_sub",
-                   "_division_polys", "_horner", "_low_degree_marks",
-                   "_crossing", "_sign_marks", "integer_roots",
-                   "_root_counts", "_count_points_mod_p",
-                   "_torsion_order_bound",
-                   "_division_solve", "_torsion_by_division")
+# isolation, the point-count bound and the division closure that runs on
+# them, with the int coefficient-list arithmetic they share, as (module,
+# qualified name)
+INTEGER_TORSION = (
+    *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner")),
+    *(("elliptic", name) for name in (
+        "_int_add", "_torsion_multiples", "_division_polys",
+        "_low_degree_marks", "_crossing", "_sign_marks", "integer_roots",
+        "_root_counts", "_count_points_mod_p", "_torsion_order_bound",
+        "_division_solve", "_torsion_by_division")))
+# the elimination of c: the integer subresultant PRS and the Newton
+# interpolation of its samples
+INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
+                       ("exactmath", "eliminate_c"))
 # the search candidate's integer settle: the target check, the forward orbit,
 # the level walk and the plans' settle, as (module, qualified name)
 INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
@@ -96,16 +104,24 @@ def test_no_top_level_multiprocessing_import():
         assert not any(m.split(".")[0] == "multiprocessing" for m in modules), path
 
 
+def _named(keys, names):
+    # the (key, name) pairs where a function of keys names one of names
+    found = {}
+    for module in {m for m, _ in keys}:
+        found.update(_functions(module))
+    assert set(keys) <= set(found)
+    return {(key, node.id) for key in keys for node in ast.walk(found[key])
+            if isinstance(node, ast.Name) and node.id in names}
+
+
 def test_torsion_hot_path_names_no_fraction_type():
-    tree = _parse(pathlib.Path(quadpreim.__file__).parent / "elliptic.py")
-    bodies = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef)
-              and node.name in INTEGER_TORSION}
-    assert sorted(bodies) == sorted(INTEGER_TORSION)
-    named = {(name, node.id) for name, body in bodies.items()
-             for node in ast.walk(body) if isinstance(node, ast.Name)
-             and node.id in ("Fraction", "ECPoint", "QPoly")}
-    assert named == set()
+    assert _named(INTEGER_TORSION, ("Fraction", "ECPoint", "QPoly")) == set()
+
+
+def test_elimination_names_no_fraction_type():
+    # the polynomials enter the elimination as QPoly and leave it as one,
+    # but every resultant and the interpolation run on ints
+    assert _named(INTEGER_ELIMINATION, ("Fraction",)) == set()
 
 
 def _functions(module):
@@ -124,13 +140,7 @@ def _functions(module):
 def test_search_hot_path_names_no_fraction_type():
     # a candidate that misses builds no Fraction: the functions that settle
     # it never name the type (only search._settle does, for a hit)
-    found = {}
-    for module in {m for m, _ in INTEGER_SETTLE}:
-        found.update(_functions(module))
-    assert set(INTEGER_SETTLE) <= set(found)
-    named = {key for key in INTEGER_SETTLE for node in ast.walk(found[key])
-             if isinstance(node, ast.Name) and node.id == "Fraction"}
-    assert named == set()
+    assert _named(INTEGER_SETTLE, ("Fraction",)) == set()
 
 
 def _float_dtype(node):
