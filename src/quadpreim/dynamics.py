@@ -11,14 +11,16 @@ dividing both by their gcd, y - c is a rational square exactly when num and
 den are both perfect squares, and then +-isqrt(num)/isqrt(den) is already in
 lowest terms.  Since v^2 + c = y, the parent of a pre-image v is a function
 of v, so a level is a map from each root to the value it came from, and the
-order in which a level's parents are visited does not matter.
+order in which a level's parents are visited does not matter.  A tree is
+built from its level maps (tree_from_levels): each level is ordered by
+comparing n1 d2 with n2 d1 (d > 0) on ints, and each node makes one Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -81,7 +83,8 @@ class PreimageTree:
         return tuple(len(level) for level in self.levels)
 
     def union_count(self) -> int:
-        return len({node.value for level in self.levels for node in level})
+        return len({(node.value.numerator, node.value.denominator)
+                    for level in self.levels for node in level})
 
     def as_json(self) -> dict:
         return {
@@ -138,20 +141,36 @@ def preimage_levels(c: Pair, level: Iterable[Pair],
         level = found
 
 
+def _descending(p: Pair, q: Pair) -> int:
+    """Negative when n1/d1 = p lies above n2/d2 = q (d1, d2 > 0, reduced or
+    not): the order of a level, by n2 d1 against n1 d2."""
+    return q[0] * p[1] - p[0] * q[1]
+
+
+def tree_from_levels(c: Pair, a: Pair,
+                     levels: Iterable[dict[Pair, Pair]]) -> PreimageTree:
+    """The PreimageTree of a under f_c from its level maps, as
+    preimage_levels yields them from (a,): every root of level 1 maps to the
+    pair a itself, and level 1 may be any complete level 1, reduced or not
+    (d > 0 throughout).  Each level is ordered by value, descending, on ints
+    (_descending), and each node makes the one Fraction of its value."""
+    nodes: list[tuple[TreeNode, ...]] = []
+    index = {a: 0}
+    for found in levels:
+        order = sorted(found, key=cmp_to_key(_descending))
+        nodes.append(tuple(TreeNode(Fraction(*v), index[found[v]], not v[0])
+                           for v in order))
+        index = {v: k for k, v in enumerate(order)}
+    return PreimageTree(c=Fraction(*c), a=Fraction(*a), levels=tuple(nodes))
+
+
 def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:
     """The full rational pre-image tree of a under f_c to the given depth."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     c, a = Fraction(c), Fraction(a)
-    levels: list[tuple[TreeNode, ...]] = []
-    root = (a.numerator, a.denominator)
-    index = {root: 0}
-    for found in preimage_levels((c.numerator, c.denominator), (root,), depth):
-        values = sorted(((Fraction(*v), v) for v in found), reverse=True)
-        levels.append(tuple(TreeNode(value, index[found[v]], value == 0)
-                            for value, v in values))
-        index = {v: k for k, (_, v) in enumerate(values)}
-    return PreimageTree(c=c, a=a, levels=tuple(levels))
+    c, a = (c.numerator, c.denominator), (a.numerator, a.denominator)
+    return tree_from_levels(c, a, preimage_levels(c, (a,), depth))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ def rat_sqrt(q: RatLike) -> Optional[Fraction]:
 
 def height(q: RatLike) -> int:
     """Multiplicative height of a rational: max(|numerator|, denominator)."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return max(abs(q.numerator), q.denominator)
 
 
@@ -74,7 +75,8 @@ class RatParseError(ValueError):
 
 
 def format_rat(q: RatLike) -> str:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

@@ -56,8 +56,11 @@ workers, and alone dedups, emits and checkpoints.  Resume replays the records
 a checkpoint holds, so jobs and interruptions never change the output.
 A candidate is settled on int pairs (_settle): each plan knows a y with
 a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
-{0}, and the walk (_meets) starts there: a miss never square-tests a, the
-largest number of the candidate.  Only a hit builds Fractions.
+{0}, and the walk (_walk) starts there: a miss never square-tests a, the
+largest number of the candidate.  A hit is walked once, past the target's
+levels to the full depth, and a block builds one record from those level
+maps for each distinct (c, a) it reaches, so only those records make
+Fractions.
 """
 
 from __future__ import annotations
@@ -69,13 +72,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Iterator, Optional, Sequence
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Pair, PreimageTree, orbit, preimage_levels, preimage_tree
-from .dynamics import iterate  # noqa: F401  traced by perfbench/run.py
+from .dynamics import Pair, PreimageTree, orbit, preimage_levels, tree_from_levels
+from .dynamics import iterate, preimage_tree  # noqa: F401  traced by perfbench/run.py
 from .exactmath import format_rat, height, parse_rat
 
 
@@ -154,8 +157,10 @@ class SearchRecord:
     tree: PreimageTree
     provenance: list[Provenance] = field(default_factory=list)
 
-    def key(self) -> tuple[Fraction, Fraction]:
-        return (self.c, self.a)
+    def key(self) -> tuple[Pair, Pair]:
+        """(c, a) as (n, d) pairs in lowest terms, as a scan dedups them."""
+        return ((self.c.numerator, self.c.denominator),
+                (self.a.numerator, self.a.denominator))
 
     def as_json(self) -> dict:
         return {
@@ -178,39 +183,65 @@ class SearchRecord:
 
 
 def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecord]:
-    """Re-derive the tree of (c, a); a record, tree and all, results exactly
-    when the signature dominates the target at every level (_meets)."""
+    """Re-derive the tree of (c, a) in one walk; a record, tree and all,
+    results exactly when the signature dominates the target at every level
+    (_walk)."""
     target = tuple(target)
     if depth < len(target):
         raise ValueError("depth must cover the target signature")
     c, a = Fraction(c), Fraction(a)
-    if not _meets((c.numerator, c.denominator),
-                  ((a.numerator, a.denominator),), target):
-        return None
-    tree = preimage_tree(c, a, depth)
-    return SearchRecord(c=c, a=a, signature=tree.signature(), tree=tree)
+    c, a = (c.numerator, c.denominator), (a.numerator, a.denominator)
+    levels = _walk(c, (a,), target, depth)
+    return None if levels is None else _record(c, a, levels)
 
 
-def _meets(c: Pair, level: Sequence[Pair], target: tuple[int, ...]) -> bool:
-    """Whether the levels after the complete level `level` of a tree under
-    f_c have target[k] roots or more at the k-th one (level = (a,) asks it of
-    a's tree)."""
-    for want, found in zip(target, preimage_levels(c, level, len(target))):
+def _walk(c: Pair, level: Iterable[Pair], target: tuple[int, ...],
+          depth: int) -> Optional[list[dict[Pair, Pair]]]:
+    """The `depth` level maps (preimage_levels) after the complete level
+    `level` of a tree under f_c, or None if the k-th of them has fewer than
+    target[k] roots; the levels past the target are walked only once it is
+    met."""
+    walk = preimage_levels(c, level, depth)
+    levels = []
+    for want, found in zip(target, walk):
         if len(found) < want:
-            return False
-    return True
+            return None
+        levels.append(found)
+    levels.extend(walk)
+    return levels
 
 
-def _settle(config: SearchConfig, c: Pair, y: Pair) -> Optional[SearchRecord]:
-    """verify_pair of the scan candidate a = y^2 + c on int pairs, from its
-    level 1, which is exactly {y, -y} (or {0}); a miss builds no Fraction."""
+def _record(c: Pair, a: Pair, levels: list[dict[Pair, Pair]]) -> SearchRecord:
+    """The record of a hit, its tree built from the walk's level maps."""
+    tree = tree_from_levels(c, a, levels)
+    return SearchRecord(c=tree.c, a=tree.a, signature=tree.signature(),
+                        tree=tree)
+
+
+Hit = tuple[Pair, Pair, list]    # c, a and the level maps of a's tree
+
+
+def _settle(config: SearchConfig, c: Pair, y: Pair) -> Optional[Hit]:
+    """The scan candidate a = y^2 + c on int pairs, walked once from its
+    level 1, which is exactly {y, -y} (or {0}): its hit, or None for a miss,
+    which never square-tests a."""
     yn, yd = y
     level = ((yn, yd), (-yn, yd)) if yn else ((0, 1),)
     target = config.target
-    if (target and len(level) < target[0]) or not _meets(c, level, target[1:]):
+    if target and len(level) < target[0]:
         return None
-    c, y = Fraction(*c), Fraction(*y)
-    return verify_pair(c, y * y + c, target, config.depth)
+    levels = _walk(c, level, target[1:], config.depth - 1)
+    if levels is None:
+        return None
+    cn, cd = c
+    a = (yn * yn * cd + cn * yd * yd, yd * yd * cd)
+    return c, a, [dict.fromkeys(level, a), *levels]
+
+
+def _lowest(p: Pair) -> Pair:
+    """(n, d) with d > 0 in lowest terms."""
+    g = gcd(*p)
+    return p[0] // g, p[1] // g
 
 
 def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +333,15 @@ def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
 
 
 def _scan_block(plan, block: tuple[int, int]) -> list:
-    """The hits (candidate, record) of one block, in candidate order."""
-    return [(candidate, rec) for candidate in plan.candidates(*block)
-            if (rec := plan.settle(*candidate)) is not None]
+    """The hits (candidate, record) of one block, in candidate order: one
+    record for each distinct (c, a), built for the first candidate that
+    reaches it."""
+    firsts: dict[tuple[Pair, Pair], tuple] = {}
+    for candidate in plan.candidates(*block):
+        if (hit := plan.settle(*candidate)) is not None:
+            firsts.setdefault((_lowest(hit[0]), _lowest(hit[1])),
+                              (candidate, hit))
+    return [(candidate, _record(*hit)) for candidate, hit in firsts.values()]
 
 
 _pool_plan = None           # the plan of a worker process
@@ -535,7 +572,7 @@ class _ThirdPairPlan:
     def values(self, i: int, j: int) -> tuple[Fraction, Fraction]:
         return tuple(Fraction(int(self.nums[k]), int(self.dens[k])) for k in (i, j))
 
-    def settle(self, i: int, j: int) -> Optional[SearchRecord]:
+    def settle(self, i: int, j: int) -> Optional[Hit]:
         """_settle of a = t^2 + c (_thirdpair_values)."""
         nums, dens = self.nums, self.dens
         return _settle(self.config, *_thirdpair_values(
@@ -652,7 +689,7 @@ class _ForwardPlan:
     def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
         return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
 
-    def settle(self, ci: int, xi: int) -> Optional[SearchRecord]:
+    def settle(self, ci: int, xi: int) -> Optional[Hit]:
         """_settle of a = f_c^depth(x0) = y^2 + c, y = f_c^(depth-1)(x0)."""
         c = self.c_values[ci]
         return _settle(self.config, c,

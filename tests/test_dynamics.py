@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from quadpreim import dynamics
 from quadpreim.dynamics import (
     CriticalData,
     PreimageTree,
@@ -151,6 +153,33 @@ def test_tree_matches_reference_walk():
         empty += sig[0] == 0
         degenerate += any(n.degenerate for level in tree.levels for n in level)
     assert full >= 100 and empty >= 50 and degenerate >= 5
+
+
+def test_level_order_matches_fraction_order():
+    # the int cross-multiplication order of tree_from_levels against the
+    # Fraction order: on (n, d) pairs reduced or not, signs and 0 included,
+    # and on seeded trees whose third level is {p1, -p1, p2, -p2} (the
+    # third-pair shape, c = -(p1^2 + p2^2)/2), with p2 = 0 among them
+    rng = random.Random(SEED + 3)
+    for _ in range(200):
+        pairs = list({(rng.randint(-9, 9) * k, rng.randint(1, 9) * k)
+                      for k in (1, 2, 3) for _ in range(3)})
+        ordered = sorted(pairs, key=cmp_to_key(dynamics._descending))
+        assert ([F(*p) for p in ordered]
+                == sorted((F(*p) for p in pairs), reverse=True))
+    wide = zero = 0
+    for _ in range(200):
+        p1 = F(rng.randint(1, 12), rng.randint(1, 6))
+        p2 = F(rng.randint(0, 12), rng.randint(1, 6))
+        c = -(p1 * p1 + p2 * p2) / 2
+        s = (p1 * p1 - p2 * p2) / 2
+        a = (s * s + c) ** 2 + c
+        depth = rng.randint(3, 4)
+        tree = preimage_tree(c, a, depth)
+        assert tree == reference_tree(c, a, depth)
+        wide += len(tree.levels[2]) >= 4
+        zero += any(n.degenerate for level in tree.levels for n in level)
+    assert wide >= 150 and zero >= 10
 
 
 def test_tree_json_roundtrip():

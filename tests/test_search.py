@@ -539,23 +539,67 @@ def test_scan_forward_matches_brute_force_oracle(depth, target):
 
 
 def test_scans_verify_only_hits(monkeypatch):
-    # a candidate reaches verify_pair only when its integer settle already
-    # met the target: level 1 included, which is {0} when y = 0 (forward:
-    # c = -1, x0 = 0 at depth 3 gives y = 0 and a level 2 of {1, -1})
-    results = []
-    verify = search.verify_pair
-
-    def spy(*args):
-        results.append(verify(*args))
-        return results[-1]
-
-    monkeypatch.setattr(search, "verify_pair", spy)
+    # a candidate reaches the one record builder (search._record) only when
+    # its integer walk already met the target: level 1 included, which is
+    # {0} when y = 0 (forward: c = -1, x0 = 0 at depth 3 gives y = 0 and a
+    # level 2 of {1, -1})
+    built = _built(monkeypatch)
     for scan, cfg in ((scan_forward, dict(height_bound=5, depth=3, target=(2, 2))),
                       (scan_thirdpair, dict(height_bound=12, depth=3,
                                             target=(2, 4, 4)))):
-        results.clear()
+        built.clear()
         records = list(scan(SearchConfig(**cfg)))
-        assert len(results) >= len(records) > 0 and None not in results
+        assert len(built) >= len(records) > 0
+        assert all(reference_hit(rec.c, rec.a, cfg["target"]) for rec in built)
+
+
+def _built(monkeypatch):
+    # every record the scans build, in order
+    built = []
+    record = search._record
+
+    def spy(*args):
+        built.append(record(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_record", spy)
+    return built
+
+
+@pytest.mark.parametrize("scan, cfg", [
+    (scan_forward, dict(height_bound=8, depth=4, target=(2, 2, 4))),
+    (scan_thirdpair, dict(height_bound=12, depth=4, target=(2, 4, 4)))])
+def test_one_walk_trees_match_reference(scan, cfg):
+    # a hit's tree comes from the levels of its one walk, past the target's
+    # levels to the full depth (depth 3, target 2,2 is in the brute-force
+    # oracle test); the third-pair level 1 {t, -t} arrives unreduced
+    records = list(scan(SearchConfig(**cfg)))
+    assert len(records) >= 5
+    for rec in records:
+        assert rec.tree == reference_tree(rec.c, rec.a, cfg["depth"])
+        assert rec.signature == rec.tree.signature()
+
+
+def test_one_walk_tree_of_unreduced_and_zero_level_one():
+    # level 1 {0} (c = -1, x0 = 0, so y = 0), given as 0/1 or as 0/8, and a
+    # third-pair t that is not in lowest terms
+    config = SearchConfig(height_bound=1, depth=3, target=(1, 2))
+    plan = search._ForwardPlan(config)
+    assert plan.values(2, 0) == (F(-1), F(0))
+    hit = plan.settle(2, 0)
+    assert hit is not None and hit[2][0] == {(0, 1): hit[1]}
+    tree = search._record(*hit).tree
+    assert tree == reference_tree(-1, -1, 3) and tree.levels[0][0].degenerate
+    hit = search._settle(config, (-1, 1), (0, 8))
+    assert search._record(*hit).tree == tree
+    config = SearchConfig(height_bound=1, depth=3, target=())
+    unreduced = 0
+    for n1, d1, n2, d2 in ((1, 1, 1, 1), (2, 1, 1, 2), (3, 2, 2, 1), (5, 3, 1, 3)):
+        c, t = _thirdpair_values(n1, d1, n2, d2)
+        unreduced += gcd(*t) > 1
+        tree = search._record(*search._settle(config, c, t)).tree
+        assert tree == reference_tree(F(*c), F(*t) ** 2 + F(*c), 3)
+    assert unreduced >= 2
 
 
 def test_nonnegative_c_trees_have_two_points_per_level():
@@ -574,11 +618,13 @@ def test_nonnegative_c_trees_have_two_points_per_level():
 
 
 # count and sha256 of the structured lines of the forward scan at depth 3,
-# as the scan that settled every candidate printed them
+# as the scan that settled every candidate printed them (H = 32: as the scan
+# that walked each hit three times and built a tree for each printed them)
 FORWARD_LINES = {
     (8, (2, 2, 4)): (15, "f8f64271a2a7ce80faf756ccce3e4a3ba2260691538b4644ccf950659f1e7d67"),
     (8, (2, 2, 2)): (3727, "433e2e91c29d3af33b763c708cbb11cb6ecd9b4972878ee1492cc261d873df8a"),
     (16, (2, 2, 4)): (83, "d9c811e735a0767701fd3c1e080c76f3cac099f83170460973808cbafc7743d5"),
+    (32, (2, 2, 4)): (502, "910b114f9df1229c527e4cabd89a73e31303a5b2c71cfc71c8a8e1c28cf0a529"),
 }
 
 
@@ -619,6 +665,19 @@ def test_forward_cut_funnel(monkeypatch, target, settled, cut):
 def test_forward_cut_funnel_at_height_16(monkeypatch):
     # 185 of the 25,440 candidates on the rows with c < 0
     _check_funnel(monkeypatch, 16, (2, 2, 4), 185, True)
+
+
+@pytest.mark.parametrize("bound, trees", [(8, 15), (16, 83), (32, 502)])
+def test_forward_builds_one_tree_per_record(monkeypatch, bound, trees):
+    # a forward block is a run of whole rows, and a row is one c, so a block
+    # that builds a tree only for the first candidate reaching each (c, a)
+    # builds one per record
+    built = _built(monkeypatch)
+    lines = _printed(scan_forward(SearchConfig(height_bound=bound, depth=3,
+                                               target=(2, 2, 4))))
+    assert len(built) == trees
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == FORWARD_LINES[bound, (2, 2, 4)]
 
 
 @pytest.mark.parametrize("target", [(4, 2, 2), (3,)])
@@ -671,9 +730,10 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
         assert branching <= kept and len(kept) < len(every) // 4
         expected = {}
         for ci, xi in every:
-            rec = plan.settle(ci, xi)
-            if rec is not None:
-                expected.setdefault(rec.key(), plan.values(ci, xi)[1])
+            hit = plan.settle(ci, xi)
+            if hit is not None:
+                expected.setdefault((F(*hit[0]), F(*hit[1])),
+                                    plan.values(ci, xi)[1])
         assert total > 1 or len(expected) == records
         for jobs in (1, 2):
             assert [(r.c, r.a, parse_rat(r.provenance[0].params["x0"]))

@@ -36,12 +36,16 @@ INTEGER_TORSION = (
 # interpolation of its samples
 INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
                        ("exactmath", "eliminate_c"))
-# the search candidate's integer settle: the target check, the forward orbit,
-# the level walk and the plans' settle, as (module, qualified name)
-INTEGER_SETTLE = (("search", "_meets"), ("search", "_thirdpair_values"),
-                  ("search", "_ForwardPlan.settle"),
+# the search candidate's integer settle: the one walk with its target check,
+# the forward orbit, the level walk, the settle of each plan and of both, a
+# block's dedup of its hits by lowest-terms (c, a), and the order the tree
+# builder gives each level, as (module, qualified name)
+INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
+                  ("search", "_settle"), ("search", "_ForwardPlan.settle"),
                   ("search", "_ThirdPairPlan.settle"),
-                  ("dynamics", "orbit"), ("dynamics", "preimage_levels"))
+                  ("search", "_scan_block"), ("search", "_lowest"),
+                  ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
+                  ("dynamics", "_descending"))
 # the scans' numpy filter code, which decides candidates on int arrays
 INTEGER_FILTER = ("_height_order", "_two_square_mask", "_squares",
                   "_filter_tables", "_kind_tables", "_ThirdPairPlan.__init__",
@@ -138,8 +142,9 @@ def _functions(module):
 
 
 def test_search_hot_path_names_no_fraction_type():
-    # a candidate that misses builds no Fraction: the functions that settle
-    # it never name the type (only search._settle does, for a hit)
+    # a candidate that misses builds no Fraction, and a block dedups its hits
+    # on ints: the functions that settle and dedup them never name the type
+    # (only dynamics.tree_from_levels, the node constructor, does)
     assert _named(INTEGER_SETTLE, ("Fraction",)) == set()
 
 
