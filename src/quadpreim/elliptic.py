@@ -323,7 +323,10 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     if 4 * a_int ** 3 + 27 * b_int ** 2 == 0:
         raise ValueError("integral model of a singular curve")
     v = 1
-    for p in sorted(set(exps) | {2, 3}):
+    # only 2 and 3 can strip: at a prime of the reduced denominators u takes
+    # the least exponent that makes the deciding coefficient integral, which
+    # leaves that coefficient's valuation below 4 (or 6)
+    for p in (2, 3):
         while True:
             ok_a = a_int == 0 or a_int % p ** 4 == 0
             ok_b = b_int == 0 or b_int % p ** 6 == 0

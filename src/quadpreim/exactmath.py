@@ -268,14 +268,11 @@ class QPoly:
 
     # -- display -----------------------------------------------------------
 
-    def format(self, var: str = "x", descending: bool = True) -> str:
+    def format(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
         terms = []
-        indices = range(len(self.coeffs))
-        if descending:
-            indices = reversed(indices)
-        for i in indices:
+        for i in reversed(range(len(self.coeffs))):
             c = self.coeffs[i]
             if c == 0:
                 continue

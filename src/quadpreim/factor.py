@@ -1,18 +1,16 @@
 """Integer factorization under an explicit effort budget.
 
-Trial division by sieved primes first, then Brent-cycle Pollard rho with a
-step budget.  Exceeding the budget raises FactorBudgetExceeded so callers
-(the integral scaling of a Weierstrass model) fail cleanly instead of
-hanging on a hard composite.
+The twelve smallest primes are divided out first, then Miller-Rabin and
+Brent-cycle Pollard rho, under a step budget, split what is left.  Exceeding
+the budget raises FactorBudgetExceeded so callers (the integral scaling of a
+Weierstrass model) fail cleanly instead of hanging on a hard composite.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
-DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_RHO_STEPS = 10 ** 7
 
 
@@ -31,16 +29,6 @@ class FactorBudgetExceeded(ArithmeticError):
             % (n, cofactor))
 
 
-@lru_cache(maxsize=4)
-def _primes_up_to(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = b"\x00" * len(sieve[p * p::p])
-    return tuple(i for i in range(bound + 1) if sieve[i])
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -49,7 +37,7 @@ def is_probable_prime(n: int) -> bool:
     n < 3.3 * 10^24, far beyond anything factored here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -71,10 +59,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
-    """One Brent-cycle rho attempt; returns a nontrivial factor or None if
-    the step budget ran out."""
-    if n % 2 == 0:
-        return 2
+    """One Brent-cycle rho attempt on an odd composite n; returns a
+    nontrivial factor or None if the step budget ran out."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -112,10 +98,9 @@ def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
     return g if g != n else None
 
 
-def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
-                 rho_steps: int):
+def _factor_into(n: int, factors: dict[int, int], rho_steps: int):
     original = n
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _MR_BASES:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -124,27 +109,13 @@ def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
     if is_probable_prime(n):
         factors[n] = factors.get(n, 0) + 1
         return
-    for p in _primes_up_to(trial_bound):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return
-    if is_probable_prime(n) or n < trial_bound * trial_bound:
-        # a composite below trial_bound^2 would have a factor below
-        # trial_bound, so the survivor is prime
-        factors[n] = factors.get(n, 0) + 1
-        return
 
+    # no prime below 41 divides what is left: rho sees odd composites only
     rng = random.Random(0xC0FFEE ^ n)
     budget = rho_steps
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -159,12 +130,10 @@ def _factor_into(n: int, factors: dict[int, int], trial_bound: int,
         stack.append(m // d)
 
 
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
-              rho_steps: int = DEFAULT_RHO_STEPS) -> dict[int, int]:
+def factorize(n: int, rho_steps: int = DEFAULT_RHO_STEPS) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Raises FactorBudgetExceeded when neither trial division up to
-    trial_bound nor rho within rho_steps finishes the job.
+    Raises FactorBudgetExceeded when rho does not finish within rho_steps.
     """
     n = abs(n)
     if n == 0:
@@ -172,7 +141,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
     factors: dict[int, int] = {}
     if n == 1:
         return factors
-    _factor_into(n, factors, trial_bound, rho_steps)
+    _factor_into(n, factors, rho_steps)
     check = 1
     for p, e in factors.items():
         check *= p ** e

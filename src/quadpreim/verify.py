@@ -57,11 +57,10 @@ def _result(section: str, anchor: str, expected, computed) -> CheckResult:
                        expected=str(expected), computed=str(computed))
 
 
-def _bool_result(section: str, anchor: str, ok: bool,
-                 detail: str = "") -> CheckResult:
+def _bool_result(section: str, anchor: str, ok: bool) -> CheckResult:
     return CheckResult(section=section, anchor=anchor, passed=ok,
-                       expected="holds", computed="holds" if ok else
-                       ("violated" + (": " + detail if detail else "")))
+                       expected="holds",
+                       computed="holds" if ok else "violated")
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,8 @@
   the oracle for the integer `ShortIntegralModel.pull`; and the integer
   roots of a polynomial by the rational root theorem, the oracle for
   `elliptic.integer_roots`.
+- Factorization by plain trial division, the oracle for
+  `factor.factorize` (small primes, then Miller-Rabin and rho).
 - The Sylvester-determinant resultant in `Fraction`s, the oracle for the
   integer subresultant route of `exactmath.resultant` and, specialized at
   values of a, for the interpolation in `exactmath.eliminate_c`.
@@ -292,6 +294,26 @@ def reference_integer_roots(coeffs) -> list[int]:
                     and f(x) == 0):
                 roots.add(x)
     return sorted(roots)
+
+
+# -- factorization -----------------------------------------------------------
+
+def reference_factorize(n: int) -> dict[int, int]:
+    """|n| as {prime: exponent}, by trial division by 2 and then every odd d
+    up to the square root of what is left; ValueError for 0."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 # -- resultants -----------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):
 def test_torsion_budget_error_exits_one(capsys, monkeypatch):
     # the denominators of a twelve-torsion fiber are far beyond this budget
     monkeypatch.setattr(elliptic, "factorize", functools.partial(
-        factor.factorize, trial_bound=50, rho_steps=5))
+        factor.factorize, rho_steps=5))
     a = elliptic.torsion_family_a(elliptic.TorsionKind.Z12, Fraction(5, 7))
     curve = elliptic.specialize_e24(a).curve
     code, _, err = run_cli(capsys, "ec", "torsion",

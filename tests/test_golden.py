@@ -4,7 +4,10 @@ the long Weierstrass equation.  Every expected line is the exact stdout of
 the command; a change to any printer shows here byte for byte.  The
 critical-value polynomials of levels 6 and 7, too long to spell out, are
 pinned by the sha256 of their structured stdout: a change to the
-elimination of c that alters a single coefficient shows there.
+elimination of c that alters a single coefficient shows there.  So is the
+structured `ec torsion` stdout of two-four fibers with prime-power
+denominators, of family fibers with eight- and twelve-torsion, and of a long
+model, which pins the integral scaling and the torsion points it finds.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ from fractions import Fraction as F
 import pytest
 
 from quadpreim.cli import main
-from quadpreim.elliptic import WeierstrassCurve
+from quadpreim.elliptic import (TorsionKind, WeierstrassCurve,
+                                specialize_e24, torsion_family_a)
 
 # (argv..., format): the stdout lines
 CLI_GOLDEN = {
@@ -136,6 +140,29 @@ CRITICAL_SHA256 = {
     7: "5647d054ddd8e92c57ae169b02ed8586c3d4685295c478a97aa2a1602761ad96",
 }
 
+# (a1, a2, a3, a4, a6) -> ec torsion --format structured: the sha256 of the
+# stdout
+_FIBERS = [specialize_e24(a).curve for a in (
+    F(1, 17), F(53, 59), F(5, 1681),
+    *(torsion_family_a(kind, t) for kind, t in (
+        (TorsionKind.Z8, 2), (TorsionKind.Z8, F(1, 2)),
+        (TorsionKind.Z2xZ8, 1), (TorsionKind.Z2xZ8, F(1, 3)),
+        (TorsionKind.Z12, 1), (TorsionKind.Z12, 2))))]
+TORSION_SHA256 = dict(zip(
+    [*((c.a1, c.a2, c.a3, c.a4, c.a6) for c in _FIBERS),
+     # Tate's Z/5 form at b = c = 5, scaled by u = 6
+     (F(-2, 3), F(-5, 36), F(-5, 216), 0, 0)],
+    ["2d19fe0ccc30a6e72ad0fec1968661881bd35def379c849d2e4114f4b6054184",
+     "d0046a3e8af94acecd4769462916757a3d94a305114172ec76e157903df8ee9a",
+     "746810712a9d8dd6ab812132134ae764503a5fb667e910861331bdb271aa8b26",
+     "cb9168ab817d9591300f81984dde28ea64d77bde94a16dc8295507db89f9bf4c",
+     "c8d6d4b6a173e2d54c52a7f4b1a0c37ae34039f001c78cb17646b6d2e50e221e",
+     "84a78f2ea0aa8b372d10f38fe6ec66314bcd46b8bd987819caae0b02079e9b79",
+     "3217eddbba1870271d3c160362322f772a75289d6ac48a4f2d04ba92fd270000",
+     "b9ca5538e32af34e93956ff6570dc29e666c3d317c646b84de03e33e47fe3347",
+     "7d5d518d0a3196840cb8f17bd58d08299ccef36205536466fdcacee7f8b71817",
+     "4ccf1e6b94116d1465d7279aa67a00fe59b2f7752838b89d00a72c441c877382"]))
+
 # (a1, a2, a3, a4, a6): the printed equation
 CURVE_GOLDEN = [
     ((-1, 0, -1, 0, 0), 'y^2 - x*y - y = x^3'),
@@ -165,6 +192,15 @@ def test_critical_output_hash_is_golden(capsys, n):
     assert main(["critical", "--n", str(n), "--format", "structured"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CRITICAL_SHA256[n]
+
+
+@pytest.mark.parametrize("coeffs", list(TORSION_SHA256))
+def test_torsion_output_hash_is_golden(capsys, coeffs):
+    argv = ["--%s=%s" % pair for pair in zip(("a1", "a2", "a3", "a4", "a6"),
+                                              coeffs)]
+    assert main(["ec", "torsion", *argv, "--format", "structured"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TORSION_SHA256[coeffs]
 
 
 @pytest.mark.parametrize("coeffs, text", CURVE_GOLDEN)

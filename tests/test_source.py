@@ -7,8 +7,9 @@ pool is made, so a one-job run never pays for it).  The torsion hot path,
 the elimination of c and the settling of a search candidate stay on Python
 ints, and the numpy code of the scans' filters has no true division and no
 float dtype.
-Every name that the benchmark harness traces still exists in the package, and
-no module-level function or class is dead.
+Every name that the benchmark harness traces still exists in the package, no
+module-level function or class is dead, and no parameter default in the
+package is an option that nothing sets.
 """
 
 import ast
@@ -20,6 +21,7 @@ import numpy as np
 import quadpreim
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
 # the integer group law, the integer division polynomials, the integer root
 # isolation, the point-count bound and the division closure that runs on
@@ -228,4 +230,64 @@ def test_no_dead_module_level_helpers():
     dead = [owner for owner in defined
             if not users.get(owner[1], set()) - {owner}
             and owner[1] not in quadpreim.__all__ and owner not in traced]
+    assert dead == []
+
+
+def _callee(node):
+    # the name a call goes through: f(...) and obj.f(...) both call "f"
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _defaulted_params(tree):
+    # (function, parameter, positional index seen by a caller or None) for
+    # every parameter with a default; __init__ is called by its class name,
+    # and a method's caller does not pass self
+    owners = {id(fn): cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(fn))
+        name = owner if fn.name == "__init__" else fn.name
+        bound = owner is not None and "staticmethod" not in [
+            _callee(d) for d in fn.decorator_list]
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def test_every_parameter_default_is_set_by_some_caller():
+    # an option that no call in src/ or tests/ sets is dead code behind a
+    # default.  A call sets it by passing its name as a keyword (to any
+    # callee, functools.partial included, so a name collision only makes the
+    # check lenient) or by calling the function's name (the class name for
+    # __init__) with enough positional arguments; *args and **kwargs count
+    # as setting everything
+    keywords = set()
+    reach = {}
+    for path in SOURCES + TESTS:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            names = {kw.arg for kw in node.keywords}
+            keywords |= names
+            starred = None in names or any(isinstance(a, ast.Starred)
+                                           for a in args)
+            reach[name] = max(reach.get(name, 0),
+                              float("inf") if starred else len(args))
+    dead = [(path.name, name, param) for path in SOURCES
+            for name, param, index in _defaulted_params(_parse(path))
+            if param not in keywords
+            and (index is None or reach.get(name, 0) <= index)]
     assert dead == []
