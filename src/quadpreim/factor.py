@@ -58,9 +58,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
+def _pollard_brent(n: int, rng: random.Random,
+                   max_steps: int) -> tuple[int | None, int]:
     """One Brent-cycle rho attempt on an odd composite n; returns a
-    nontrivial factor or None if the step budget ran out."""
+    nontrivial factor (None if the attempt failed or the step budget ran
+    out) and the steps taken."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -73,7 +75,7 @@ def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
             y = (y * y + c) % n
         steps += r
         if steps > max_steps:
-            return None
+            return None, steps
         k = 0
         while k < r and g == 1:
             ys = y
@@ -85,7 +87,7 @@ def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
             g = gcd(q, n)
             k += m
             if steps > max_steps and g == 1:
-                return None
+                return None, steps
         r *= 2
     if g == n:
         g = 1
@@ -94,8 +96,8 @@ def _pollard_brent(n: int, rng: random.Random, max_steps: int) -> int | None:
             g = gcd(abs(x - ys), n)
             steps += 1
             if steps > max_steps:
-                return None
-    return g if g != n else None
+                return None, steps
+    return (g if g != n else None), steps
 
 
 def _factor_into(n: int, factors: dict[int, int], rho_steps: int):
@@ -121,9 +123,9 @@ def _factor_into(n: int, factors: dict[int, int], rho_steps: int):
             continue
         d = None
         while d is None and budget > 0:
-            spent = min(budget, 500000)
-            d = _pollard_brent(m, rng, spent)
-            budget -= spent
+            # charge the steps taken, so a quick split costs only those
+            d, steps = _pollard_brent(m, rng, min(budget, 500000))
+            budget -= steps
         if d is None:
             raise FactorBudgetExceeded(original, factors, m)
         stack.append(d)

@@ -2,7 +2,8 @@
 seeded inputs of each shape the route treats differently: prime powers past
 the twelve small primes (one Miller-Rabin test fails, rho splits them),
 semiprimes, numbers made only of primes up to 47 (41, 43 and 47 are left to
-rho), and 1, primes and negative n.  The rho step budget alone still stops a
+rho), numbers that take twenty and more rho splits, and 1, primes and
+negative n.  The rho step budget alone still stops a
 hard composite.
 """
 
@@ -58,6 +59,20 @@ def test_numbers_made_of_primes_up_to_47():
         _agrees(n)
     _agrees(41 * 43 * 47)
     _agrees(47 ** 9)
+
+
+def test_many_prime_factors_past_37():
+    # each rho split is charged only the steps it took, so dozens of splits
+    # fit in the default budget
+    rng = random.Random(SEED + 5)
+    primes = [p for p in range(41, 200) if reference_factorize(p) == {p: 1}]
+    _agrees(41 ** 22)
+    _agrees((41 * 43) ** 12)
+    for _ in range(5):
+        n = 1
+        for p in rng.sample(primes, 25):
+            n *= p
+        _agrees(n)
 
 
 def test_one_primes_and_negative_n():

@@ -147,7 +147,11 @@ _FIBERS = [specialize_e24(a).curve for a in (
     *(torsion_family_a(kind, t) for kind, t in (
         (TorsionKind.Z8, 2), (TorsionKind.Z8, F(1, 2)),
         (TorsionKind.Z2xZ8, 1), (TorsionKind.Z2xZ8, F(1, 3)),
-        (TorsionKind.Z12, 1), (TorsionKind.Z12, 2))))]
+        (TorsionKind.Z12, 1), (TorsionKind.Z12, 2),
+        (TorsionKind.Z8, F(1, 1763)), (TorsionKind.Z2xZ8, F(19, 27)))),
+    # the last three fibers have denominators with twenty and more prime
+    # factors past 37, each split out by rho
+    F(1, 41 ** 8))]
 TORSION_SHA256 = dict(zip(
     [*((c.a1, c.a2, c.a3, c.a4, c.a6) for c in _FIBERS),
      # Tate's Z/5 form at b = c = 5, scaled by u = 6
@@ -161,6 +165,9 @@ TORSION_SHA256 = dict(zip(
      "3217eddbba1870271d3c160362322f772a75289d6ac48a4f2d04ba92fd270000",
      "b9ca5538e32af34e93956ff6570dc29e666c3d317c646b84de03e33e47fe3347",
      "7d5d518d0a3196840cb8f17bd58d08299ccef36205536466fdcacee7f8b71817",
+     "8ada6271d8cd9d0f57d5bbf41fcb6d4d08e3067df9a381092f68028b719650b9",
+     "7ba52bf9569bbe8bc9219eed703bf371f2d3e40b3b6f05ec8622c9d2d7cad1bd",
+     "690f43f472149939db81d15beeca8226aded0adc83558197a252a1f86470e7b1",
      "4ccf1e6b94116d1465d7279aa67a00fe59b2f7752838b89d00a72c441c877382"]))
 
 # (a1, a2, a3, a4, a6): the printed equation
