@@ -246,8 +246,6 @@ def cmd_search(args, config) -> int:
     else:
         shard = (0, 1)
     height_bound = args.height_bound or _config_int(config, "height_bound", 0)
-    if height_bound < 1:
-        raise UsageError("--height-bound must be at least 1")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise UsageError("--jobs must be between 1 and the %d CPUs" % cpus)

@@ -19,15 +19,9 @@ Y = p2^2, A = X - Y and 2u = sqrt(N)/e^2, exactly
 so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
 it to an even power) a sum of two integer squares.  The fast path drops
-every fraction failing that test before any pair is formed, then rejects
-non-square N by tables of its squareness modulo twelve prime powers.  Whether
-N is a square mod m depends only on the classes of p1 and p2 in P^1(Z/m);
-classes whose table rows agree are merged into kinds (126 over the twelve
-moduli, of 766 classes), and each kind's row is kept as bits over a shard's
-columns, so a row of pairs is filtered by one AND of twelve bit rows.  The
-surviving bits are unpacked, the pairs above the diagonal dropped, and the
-rest re-checked with exact integer arithmetic; the fast path emits exactly
-the pairs whose N is a perfect square.
+every fraction failing that test before any pair is formed, and the pairs
+that the kind filter below rejects, then re-checks the rest exactly: it
+emits exactly the pairs whose N is a perfect square.
 
 The forward strategy seeds a = f_c^depth(x0).  A rational tree is a real
 one, and for c >= 0 every level of a real tree of f_c is empty, {0} or
@@ -45,10 +39,16 @@ the branch value B_m = -x_m - c to be a rational square for some m in
 [D-k+1, D-1] (none for k = 1: such a target has no hit).  With c = u/v,
 x0 = n/d and (P_m, Q_m) = orbit(c, x0, m) (P <- P^2 v + u Q^2,
 Q <- Q^2 v), Q_m v = (d v)^(2^m) is a square, so B_m is a rational square
-exactly when the integer G_m = -(P_m v + u Q_m) is a perfect square.  The
-forward filter evaluates G_m modulo the twelve prime powers on residues of
-n, d, u and v, and settles only the candidates whose G_m is a square
-modulo all of them for some m in the range.
+exactly when the integer G_m = -(P_m v + u Q_m) is a perfect square, and
+the scan settles only the candidates that the kind filter passes for some
+m in the range.
+
+The kind filter tests forms for squareness modulo twelve prime powers q^k.
+N has degree 4, and G_m degree 2^m, in the numerator and denominator of each
+fraction, so the fractions' points in P^1(Z/q^k) decide.  Classes that agree in
+every form merge into row kinds, and on their own into column kinds (126 each
+for N, of 766); a row of pairs is filtered by the AND over the moduli of its
+kinds' bit rows over a shard's columns, ORed over the forms: 64 pairs a word.
 
 Both strategies cut their shard into ordered blocks of live rows; one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
@@ -93,6 +93,11 @@ class CheckpointError(RuntimeError):
     still holds a consistent resume state."""
 
 
+# _height_order peaks at about 22 H^2 bytes (90 MB at 2,000); the forward plan
+# keeps three int pairs a fraction (about 1 GB at 2,000)
+_HEIGHT_BOUND_CAP = 2000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     height_bound: int
@@ -102,8 +107,10 @@ class SearchConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.height_bound < 1:
-            raise SearchArgumentError("height_bound must be at least 1")
+        if not 1 <= self.height_bound <= _HEIGHT_BOUND_CAP:
+            raise SearchArgumentError(
+                "height_bound must be between 1 and %d: the height order holds "
+                "about H^2/2 int64 pairs" % _HEIGHT_BOUND_CAP)
         index, total = self.shard
         if total < 1 or not 0 <= index < total:
             raise SearchArgumentError("shard must satisfy 0 <= index < total")
@@ -427,58 +434,140 @@ def _thirdpair_values(n1: int, d1: int, n2: int, d2: int) -> tuple[Pair, Pair]:
             ((x2 - y2) ** 2 - 2 * e2 * (x2 + y2), 4 * e2 * e2))
 
 
-# the filter's prime powers q^k as (q^k, q), most selective first
+# the filter's prime powers q^k as (q^k, q), most selective first; n/d finds
+# its kinds under m = q^k at (n mod m) m + (d mod m) past the m^2 keys before
 _MODULI = ((256, 2), (81, 3), (25, 5), (49, 7), (11, 11), (13, 13), (17, 17),
            (19, 19), (23, 23), (29, 29), (31, 31), (37, 37))
+_MODULUS = np.array([m for m, _ in _MODULI], dtype=np.int32)[:, None]
+_LOOKUP = np.cumsum([0] + [m * m for m, _ in _MODULI[:-1]], dtype=np.int32)[:, None]
 
 
-@functools.cache
-def _squares(m: int) -> np.ndarray:
-    """squares[r] for 0 <= r < m: whether r is a square mod m."""
-    r = np.arange(m)
-    squares = np.zeros(m, dtype=bool)
-    squares[r * r % m] = True
-    squares.flags.writeable = False
-    return squares
+def _pair_form(squares, n1, d1, n2, d2) -> np.ndarray:
+    """Whether N is a square mod m = len(squares) at p1 = n1/d1 (table rows)
+    and p2 = n2/d2 (columns), all below m; with x^2, y^2 and e^2 reduced,
+    int32 holds N."""
+    m = len(squares)
+    x2, y2, e2 = ((a % m) ** 2 % m for a in (n1 * d2, n2 * d1, d1 * d2))
+    return squares[(4 * e2 * (x2 + y2) - (x2 - y2) ** 2)[None] % m]
 
 
-@functools.cache
-def _filter_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _branch_forms(squares, u, v, n, d, first: int, end: int) -> np.ndarray:
+    """Whether G_k is a square mod m = len(squares), k in [first, end), at
+    c = u/v (table rows) and x0 = n/d (columns), all below m.  x0 enters the
+    orbit only through (n^2, d^2): the orbit runs on the distinct pairs."""
+    m, ids, forms = len(squares), {}, []
+    back = [ids.setdefault(key, len(ids))
+            for key in (n * n % m * m + d * d % m).tolist()]
+    p, q = np.divmod(np.array(list(ids), dtype=np.int32), m)
+    for k in range(1, end):      # every product stays below 2 m^3: int32
+        p, q = (p * v + u * q) % m, q * v % m
+        if k >= first:
+            forms.append(squares[-(p * v + u * q) % m])
+        p, q = p * p % m, q * q % m
+    return np.stack(forms)[:, :, back]
+
+
+def _filter_tables(form, m: int, q: int, *args) -> tuple[np.ndarray, np.ndarray]:
     """For m = q^k: classes[n mod m, d mod m], the point of P^1(Z/m) of a
     reduced n/d (n/d mod m if q does not divide d, else m + (d/n mod m)/q),
-    and table[k1, k2], whether N is a square mod m for p1, p2 in the classes
-    k1, k2.  N has degree 4 in (n1, d1) and in (n2, d2): scaling either by a
-    unit multiplies it by a unit square, so the class decides."""
-    r = np.arange(m)
-    inv = np.array([pow(u, -1, m) if u % q else 0 for u in range(m)])
+    and table[f, k1, k2] = form(squares, n1, d1, n2, d2, *args)[f] for a row
+    n1/d1 of class k1 and a column n2/d2 of class k2."""
+    r = np.arange(m, dtype=np.uint16)          # a product of two fits uint16
+    squares = np.zeros(m, dtype=bool)
+    squares[r * r % m] = True
+    inv = np.array([pow(u, -1, m) if u % q else 0 for u in range(m)], dtype=np.uint16)
     classes = np.where(r % q != 0, r[:, None] * inv % m,
                        m + r * inv[:, None] % m // q).astype(np.int16)
-    k = np.arange(m + m // q)
+    k = np.arange(m + m // q, dtype=np.int32)
     n, d = np.where(k < m, k, 1), np.where(k < m, 1, (k - m) * q)
-    # x = n1 d2 and e = d1 d2 reduced, y = n2 d1 is x transposed: N fits int64
-    x2, e2 = (np.outer(n, d) % m) ** 2, (np.outer(d, d) % m) ** 2
-    table = _squares(m)[(4 * e2 * (x2 + x2.T) - (x2 - x2.T) ** 2) % m]
-    classes.flags.writeable = table.flags.writeable = False
-    return classes, table
+    return classes, form(squares, n[:, None], d[:, None], n, d, *args)
+
+
+def _kind_tables(form, m: int, q: int, *args) -> tuple[np.ndarray, ...]:
+    """For m = q^k: row_kinds[n mod m, d mod m] and col_kinds[n mod m,
+    d mod m], the row and column kind of a reduced n/d, and table[f, r, c]
+    for a row of kind r and a column of kind c: the classes of _filter_tables
+    merged on each axis, in order of first appearance."""
+    classes, table = _filter_tables(form, m, q, *args)
+    kinds, firsts = [], []
+    for axes in ((1, 0, 2), (2, 0, 1)):
+        ids: dict[bytes, int] = {}
+        lines = np.packbits(table.transpose(axes).reshape(len(table[0]), -1), axis=1)
+        kind = [ids.setdefault(line.tobytes(), len(ids)) for line in lines]
+        kinds.append(np.array(kind, dtype=np.uint16)[classes])
+        firsts.append([kind.index(k) for k in range(len(ids))])
+    return kinds[0], kinds[1], table[:, firsts[0]][:, :, firsts[1]]
 
 
 @functools.cache
-def _kind_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """For m = q^k: kinds[n mod m, d mod m], the kind of a reduced n/d, and
-    table[k1, k2], whether N is a square mod m for p1, p2 of kinds k1, k2.
-    Two classes of _filter_tables are of one kind when their rows agree; the
-    table is symmetric, so their columns agree too and the kinds decide."""
-    classes, table = _filter_tables(m, q)
-    ids: dict[bytes, int] = {}
-    kind = [ids.setdefault(row.tobytes(), len(ids)) for row in table]
-    first = np.unique(kind, return_index=True)[1]
-    kinds = np.array(kind, dtype=np.uint8)[classes]
-    table = table[first][:, first]
-    kinds.flags.writeable = table.flags.writeable = False
-    return kinds, table
+def _stacked_tables(form, *args) -> tuple[np.ndarray, ...]:
+    """The kind tables of form(*args) over the twelve moduli, stacked: each
+    form's row kinds of each modulus in turn are the rows of `stacked`, over
+    the column kinds of modulus[row].  At a fraction's keys, row_kinds[f]
+    is its stacked row of form f and col_kinds its column kind."""
+    tables = [_kind_tables(form, m, q, *args) for m, q in _MODULI]
+    forms, rows = len(tables[0][2]), [table.shape[1] for *_, table in tables]
+    bases, width = np.cumsum([0] + rows), max(t.shape[2] for *_, t in tables)
+    stacked = np.zeros((forms, bases[-1], width), dtype=bool)
+    for (*_, table), base in zip(tables, bases):
+        stacked[:, base:base + table.shape[1], :table.shape[2]] = table
+    # the stacked rows as the narrowest unsigned ints that hold them
+    shift = np.arange(0, forms * bases[-1], bases[-1])[:, None].astype(
+        np.min_scalar_type(forms * bases[-1]))
+    row_kinds = np.concatenate([k.ravel() + k.dtype.type(b) for (k, *_), b
+                                in zip(tables, bases)]).astype(shift.dtype) + shift
+    col_kinds = np.concatenate([kinds.ravel() for _, kinds, _ in tables])
+    modulus = np.tile(np.repeat(np.arange(len(rows)), rows), forms)
+    return row_kinds, col_kinds, modulus, stacked.reshape(-1, width)
 
 
-_MASK_HEIGHT_BOUND = 50000
+def _kind_filter(tables, rows: tuple, cols: tuple, columns: np.ndarray,
+                 total: int) -> tuple[np.ndarray, list, list]:
+    """The packed filter of _kind_pairs over the kind tables (_stacked_tables)
+    for the rows and the columns `columns`, (nums, dens) each: offsets[r, f,
+    i], the stacked row of form f under modulus i of row r; and per class w
+    of the shard total, the columns j = w mod total and bits[s], stacked row
+    s over them, 64 columns a word, made by one take and one packbits."""
+    row_kinds, col_kinds, modulus, stacked = tables
+    row_keys, col_keys = (_LOOKUP + n.astype(np.int32) % _MODULUS * _MODULUS
+                          + d.astype(np.int32) % _MODULUS for n, d in (rows, cols))
+    offsets = row_kinds[:, row_keys].transpose(2, 0, 1)
+    start = np.arange(0, stacked.size, stacked.shape[1])[:, None]
+    # runs of columns that keep the take's index near 2^18 entries (2 MB)
+    run = max(1, (1 << 18) // len(stacked) // 64) * 64
+    shard, bits = [columns % total == w for w in range(total)], []
+    for at in shard:
+        kinds = col_kinds[col_keys[:, at]]
+        packed = [np.packbits(stacked.take(kinds[modulus, lo:lo + run] + start),
+                              axis=1, bitorder="little")
+                  for lo in range(0, kinds.shape[1], run)]
+        pad = np.zeros((len(stacked), -kinds.shape[1] // 8 % 8), dtype=np.uint8)
+        bits.append(np.concatenate(packed + [pad], axis=1).view(np.uint64))
+    return offsets, [columns[at] for at in shard], bits
+
+
+def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tuple:
+    """The pairs (i in rows, j) that the packed filter keeps (its bit rows
+    ANDed over the moduli, ORed over the forms), j over the columns of the
+    class want[r] of each row; with `diagonal` (rows and columns index one
+    list), only the words up to the group's last row, and only j <= i."""
+    offsets = plan.offsets[np.searchsorted(plan.live, rows)]
+    found_i, found_j = [rows[:0]], [rows[:0]]      # a class may meet no column
+    for w in np.flatnonzero(np.bincount(want)).tolist():
+        at = want == w
+        group, idx, bits = rows[at], plan.columns[w], plan.bits[w]
+        end = np.searchsorted(idx, group[-1], "right") if diagonal else len(idx)
+        bits = bits[:, :(int(end) + 63) // 64]
+        alive = np.bitwise_or.reduce(
+            np.bitwise_and.reduce(bits[offsets[at]], axis=2), axis=1)
+        r, word = np.nonzero(alive)
+        unpacked = np.unpackbits(alive[r, word].view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+        k, b = np.nonzero(unpacked)
+        i, j = group[r[k]], idx[64 * word[k] + b]
+        found_i.append(i[j <= i] if diagonal else i)
+        found_j.append(j[j <= i] if diagonal else j)
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def scan_thirdpair(config: SearchConfig, resume: bool = False,
@@ -493,11 +582,6 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False,
     if len(config.target) < 3:
         raise SearchArgumentError("the third-pair strategy needs a depth-3 "
                                   "target")
-    if config.target[1] >= 4 and config.height_bound > _MASK_HEIGHT_BOUND:
-        raise SearchArgumentError(
-            "filtered third-pair scans stop at height bound %d: the two-square "
-            "mask indexes a table of about 6 H^2 bytes by the int64 values "
-            "d^2 + 2 n^2" % _MASK_HEIGHT_BOUND)
     yield from _scan(_ThirdPairPlan, config, resume, jobs)
 
 
@@ -519,9 +603,7 @@ _ROW_TILE = 256
 class _ThirdPairPlan:
     """What every block of a third-pair scan reads: the height-ordered
     fractions n_i/d_i as int64 arrays, the live rows, and for a filtered scan
-    each live fraction's kind under every filter modulus and, per column
-    class of the shard, the kind tables as bits over its columns (see
-    _square_pairs)."""
+    the packed kind filter of N over the live fractions (_kind_filter)."""
 
     strategy, params = "thirdpair", ("p1", "p2")
 
@@ -537,27 +619,9 @@ class _ThirdPairPlan:
             self.live = np.arange(self.size)
             return
         self.live = live = np.flatnonzero(_two_square_mask(nums, dens))
-        # per modulus, its kind table and the kind of each live fraction
-        tables, kinds = [], []
-        for m, q in _MODULI:
-            kind, table = _kind_tables(m, q)
-            tables.append(table)
-            kinds.append(kind[nums[live] % m, dens[live] % m])
-        # the kinds as row offsets into the tables stacked over the moduli
-        bases = np.cumsum([0] + [len(t) for t in tables[:-1]]).astype(np.uint8)
-        self.offsets = np.stack(kinds, axis=1) + bases
-        # per class w of the shard total, the live columns j = w mod total,
-        # and bits[w][r] holds stacked row r over them, 64 columns a word
-        total = config.shard[1]
-        self.columns, self.bits = [], []
-        for w in range(total):
-            at = np.flatnonzero(live % total == w)
-            stacked = np.concatenate([t[:, k[at]] for t, k in zip(tables, kinds)])
-            bits = np.zeros((len(stacked), (len(at) + 63) // 64), dtype=np.uint64)
-            packed = np.packbits(stacked, axis=1, bitorder="little")
-            bits.view(np.uint8)[:, :packed.shape[1]] = packed
-            self.columns.append(live[at])
-            self.bits.append(bits)
+        self.offsets, self.columns, self.bits = _kind_filter(
+            _stacked_tables(_pair_form), (nums[live], dens[live]),
+            (nums[live], dens[live]), live, config.shard[1])
 
     def candidates(self, first: int, end: int):
         """The shard's pairs (i, j <= i) over the live rows in [first, end),
@@ -581,37 +645,14 @@ class _ThirdPairPlan:
 
 def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int]]:
     """The pairs (i in tile, j <= i) of the shard whose N is a perfect
-    square, in candidate order.
-
-    Rows and columns are live fractions (_two_square_mask) under their
+    square, in candidate order: those that the kind filter keeps, checked
+    exactly with isqrt.  Rows and columns are live fractions under their
     original indices, so candidate numbering, shards, provenance and
-    next_block keep their meaning; the rows are split by the column class w
-    the shard wants of them.  Each row reads, for each of the twelve moduli,
-    the row of its kind (_kind_tables) as bits over the columns of w, up to
-    the word that holds its block's last row; the AND of the twelve marks the
-    pairs that N may make a square.  The words left nonzero are unpacked,
-    the pairs above the diagonal (j > i) dropped, and the rest checked
-    exactly with isqrt.
-    """
+    next_block keep their meaning."""
     shard_index, shard_total = plan.config.shard
     # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
     want = (shard_index - tile * (tile + 1) // 2) % shard_total
-    offsets = plan.offsets[np.searchsorted(plan.live, tile)]
-    found_i, found_j = [tile[:0]], [tile[:0]]      # a class may meet no column
-    for w in np.unique(want).tolist():
-        at = want == w
-        rows, idx = tile[at], plan.columns[w]
-        words = (int(np.searchsorted(idx, rows[-1], side="right")) + 63) // 64
-        alive = np.bitwise_and.reduce(plan.bits[w][:, :words][offsets[at]], axis=1)
-        r, word = np.nonzero(alive)
-        bits = np.unpackbits(alive[r, word].view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-        k, b = np.nonzero(bits)
-        i, j = rows[r[k]], idx[64 * word[k] + b]
-        below = j <= i
-        found_i.append(i[below])
-        found_j.append(j[below])
-    gi, gj = np.concatenate(found_i), np.concatenate(found_j)
+    gi, gj = _kind_pairs(plan, tile, want, diagonal=True)
     survivors: list[tuple[int, int]] = []
     for i, j, n1, d1, n2, d2 in zip(
             gi.tolist(), gj.tolist(), plan.nums[gi].tolist(),
@@ -647,7 +688,8 @@ class _ForwardPlan:
     settle and int64 arrays for the filter.  Every c is a live row, but for
     a target above 2 at some level only the rows with c < 0 are (a level of
     a real tree of f_c with c >= 0 is empty, {0} or {r, -r}), and only the
-    candidates that may branch off the orbit are settled (_branch_mask)."""
+    candidates that may branch off the orbit are settled: those that the
+    kind filter of the G_m passes (_kind_filter)."""
 
     strategy, params = "forward", ("c", "x0")
 
@@ -659,14 +701,22 @@ class _ForwardPlan:
         self.c_den = np.append(1, np.repeat(dens, 2))
         self.c_values = list(zip(self.c_num.tolist(), self.c_den.tolist()))
         self.x_values = list(zip(self.x_num.tolist(), self.x_den.tolist()))
-        self.size = len(self.c_values)
+        self.size, width = len(self.c_values), len(self.x_values)
+        self.tile = max(1, _FORWARD_BLOCK // width)
         # the first level whose target is above 2, if any
         self.wide = next((k for k, want in enumerate(config.target, 1)
                           if want > 2), None)
-        # the rows with c < 0 are 2, 4, ..., size - 1
-        self.live = (np.arange(2, self.size, 2) if self.wide
-                     else np.arange(self.size))
-        self.tile = max(1, _FORWARD_BLOCK // len(self.x_values))
+        # the rows with c < 0 are 2, 4, ..., size - 1; a wide level 1 leaves
+        # no branch range G_m, m in [depth - wide + 1, depth), so none is live
+        self.live = live = (np.arange(self.size) if not self.wide else
+                            np.arange(2, self.size if self.wide > 1 else 2, 2))
+        if self.wide in (None, 1):
+            return
+        self.offsets, self.columns, self.bits = _kind_filter(
+            _stacked_tables(_branch_forms, config.depth - self.wide + 1,
+                            config.depth),
+            (self.c_num[live], self.c_den[live]), (self.x_num, self.x_den),
+            np.arange(width), config.shard[1])
 
     def candidates(self, first: int, end: int) -> list[tuple[int, int]]:
         """The shard's pairs (ci, xi) over the live rows in [first, end), in
@@ -675,16 +725,15 @@ class _ForwardPlan:
         index, total = self.config.shard
         width = len(self.x_values)
         rows = _live_rows(self.live, first, end)
-        ci = np.repeat(rows, width)
-        xi = np.tile(np.arange(width), len(rows))
-        keep = (ci * width + xi) % total == index
-        ci, xi = ci[keep], xi[keep]
         if self.wide:
-            depth = self.config.depth
-            keep = _branch_mask(self.c_num[ci], self.c_den[ci], self.x_num[xi],
-                                self.x_den[xi], depth - self.wide + 1, depth)
-            ci, xi = ci[keep], xi[keep]
-        return list(zip(ci.tolist(), xi.tolist()))
+            # candidate ci width + xi is in the shard iff xi = want mod total
+            ci, xi = _kind_pairs(self, rows, (index - rows * width) % total,
+                                 diagonal=False)
+            found = np.sort(ci * width + xi)
+        else:
+            found = (rows[:, None] * width + np.arange(width)).ravel()
+            found = found[found % total == index]
+        return list(zip(*(a.tolist() for a in np.divmod(found, width))))
 
     def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
         return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
@@ -694,28 +743,3 @@ class _ForwardPlan:
         c = self.c_values[ci]
         return _settle(self.config, c,
                        orbit(c, self.x_values[xi], self.config.depth - 1))
-
-
-def _branch_mask(u: np.ndarray, v: np.ndarray, n: np.ndarray, d: np.ndarray,
-                 first: int, end: int) -> np.ndarray:
-    """For each candidate c = u/v, x0 = n/d (v, d > 0), whether
-    G_m = -(P_m v + u Q_m), (P_m, Q_m) = orbit(c, x0, m), is a square modulo
-    every filter modulus for some m in [first, end); False throughout for an
-    empty range.  Each modulus runs the orbit on residues, and the
-    candidates left with no such m are dropped before the next."""
-    at = np.arange(len(u) if first < end else 0)
-    alive = np.ones((end - first, len(at)), dtype=bool)
-    for mod, _ in _MODULI:
-        if not len(at):
-            break
-        squares = _squares(mod)
-        cu, cv, p, q = u[at] % mod, v[at] % mod, n[at] % mod, d[at] % mod
-        for m in range(1, end):
-            p, q = (p * p * cv + cu * q * q) % mod, q * q * cv % mod
-            if m >= first:
-                alive[m - first] &= squares[-(p * cv + cu * q) % mod]
-        kept = alive.any(axis=0)
-        at, alive = at[kept], alive[:, kept]
-    mask = np.zeros(len(u), dtype=bool)
-    mask[at] = True
-    return mask

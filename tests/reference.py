@@ -18,8 +18,9 @@
   integer subresultant route of `exactmath.resultant` and, specialized at
   values of a, for the interpolation in `exactmath.eliminate_c`.
 - The branch test of the forward scan on Python ints (`reference_branches`:
-  is G_m a perfect square), the oracle for the residue filter
-  `search._branch_mask`.
+  is G_m a perfect square), and the residue filter that ran the orbit mod
+  each filter modulus for every candidate (`reference_branch_mask`), the
+  oracles for the forward scan's kind-table filter.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
   `search._height_order`, and the third-pair values (c, a) in `Fraction`
   arithmetic, the oracle for `search._thirdpair_values` (which gives c and
@@ -29,6 +30,9 @@
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
+from quadpreim import search
 from quadpreim.dynamics import PreimageTree, TreeNode, critical_avalues
 from quadpreim.elliptic import (
     INFINITY,
@@ -113,6 +117,23 @@ def reference_branches(c, x0, depth: int, target) -> bool:
         if m >= depth - k + 1 and g >= 0 and isqrt(g) ** 2 == g:
             return True
     return False
+
+
+def reference_branch_mask(u, v, n, d, first: int, end: int):
+    """For each candidate c = u/v, x0 = n/d (int64 arrays, v, d > 0), whether
+    G_m = -(P_m v + u Q_m), (P_m, Q_m) = orbit(c, x0, m), is a square modulo
+    every filter modulus for some m in [first, end); False throughout for an
+    empty range.  Each modulus runs the orbit on the candidates' residues."""
+    alive = np.ones((max(end - first, 0), len(u)), dtype=bool)
+    for mod, _ in search._MODULI:
+        squares = np.zeros(mod, dtype=bool)
+        squares[np.arange(mod) ** 2 % mod] = True
+        cu, cv, p, q = u % mod, v % mod, n % mod, d % mod
+        for m in range(1, end):
+            p, q = (p * p * cv + cu * q * q) % mod, q * q * cv % mod
+            if m >= first:
+                alive[m - first] &= squares[-(p * cv + cu * q) % mod]
+    return alive.any(axis=0)
 
 
 # -- third-pair search -------------------------------------------------------

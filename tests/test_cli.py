@@ -280,12 +280,21 @@ def test_search_bad_height_bound(capsys):
     code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
                            "--depth", "3", "--target", "2,4,6")
     assert code == 2
-    # beyond the int64-safe bound the filtered scan refuses to start
+    # beyond the cap on the height order's memory no scan starts
     for jobs in ("1", "2"):
         code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
                                "--height-bound", "50001", "--depth", "3",
                                "--target", "2,4,6", "--jobs", jobs)
         assert code == 2 and "int64" in err
+    # both strategies refuse a huge bound before allocating anything: exit
+    # status 2, one error line, no traceback
+    for strategy, target in (("thirdpair", "2,2,2"), ("forward", "2,2,4")):
+        code, out, err = run_module("search", "--strategy", strategy,
+                                    "--height-bound", str(10 ** 11),
+                                    "--depth", "3", "--target", target)
+        assert code == 2 and out == ""
+        assert err.startswith("error: height_bound must be between 1 and 2000")
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_search_bad_target_is_usage_error(capsys):

@@ -24,6 +24,7 @@ from quadpreim.search import (
     verify_pair,
 )
 from reference import (
+    reference_branch_mask,
     reference_branches,
     reference_fractions_by_height,
     reference_hit,
@@ -142,6 +143,11 @@ def test_config_invariants():
         SearchConfig(height_bound=5, depth=0, target=())
     with pytest.raises(ValueError):
         SearchConfig(height_bound=5, depth=3, target=(2, 4, 6), shard=(3, 3))
+    # one cap for every scan, at least the reach of the planned (k, m) hunt;
+    # no scan near it runs here
+    SearchConfig(height_bound=2000, depth=3, target=(2, 4, 6))
+    with pytest.raises(search.SearchArgumentError):
+        SearchConfig(height_bound=2001, depth=3, target=(2, 2, 4))
 
 
 def _brute_thirdpair(bound, target):
@@ -197,7 +203,8 @@ def test_filter_tables_match_direct_squareness():
                 return n, d
 
     for m, q in search._MODULI:
-        classes, table = (t.tolist() for t in search._filter_tables(m, q))
+        classes, table = search._filter_tables(search._pair_form, m, q)
+        classes, table = classes.tolist(), table[0].tolist()
         squares = {r * r % m for r in range(m)}
         seen = set()
         for _ in range(20000):
@@ -215,26 +222,73 @@ def test_filter_tables_match_direct_squareness():
         assert seen == set(range(m + m // q))
 
 
+def _direct_forms(forms, m, row, col):
+    # the forms at the row and column fractions, on Python ints reduced mod
+    # m: N at p1 = row, p2 = col; or G_k, k in range(*forms), at c = row,
+    # x0 = col, the orbit as the filter defines it
+    (n1, d1), (n2, d2) = row, col
+    if forms == "N":
+        x, y, e = n1 * d2, n2 * d1, d1 * d2
+        return [(4 * e * e * (x * x + y * y) - (x * x - y * y) ** 2) % m]
+    (u, v), (p, q), values = row, col, []
+    for k in range(1, forms[1]):
+        p, q = (p * p * v + u * q * q) % m, q * q * v % m
+        if k >= forms[0]:
+            values.append(-(p * v + u * q) % m)
+    return values
+
+
 def test_kind_tables_merge_equal_rows():
-    # the kind of a class is read at a fraction of that class (n/1 for class
-    # n < m, 1/((k - m) q) for class k >= m); the kind table gives the class
-    # table back at every pair of classes, and no two kinds share a row
+    for forms in ("N", (1, 2), (2, 3), (3, 4)):
+        _check_kind_tables(forms)
+
+
+def _check_kind_tables(forms):
+    # at a fraction of every pair of P^1(Z/m) classes (n/1 for class n < m,
+    # 1/((k - m) q) for class k >= m), table[f, row kind, column kind] says
+    # whether form f (N, or G_k for k in range(*forms)) is a square mod m;
+    # rows and columns merge on their own axes, so no two row kinds, and no
+    # two column kinds, agree
+    args = (search._pair_form,) if forms == "N" else (search._branch_forms, *forms)
     counts = []
     for m, q in search._MODULI:
-        _, table = search._filter_tables(m, q)
-        kinds, kind_table = search._kind_tables(m, q)
-        k = np.arange(m + m // q)
-        kind = kinds[np.where(k < m, k, 1), np.where(k < m, 1, (k - m) * q % m)]
-        assert np.array_equal(table, kind_table[kind][:, kind]), m
-        assert len({row.tobytes() for row in kind_table}) == len(kind_table)
-        counts.append(len(kind_table))
-    assert counts == [7, 7, 5, 6, 7, 8, 9, 11, 13, 16, 17, 20]
-    # the stacked row offsets of a plan fit uint8
-    assert sum(counts) == 126
+        row_kinds, col_kinds, table = search._kind_tables(args[0], m, q, *args[1:])
+        squares = {r * r % m for r in range(m)}
+        points = [(k, 1) if k < m else (1, (k - m) * q) for k in range(m + m // q)]
+        for row in points:
+            r = row_kinds[row[0] % m, row[1] % m]
+            for col in points:
+                c = col_kinds[col[0] % m, col[1] % m]
+                assert table[:, r, c].tolist() == [
+                    value in squares for value in _direct_forms(forms, m, row, col)]
+        rows = table.transpose(1, 0, 2).reshape(len(table[0]), -1)
+        cols = table.transpose(2, 0, 1).reshape(table.shape[2], -1)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        assert len({col.tobytes() for col in cols}) == len(cols)
+        if forms == "N":
+            assert np.array_equal(row_kinds, col_kinds)
+        counts.append(len(rows))
+    if forms == "N":
+        assert counts == [7, 7, 5, 6, 7, 8, 9, 11, 13, 16, 17, 20]
+
+
+def test_stacked_kind_rows():
+    # N stacks 126 rows, one form; the forward forms G_1, G_2 and G_3 (depth
+    # 4, first wide level 4) stack 307 row kinds a form, so the offsets of
+    # that plan need more than uint8
     plan = search._ThirdPairPlan(SearchConfig(height_bound=40, depth=3,
                                               target=(2, 4, 6)))
-    assert plan.offsets.dtype == np.uint8 and plan.offsets.max() < 126
+    assert plan.offsets.shape[1:] == (1, 12) and plan.offsets.max() < 126
+    assert plan.offsets.dtype == np.uint8
     assert [bits.shape[0] for bits in plan.bits] == [126]
+    rows = [len(search._kind_tables(search._branch_forms, m, q, 1, 4)[2][0])
+            for m, q in search._MODULI]
+    assert sum(rows) == 307
+    plan = search._ForwardPlan(SearchConfig(height_bound=4, depth=4,
+                                            target=(2, 2, 2, 4)))
+    assert plan.offsets.shape[1:] == (3, 12) and plan.offsets.max() >= 2 * 307
+    assert plan.offsets.dtype == np.uint16
+    assert [bits.shape[0] for bits in plan.bits] == [3 * 307]
 
 
 def _num_den_arrays(frs):
@@ -739,6 +793,40 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
             assert [(r.c, r.a, parse_rat(r.provenance[0].params["x0"]))
                     for r in scan_forward(cfg, jobs=jobs)] == [
                         (c, a, x0) for (c, a), x0 in expected.items()]
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_forward_kind_filter_matches_reference_mask(depth):
+    # the kind-table filter keeps exactly the candidates of the shard on the
+    # live rows that the per-candidate residue route keeps, in candidate
+    # order
+    found = 0
+    for bound in range(1, 17):
+        for target in ((2, 4), (2, 2, 4), (2, 4, 4), (2, 2, 6), (2, 2, 2, 4),
+                       (2, 3), (4, 2, 2)):
+            if len(target) > depth:
+                continue
+            wide = next(k for k, want in enumerate(target, 1) if want > 2)
+            for total in (1, 2, 3):
+                for index in range(total):
+                    plan = search._ForwardPlan(SearchConfig(
+                        height_bound=bound, depth=depth, target=target,
+                        shard=(index, total)))
+                    width = len(plan.x_values)
+                    ci, xi = np.divmod(np.arange(plan.size * width), width)
+                    keep = (ci % 2 == 0) & (ci > 0) & (
+                        (ci * width + xi) % total == index)
+                    ci, xi = ci[keep], xi[keep]
+                    keep = reference_branch_mask(
+                        plan.c_num[ci], plan.c_den[ci], plan.x_num[xi],
+                        plan.x_den[xi], depth - wide + 1, depth)
+                    kept = (plan.candidates(0, plan.size) if len(plan.live)
+                            else [])
+                    assert kept == list(zip(ci[keep].tolist(),
+                                            xi[keep].tolist())), (
+                        bound, target, total, index)
+                    found += len(kept)
+    assert found > 1000
 
 
 def test_scan_forward_shard_union():

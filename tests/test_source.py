@@ -48,11 +48,14 @@ INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
                   ("search", "_scan_block"), ("search", "_lowest"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
                   ("dynamics", "_descending"))
-# the scans' numpy filter code, which decides candidates on int arrays
-INTEGER_FILTER = ("_height_order", "_two_square_mask", "_squares",
-                  "_filter_tables", "_kind_tables", "_ThirdPairPlan.__init__",
-                  "_square_pairs", "_ForwardPlan.__init__",
-                  "_ForwardPlan.candidates", "_branch_mask")
+# the scans' numpy filter code, which decides candidates on int arrays: the
+# forms and their kind tables, the shared builder and survivor helpers, and
+# the plans around them
+INTEGER_FILTER = ("_height_order", "_two_square_mask", "_pair_form",
+                  "_branch_forms", "_filter_tables", "_kind_tables",
+                  "_stacked_tables", "_kind_filter", "_kind_pairs",
+                  "_ThirdPairPlan.__init__", "_square_pairs",
+                  "_ForwardPlan.__init__", "_ForwardPlan.candidates")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
