@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import __version__, dynamics, elliptic, models, search, verify
 from .exactmath import QPoly, RatParseError, format_rat, parse_rat
-from .factor import FactorBudgetExceeded
 
 CHECKPOINT_DIR_ENV = "QUADPREIM_CHECKPOINT_DIR"
 CONFIG_ENV = "QUADPREIM_CONFIG"
@@ -203,11 +202,7 @@ def cmd_ec(args, config) -> int:
         return EXIT_OK
 
     if args.ec_command == "torsion":
-        try:
-            group = elliptic.torsion_subgroup(curve)
-        except FactorBudgetExceeded as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_CHECK_FAILED
+        group = elliptic.torsion_subgroup(curve)
         if args.format == "structured":
             _print_json({
                 "invariants": list(group.invariants),

@@ -10,7 +10,9 @@ of Y^2 = X^3 + a X + b, and every multiple of a torsion point is integral
 (Lutz-Nagell), so it adds points with an integer slope and stops at the first
 slope that is not an integer: that proves infinite order.  Points become
 `Fraction` points only when they are pulled back to the source curve.  The
-integral model refuses a singular curve, where 4a^3 + 27b^2 = 0.
+integral model takes its scale from a coprime base of the scaling
+denominators, split by gcds alone, so no integer is ever factored into
+primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
 from .exactmath import _cleared, _horner, _poly_mul, _poly_sub
-from .factor import factorize
 
 
 class OffCurveError(ValueError):
@@ -286,11 +287,64 @@ class ShortIntegralModel:
         return ECPoint(Fraction(xn, zz), Fraction(yn, zz * z))
 
 
+def _root(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's method on
+    ints from a start above the root."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def factorize(dens: list[int]) -> dict[int, list[int]]:
+    """Split positive integers over a coprime base by gcds alone: {r: the
+    exponent of r in each of dens}, with the r pairwise coprime, none a
+    perfect power, and each of dens the product of the r to its exponents.
+    An r is a prime when the gcds separate the primes, and a product of
+    primes otherwise: the lone 5^4 7^2 gives r = 5^2 7 with exponent 2."""
+    base: list[int] = []
+    todo = [n for n in dens if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(n, b)
+            if g > 1:
+                # n b becomes g (b / g) (n / g): the product falls, so this ends
+                del base[i]
+                todo += [m for m in (g, b // g, n // g) if m > 1]
+                break
+        else:
+            base.append(n)
+    split = {}
+    for r in base:
+        k = 2
+        while k <= r.bit_length():
+            s = _root(r, k)
+            if s ** k == r:
+                r = s
+            else:
+                k += 1
+        exps = []
+        for n in dens:
+            e = 0
+            while n % r == 0:
+                n, e = n // r, e + 1
+            exps.append(e)
+        split[r] = exps
+    return split
+
+
 def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     """Scale the standard short form Y^2 = X^3 - 27 c4 X - 54 c6 to integer
-    coefficients, then strip superfluous (p^4, p^6) power pairs so the
-    discriminant stays as small as the scaling allows.  A singular curve
-    (4 a^3 + 27 b^2 = 0) raises ValueError."""
+    coefficients, then strip superfluous (p^4, p^6) power pairs at 2 and 3.
+    The scale u is a product over a coprime base of the reduced denominators
+    of -27 c4 and -54 c6, split by gcds alone (`factorize`): each base root r
+    enters with the least k that makes 4k and 6k at least its exponents.
+    That is the least u when every r is a prime; otherwise the model is
+    integral but may not be minimal at the primes of a composite r.  A
+    singular curve (4 a^3 + 27 b^2 = 0) raises ValueError."""
     d, (n1, n2, n3, n4, n6) = _cleared(
         (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     dd = d * d
@@ -299,23 +353,16 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     b4 = 2 * n4 * d + n1 * n3
     b6 = n3 * n3 + 4 * n6 * d
     scaled = []
-    # per-prime exponents k with 4k and 6k at least the exponent of p in
-    # the reduced denominators of -27 c4 and -54 c6
-    exps: dict[int, int] = {}
     for num, den, weight in (
             (-27 * (b2 * b2 - 24 * b4 * dd), dd * dd, 4),
             (54 * (b2 ** 3 - 36 * b2 * b4 * dd + 216 * b6 * dd * dd),
              dd ** 3, 6)):
         g = gcd(num, den)
         scaled.append((num // g, den // g, weight))
-        if den == g:
-            continue
-        for p, e in factorize(den // g).items():
-            need = -(-e // weight)       # ceil(e / weight)
-            exps[p] = max(exps.get(p, 0), need)
     u = 1
-    for p, k in exps.items():
-        u *= p ** k
+    for r, (e4, e6) in factorize([den for _, den, _ in scaled]).items():
+        # the least k with 4k and 6k at least the exponents of r
+        u *= r ** max(-(-e4 // 4), -(-e6 // 6))
     (a_int, a_rem), (b_int, b_rem) = (divmod(num * u ** weight, den)
                                       for num, den, weight in scaled)
     if a_rem or b_rem:
@@ -323,15 +370,14 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
     if 4 * a_int ** 3 + 27 * b_int ** 2 == 0:
         raise ValueError("integral model of a singular curve")
     v = 1
-    # only 2 and 3 can strip: at a prime of the reduced denominators u takes
-    # the least exponent that makes the deciding coefficient integral, which
-    # leaves that coefficient's valuation below 4 (or 6)
+    # where a base element is a prime power, u takes the least exponent that
+    # makes the deciding coefficient integral at it, which leaves that
+    # coefficient's valuation below 4 (or 6), so only 2 and 3 can strip; a
+    # base element that is a product of primes can leave u above the least
+    # exponent at some of them, and the model integral but not minimal there
     for p in (2, 3):
-        while True:
-            ok_a = a_int == 0 or a_int % p ** 4 == 0
-            ok_b = b_int == 0 or b_int % p ** 6 == 0
-            if not (ok_a and ok_b):
-                break
+        while ((a_int == 0 or a_int % p ** 4 == 0)
+               and (b_int == 0 or b_int % p ** 6 == 0)):
             a_int //= p ** 4
             b_int //= p ** 6
             v *= p

@@ -12,8 +12,13 @@
   the oracle for the integer `ShortIntegralModel.pull`; and the integer
   roots of a polynomial by the rational root theorem, the oracle for
   `elliptic.integer_roots`.
-- Factorization by plain trial division, the oracle for
-  `factor.factorize` (small primes, then Miller-Rabin and rho).
+- Prime factorization, which the Lutz-Nagell enumeration and the
+  rational-root oracle need: `factorize` divides out the primes up to 37,
+  then splits what is left by Miller-Rabin and Pollard's rho, and is
+  itself checked against plain trial division (`reference_factorize`).
+- The integral short model by prime factoring of the scaling denominators
+  (`reference_short_integral_model`), the oracle for the coprime-base
+  scaling of `elliptic.short_integral_model`.
 - The Sylvester-determinant resultant in `Fraction`s, the oracle for the
   integer subresultant route of `exactmath.resultant` and, specialized at
   values of a, for the interpolation in `exactmath.eliminate_c`.
@@ -37,12 +42,12 @@ from quadpreim.dynamics import PreimageTree, TreeNode, critical_avalues
 from quadpreim.elliptic import (
     INFINITY,
     ECPoint,
+    ShortIntegralModel,
     WeierstrassCurve,
     point_order,
     short_integral_model,
 )
-from quadpreim.exactmath import QPoly, rat_sqrt
-from quadpreim.factor import factorize
+from quadpreim.exactmath import QPoly, _cleared, rat_sqrt
 
 
 def preimages(c, y) -> tuple[Fraction, ...]:
@@ -319,6 +324,66 @@ def reference_integer_roots(coeffs) -> list[int]:
 
 # -- factorization -----------------------------------------------------------
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 37 as bases, for an n > 37 with no
+    prime factor up to 37; deterministic for n < 3.3 * 10^24."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, c: int) -> int:
+    """A divisor of the composite n by Pollard's rho on x^2 + c with Floyd's
+    cycle test; n itself when this c fails."""
+    x = y = 2
+    g = 1
+    while g == 1:
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        g = gcd(x - y, n)
+    return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """|n| as {prime: exponent}: the primes up to 37 divided out, then
+    Miller-Rabin and Pollard's rho on what is left; ValueError for 0."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        c = 1
+        while (g := _rho(m, c)) == m:
+            c += 1
+        stack += [g, m // g]
+    return factors
+
+
 def reference_factorize(n: int) -> dict[int, int]:
     """|n| as {prime: exponent}, by trial division by 2 and then every odd d
     up to the square root of what is left; ValueError for 0."""
@@ -335,6 +400,45 @@ def reference_factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def reference_short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
+    """The integral short model with the least scale u at every prime: the
+    reduced denominators of -27 c4 and -54 c6 are factored into primes, and
+    p^k enters u for the least k with 4k and 6k at least the exponents of p;
+    then (p^4, p^6) pairs are stripped at 2 and 3."""
+    d, (n1, n2, n3, n4, n6) = _cleared(
+        (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    dd = d * d
+    b2 = n1 * n1 + 4 * n2 * d
+    b4 = 2 * n4 * d + n1 * n3
+    b6 = n3 * n3 + 4 * n6 * d
+    scaled = []
+    exps: dict[int, int] = {}
+    for num, den, weight in (
+            (-27 * (b2 * b2 - 24 * b4 * dd), dd * dd, 4),
+            (54 * (b2 ** 3 - 36 * b2 * b4 * dd + 216 * b6 * dd * dd),
+             dd ** 3, 6)):
+        g = gcd(num, den)
+        scaled.append((num // g, den // g, weight))
+        for p, e in factorize(den // g).items():
+            exps[p] = max(exps.get(p, 0), -(-e // weight))
+    u = 1
+    for p, k in exps.items():
+        u *= p ** k
+    (a, a_rem), (b, b_rem) = (divmod(num * u ** weight, den)
+                              for num, den, weight in scaled)
+    if a_rem or b_rem:
+        raise ArithmeticError("integral scaling left a fraction")
+    if 4 * a ** 3 + 27 * b ** 2 == 0:
+        raise ValueError("integral model of a singular curve")
+    v = 1
+    for p in (2, 3):
+        while (a == 0 or a % p ** 4 == 0) and (b == 0 or b % p ** 6 == 0):
+            a //= p ** 4
+            b //= p ** 6
+            v *= p
+    return ShortIntegralModel(a=a, b=b, scale=Fraction(u, v), source=curve)
 
 
 # -- resultants -----------------------------------------------------------------

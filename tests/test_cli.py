@@ -1,4 +1,3 @@
-import functools
 import json
 import multiprocessing
 import os
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import cli, dynamics, elliptic, factor, models, search
+from quadpreim import cli, dynamics, elliptic, models, search
 from quadpreim.cli import MODEL_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -337,18 +336,18 @@ def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):
     assert payload["config"]["strategy"] == "forward"
 
 
-def test_torsion_budget_error_exits_one(capsys, monkeypatch):
-    # the denominators of a twelve-torsion fiber are far beyond this budget
-    monkeypatch.setattr(elliptic, "factorize", functools.partial(
-        factor.factorize, rho_steps=5))
-    a = elliptic.torsion_family_a(elliptic.TorsionKind.Z12, Fraction(5, 7))
+def test_torsion_of_hard_denominator_fiber_exits_zero(capsys):
+    # a Z/2 x Z/8 fiber whose scaling denominators have 97 digits with a
+    # hard composite part: the coprime-base scaling needs no prime of them
+    a = elliptic.torsion_family_a(elliptic.TorsionKind.Z2xZ8,
+                                  Fraction(-511647, 486487))
     curve = elliptic.specialize_e24(a).curve
-    code, _, err = run_cli(capsys, "ec", "torsion",
-                           "--a2", str(curve.a2), "--a4", str(curve.a4),
-                           "--a6", str(curve.a6))
-    assert code == 1
-    assert "budget" in err
-    assert "Traceback" not in err
+    argv = ("ec", "torsion", "--a2", str(curve.a2), "--a4", str(curve.a4),
+            "--a6", str(curve.a6))
+    for code, out, err in (run_cli(capsys, *argv), run_module(*argv)):
+        assert code == 0, err
+        assert out.startswith("torsion subgroup: Z/2 x Z/8 (order 16)")
+        assert "Traceback" not in err
 
 
 def test_config_file_supplies_height_bound(capsys, tmp_path):

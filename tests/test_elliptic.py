@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -26,9 +28,11 @@ from quadpreim.elliptic import (
 )
 from quadpreim.exactmath import int_sqrt
 from reference import (
+    factorize,
     push,
     reference_integer_roots,
     reference_pull,
+    reference_short_integral_model,
     reference_torsion,
     short_curve,
 )
@@ -504,6 +508,105 @@ def test_singular_curves_refused_by_integral_model():
             short_integral_model(curve)
         with pytest.raises(ValueError):
             torsion_subgroup(curve)
+
+
+def test_coprime_base_split_against_prime_factoring():
+    # elliptic.factorize on seeded pairs of products of small prime powers,
+    # against their prime factorizations: the roots are pairwise coprime and
+    # rebuild both inputs, and the primes of a root have exponents in the
+    # inputs proportional to their exponents in the root, whose gcd is 1 (no
+    # root is a perfect power)
+    rng = random.Random(SEED + 17)
+    primes = (2, 3, 5, 7, 11, 13, 41, 1009)
+    for _ in range(300):
+        dens = [prod(p ** rng.randint(0, 6) for p in rng.sample(primes, 3))
+                for _ in range(2)]
+        split = elliptic.factorize(dens)
+        assert all(gcd(r, s) == 1 for r in split for s in split if r != s)
+        for i, n in enumerate(dens):
+            assert prod(r ** exps[i] for r, exps in split.items()) == n
+        for r, exps in split.items():
+            in_root = factorize(r)
+            assert gcd(*in_root.values()) == 1, (dens, r)
+            for i, n in enumerate(dens):
+                in_n = factorize(n)
+                assert all(in_n.get(p, 0) == k * exps[i]
+                           for p, k in in_root.items()), (dens, r)
+    assert elliptic.factorize([5 ** 4 * 7 ** 2]) == {175: [2]}
+    assert elliptic.factorize([5 ** 4 * 7 ** 2, 5]) == {5: [4, 1], 7: [2, 0]}
+    assert elliptic.factorize([1, 1]) == {}
+
+
+def _torsion_json(g):
+    return json.dumps({"invariants": list(g.invariants),
+                       "generators": [p.as_json() for p in g.generators],
+                       "points": [p.as_json() for p in g.points]},
+                      sort_keys=True)
+
+
+def test_coprime_base_model_matches_prime_scaling(monkeypatch):
+    # the scale u over a coprime base of the denominators against the least
+    # u at every prime (reference_short_integral_model), on seeded two-four
+    # fibers and on the four torsion families at t = n/d, d <= 11: the model
+    # is an integral short form of the source, every torsion point pushes to
+    # an integer point that pulls back onto the source, and the torsion
+    # prints the same JSON under both models
+    rng = random.Random(SEED + 11)
+    curves = []
+    while len(curves) < 300:
+        fiber = specialize_e24(F(rng.randint(-50, 50), rng.randint(1, 50)))
+        if not fiber.singular:
+            curves.append(fiber.curve)
+    for kind in TorsionKind:
+        for t in {F(n, d) for d in range(1, 12) for n in range(-12, 13)}:
+            a = torsion_family_a(kind, t)
+            if a is not None and not specialize_e24(a).singular:
+                curves.append(specialize_e24(a).curve)
+    # j = 0 and j = 1728 curves, where one of the two denominators is 1 and
+    # the other alone decides u
+    curves += [short_curve(0, F(1, 7 ** 6)), short_curve(0, F(-5, 6 ** 7)),
+               short_curve(F(-1, 5 ** 6), 0), short_curve(F(3, 11 ** 5), 0),
+               short_curve(F(2, 11 ** 2), F(1, 13 ** 3))]
+    assert len(curves) > 900
+    printed = []
+    for curve in curves:
+        model = short_integral_model(curve)
+        s2, b2, b4, b6 = model.scale ** 2, curve.b2, curve.b4, curve.b6
+        c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        assert type(model.a) is int and type(model.b) is int
+        assert model.a == -27 * curve.c4 * s2 * s2
+        assert model.b == -54 * c6 * s2 ** 3
+        group = torsion_subgroup(curve)
+        for p in group.points:
+            if p.is_infinity:
+                continue
+            image = push(model, p)
+            assert image.x.denominator == image.y.denominator == 1, curve
+            assert model.pull((int(image.x), int(image.y))) == p, curve
+        printed.append(_torsion_json(group))
+    monkeypatch.setattr(elliptic, "short_integral_model",
+                        reference_short_integral_model)
+    assert [_torsion_json(torsion_subgroup(c)) for c in curves] == printed
+
+
+def test_two_by_eight_fibers_with_large_prime_denominators():
+    # Z/2 x Z/8 fibers at t = n/d, d a product of three primes from 41 to
+    # 397: the scaling denominators reach about a hundred digits, some with
+    # large composite parts that no small prime divides
+    rng = random.Random(SEED + 13)
+    primes = [p for p in range(41, 398) if all(p % q for q in range(2, p))]
+    fibers = 0
+    while fibers < 60:
+        d = prod(rng.sample(primes, 3))
+        n = rng.randint(-d, d)
+        if gcd(n, d) != 1:
+            continue
+        curve = specialize_e24(torsion_family_a(TorsionKind.Z2xZ8,
+                                                F(n, d))).curve
+        g = torsion_subgroup(curve)
+        assert g.invariants == (2, 8), (n, d)
+        assert [point_order(curve, p) for p in g.generators] == [2, 8], (n, d)
+        fibers += 1
 
 
 def _at(poly, x):

@@ -150,12 +150,17 @@ _FIBERS = [specialize_e24(a).curve for a in (
         (TorsionKind.Z12, 1), (TorsionKind.Z12, 2),
         (TorsionKind.Z8, F(1, 1763)), (TorsionKind.Z2xZ8, F(19, 27)))),
     # the last three fibers have denominators with twenty and more prime
-    # factors past 37, each split out by rho
+    # factors past 37
     F(1, 41 ** 8))]
+# a Z/2 x Z/8 fiber whose 97-digit scaling denominators have a hard composite
+# part, split over a coprime base by gcds
+_HARD = specialize_e24(torsion_family_a(TorsionKind.Z2xZ8,
+                                        F(-511647, 486487))).curve
 TORSION_SHA256 = dict(zip(
     [*((c.a1, c.a2, c.a3, c.a4, c.a6) for c in _FIBERS),
      # Tate's Z/5 form at b = c = 5, scaled by u = 6
-     (F(-2, 3), F(-5, 36), F(-5, 216), 0, 0)],
+     (F(-2, 3), F(-5, 36), F(-5, 216), 0, 0),
+     (_HARD.a1, _HARD.a2, _HARD.a3, _HARD.a4, _HARD.a6)],
     ["2d19fe0ccc30a6e72ad0fec1968661881bd35def379c849d2e4114f4b6054184",
      "d0046a3e8af94acecd4769462916757a3d94a305114172ec76e157903df8ee9a",
      "746810712a9d8dd6ab812132134ae764503a5fb667e910861331bdb271aa8b26",
@@ -168,7 +173,8 @@ TORSION_SHA256 = dict(zip(
      "8ada6271d8cd9d0f57d5bbf41fcb6d4d08e3067df9a381092f68028b719650b9",
      "7ba52bf9569bbe8bc9219eed703bf371f2d3e40b3b6f05ec8622c9d2d7cad1bd",
      "690f43f472149939db81d15beeca8226aded0adc83558197a252a1f86470e7b1",
-     "4ccf1e6b94116d1465d7279aa67a00fe59b2f7752838b89d00a72c441c877382"]))
+     "4ccf1e6b94116d1465d7279aa67a00fe59b2f7752838b89d00a72c441c877382",
+     "433e9044bcf1c5adfabf3dfc20f7957c8c5c586c168d9c0b52bac65360fea312"]))
 
 # (a1, a2, a3, a4, a6): the printed equation
 CURVE_GOLDEN = [

@@ -23,15 +23,16 @@ import quadpreim
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
-# the integer group law, the integer division polynomials, the integer root
-# isolation, the point-count bound and the division closure that runs on
-# them, with the int coefficient-list arithmetic they share, as (module,
-# qualified name)
+# the coprime-base split of the scaling denominators, the integer group law,
+# the integer division polynomials, the integer root isolation, the
+# point-count bound and the division closure that runs on them, with the int
+# coefficient-list arithmetic they share, as (module, qualified name)
 INTEGER_TORSION = (
     *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner")),
     *(("elliptic", name) for name in (
-        "_int_add", "_torsion_multiples", "_division_polys",
-        "_low_degree_marks", "_crossing", "_sign_marks", "integer_roots",
+        "_root", "factorize", "_int_add", "_torsion_multiples",
+        "_division_polys", "_low_degree_marks", "_crossing", "_sign_marks",
+        "integer_roots",
         "_root_counts", "_count_points_mod_p", "_torsion_order_bound",
         "_division_solve", "_torsion_by_division")))
 # the elimination of c: the integer subresultant PRS and the Newton
