@@ -12,29 +12,29 @@ den are both perfect squares, and then +-isqrt(num)/isqrt(den) is already in
 lowest terms.  Since v^2 + c = y, the parent of a pre-image v is a function
 of v, so a level is a map from each root to the value it came from, and the
 order in which a level's parents are visited does not matter.  A tree is
-built from its level maps (tree_from_levels): each level is ordered by
-comparing n1 d2 with n2 d1 (d > 0) on ints, and each node makes one Fraction.
+built from its level maps (tree_from_levels) and kept on ints: each level is
+ordered by comparing n1 d2 with n2 d1 (d > 0), and its values stay reduced
+(n, d) pairs; Fractions are made only where a caller reads c, a or levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 from .exactmath import (
+    Pair,
     QPoly,
     RatLike,
     eliminate_c,
-    format_rat,
-    parse_rat,
+    format_pair,
+    lowest_terms,
+    parse_pair,
 )
 from .exactmath import rat_sqrt  # noqa: F401  traced by perfbench/run.py
-
-
-Pair = tuple[int, int]
 
 
 def iterate(c: RatLike, x: RatLike, n: int) -> Fraction:
@@ -63,50 +63,67 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class PreimageTree:
-    """Complete rational pre-image tree of a under f_c to a fixed depth.
+    """Complete rational pre-image tree of a under f_c to a fixed depth, on
+    ints: c_pair and a_pair, and values[k], the (k+1)-st pre-images sorted by
+    value descending, are (n, d) pairs in lowest terms with d > 0, and
+    parents[k][i] indexes the image of values[k][i] in the level before (0
+    for level 1).  Values are deduplicated within a level only; the same
+    value reappearing at several depths (periodic points) is kept per level,
+    and union_count reports the number of distinct values across all levels.
+    Equality, hashing, pickling and as_json read the ints; c, a and the
+    TreeNode view `levels` are made as Fractions on first read."""
 
-    levels[k] holds the (k+1)-st pre-images, canonically sorted by value
-    descending.  Values are deduplicated within a level only; the same value
-    reappearing at several depths (periodic points) is kept per level, and
-    union_count reports the number of distinct values across all levels.
-    """
+    c_pair: Pair
+    a_pair: Pair
+    values: tuple[tuple[Pair, ...], ...]
+    parents: tuple[tuple[int, ...], ...]
 
-    c: Fraction
-    a: Fraction
-    levels: tuple[tuple[TreeNode, ...], ...]
+    def __reduce__(self):
+        return PreimageTree, (self.c_pair, self.a_pair, self.values, self.parents)
+
+    @cached_property
+    def c(self) -> Fraction:
+        return Fraction(*self.c_pair)
+
+    @cached_property
+    def a(self) -> Fraction:
+        return Fraction(*self.a_pair)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[TreeNode, ...], ...]:
+        return tuple(tuple(TreeNode(Fraction(*v), p, not v[0])
+                           for v, p in zip(values, parents))
+                     for values, parents in zip(self.values, self.parents))
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.values)
 
     def signature(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self.values))
 
     def union_count(self) -> int:
-        return len({(node.value.numerator, node.value.denominator)
-                    for level in self.levels for node in level})
+        return len({v for level in self.values for v in level})
 
     def as_json(self) -> dict:
         return {
-            "c": format_rat(self.c),
-            "a": format_rat(self.a),
-            "depth": self.depth,
-            "levels": [[format_rat(n.value) for n in level] for level in self.levels],
-            "parents": [[n.parent for n in level] for level in self.levels],
-            "signature": list(self.signature()),
+            "c": format_pair(*self.c_pair),
+            "a": format_pair(*self.a_pair),
+            "depth": len(self.values),
+            "levels": [[format_pair(n, d) for n, d in level]
+                       for level in self.values],
+            "parents": list(map(list, self.parents)),
+            "signature": list(map(len, self.values)),
             "union": self.union_count(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PreimageTree":
-        c = parse_rat(data["c"])
-        a = parse_rat(data["a"])
-        levels = []
-        for values, parents in zip(data["levels"], data["parents"]):
-            level = tuple(TreeNode(parse_rat(v), p, parse_rat(v) == 0)
-                          for v, p in zip(values, parents))
-            levels.append(level)
-        return cls(c=c, a=a, levels=tuple(levels))
+        values = tuple(tuple(map(parse_pair, level)) for level in data["levels"])
+        parents = tuple(map(tuple, data["parents"]))
+        if list(map(len, values)) != list(map(len, parents)):
+            raise ValueError("tree levels and parents differ in shape")
+        return cls(parse_pair(data["c"]), parse_pair(data["a"]), values, parents)
 
 
 def preimage_levels(c: Pair, level: Iterable[Pair],
@@ -153,15 +170,19 @@ def tree_from_levels(c: Pair, a: Pair,
     preimage_levels yields them from (a,): every root of level 1 maps to the
     pair a itself, and level 1 may be any complete level 1, reduced or not
     (d > 0 throughout).  Each level is ordered by value, descending, on ints
-    (_descending), and each node makes the one Fraction of its value."""
-    nodes: list[tuple[TreeNode, ...]] = []
+    (_descending); only c, a and level 1 can be unreduced, so only they take
+    a gcd."""
+    values, parents = [], []
     index = {a: 0}
     for found in levels:
         order = sorted(found, key=cmp_to_key(_descending))
-        nodes.append(tuple(TreeNode(Fraction(*v), index[found[v]], not v[0])
-                           for v in order))
+        parents.append(tuple([index[found[v]] for v in order]))
+        values.append(tuple(order))
         index = {v: k for k, v in enumerate(order)}
-    return PreimageTree(c=Fraction(*c), a=Fraction(*a), levels=tuple(nodes))
+    if values:
+        values[0] = tuple(map(lowest_terms, values[0]))
+    return PreimageTree(lowest_terms(c), lowest_terms(a), tuple(values),
+                        tuple(parents))
 
 
 def preimage_tree(c: RatLike, a: RatLike, depth: int) -> PreimageTree:

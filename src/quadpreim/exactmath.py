@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Union
 Rat = Fraction
 
 RatLike = Union[Fraction, int]
+Pair = tuple[int, int]          # a rational as (n, d) with d > 0
 
 
 # ---------------------------------------------------------------------------
@@ -74,32 +75,47 @@ class RatParseError(ValueError):
                          % (text, message, position))
 
 
+def lowest_terms(p: Pair) -> Pair:
+    """(n, d) with d > 0 in lowest terms."""
+    g = gcd(*p)
+    return p[0] // g, p[1] // g
+
+
+def format_pair(n: int, d: int) -> str:
+    """n/d (d > 0, in lowest terms) as "n/d", or "n" when d is 1."""
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
+
 def format_rat(q: RatLike) -> str:
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    q = Fraction(q)
+    return format_pair(q.numerator, q.denominator)
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "p/q" (or "p").  Raises RatParseError with the bad position."""
+    """parse_pair as a Fraction."""
+    return Fraction(*parse_pair(text))
+
+
+def parse_pair(text: str) -> Pair:
+    """Parse "p/q" (or "p"), ASCII digits each with an optional sign, to
+    (n, d) in lowest terms with d > 0.  Raises RatParseError with the bad
+    position."""
     s = text.strip()
     if not s:
         raise RatParseError(text, 0, "empty string")
     offset = text.index(s[0])
 
     def parse_int(part: str, base: int) -> int:
-        chunk = part
-        pos = 0
-        if chunk[:1] in ("+", "-"):
-            pos = 1
-        if pos >= len(chunk):
+        pos = 1 if part[:1] in ("+", "-") else 0
+        if pos >= len(part):
             raise RatParseError(text, base + pos, "expected digits")
-        for i, ch in enumerate(chunk[pos:], start=pos):
-            if not ch.isdigit():
+        for i, ch in enumerate(part[pos:], start=pos):
+            if ch not in "0123456789":
                 raise RatParseError(text, base + i, "expected digit, got %r" % ch)
-        return int(chunk)
+        try:
+            return int(part)
+        except ValueError:      # past int()'s limit on the digits it converts
+            raise RatParseError(text, base, "too many digits")
 
     if "/" in s:
         slash = s.index("/")
@@ -110,8 +126,8 @@ def parse_rat(text: str) -> Fraction:
         den = parse_int(den_part, offset + slash + 1)
         if den == 0:
             raise RatParseError(text, offset + slash + 1, "zero denominator")
-        return Fraction(num, den)
-    return Fraction(parse_int(s, offset))
+        return lowest_terms((-num, -den) if den < 0 else (num, den))
+    return parse_int(s, offset), 1
 
 
 # ---------------------------------------------------------------------------

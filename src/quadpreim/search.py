@@ -59,8 +59,9 @@ a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
 {0}, and the walk (_walk) starts there: a miss never square-tests a, the
 largest number of the candidate.  A hit is walked once, past the target's
 levels to the full depth, and a block builds one record from those level
-maps for each distinct (c, a) it reaches, so only those records make
-Fractions.
+maps for each distinct (c, a) it reaches.  Records, their trees and their
+provenance stay reduced (n, d) pairs, formatted straight to the output; a
+Fraction is made only where a caller reads a record's c, a or levels.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Pair, PreimageTree, orbit, preimage_levels, tree_from_levels
+from .dynamics import PreimageTree, orbit, preimage_levels, tree_from_levels
 from .dynamics import iterate, preimage_tree  # noqa: F401  traced by perfbench/run.py
-from .exactmath import format_rat, height, parse_rat
+from .exactmath import Pair, format_pair, lowest_terms
 
 
 class SearchArgumentError(ValueError):
@@ -153,40 +154,40 @@ class Provenance:
 
 @dataclass
 class SearchRecord:
-    """A verified hit: the pair, its signature, the witness tree, and the
-    candidate that first reached it in candidate order (later candidates
-    reaching the same (c, a) are dropped as duplicates, so a yielded record
-    never changes, whatever the jobs value)."""
+    """A verified hit: the witness tree, which holds the pair and its
+    signature, and the candidate that first reached it in candidate order
+    (later candidates reaching the same (c, a) are dropped as duplicates, so
+    a yielded record never changes, whatever the jobs value)."""
 
-    c: Fraction
-    a: Fraction
-    signature: tuple[int, ...]
     tree: PreimageTree
     provenance: list[Provenance] = field(default_factory=list)
 
+    @property
+    def c(self) -> Fraction:
+        return self.tree.c
+
+    @property
+    def a(self) -> Fraction:
+        return self.tree.a
+
+    @property
+    def signature(self) -> tuple[int, ...]:
+        return self.tree.signature()
+
     def key(self) -> tuple[Pair, Pair]:
         """(c, a) as (n, d) pairs in lowest terms, as a scan dedups them."""
-        return ((self.c.numerator, self.c.denominator),
-                (self.a.numerator, self.a.denominator))
+        return self.tree.c_pair, self.tree.a_pair
 
     def as_json(self) -> dict:
-        return {
-            "c": format_rat(self.c),
-            "a": format_rat(self.a),
-            "signature": list(self.signature),
-            "tree": self.tree.as_json(),
-            "provenance": [p.as_json() for p in self.provenance],
-        }
+        tree = self.tree.as_json()
+        return {"c": tree["c"], "a": tree["a"],
+                "signature": list(tree["signature"]), "tree": tree,
+                "provenance": [p.as_json() for p in self.provenance]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchRecord":
-        return cls(
-            c=parse_rat(data["c"]),
-            a=parse_rat(data["a"]),
-            signature=tuple(data["signature"]),
-            tree=PreimageTree.from_json(data["tree"]),
-            provenance=[Provenance.from_json(p) for p in data["provenance"]],
-        )
+        return cls(tree=PreimageTree.from_json(data["tree"]),
+                   provenance=[Provenance.from_json(p) for p in data["provenance"]])
 
 
 def verify_pair(c, a, target: Sequence[int], depth: int) -> Optional[SearchRecord]:
@@ -220,9 +221,7 @@ def _walk(c: Pair, level: Iterable[Pair], target: tuple[int, ...],
 
 def _record(c: Pair, a: Pair, levels: list[dict[Pair, Pair]]) -> SearchRecord:
     """The record of a hit, its tree built from the walk's level maps."""
-    tree = tree_from_levels(c, a, levels)
-    return SearchRecord(c=tree.c, a=tree.a, signature=tree.signature(),
-                        tree=tree)
+    return SearchRecord(tree_from_levels(c, a, levels))
 
 
 Hit = tuple[Pair, Pair, list]    # c, a and the level maps of a's tree
@@ -243,12 +242,6 @@ def _settle(config: SearchConfig, c: Pair, y: Pair) -> Optional[Hit]:
     cn, cd = c
     a = (yn * yn * cd + cn * yd * yd, yd * yd * cd)
     return c, a, [dict.fromkeys(level, a), *levels]
-
-
-def _lowest(p: Pair) -> Pair:
-    """(n, d) with d > 0 in lowest terms."""
-    g = gcd(*p)
-    return p[0] // g, p[1] // g
 
 
 def _height_order(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +339,7 @@ def _scan_block(plan, block: tuple[int, int]) -> list:
     firsts: dict[tuple[Pair, Pair], tuple] = {}
     for candidate in plan.candidates(*block):
         if (hit := plan.settle(*candidate)) is not None:
-            firsts.setdefault((_lowest(hit[0]), _lowest(hit[1])),
+            firsts.setdefault((lowest_terms(hit[0]), lowest_terms(hit[1])),
                               (candidate, hit))
     return [(candidate, _record(*hit)) for candidate, hit in firsts.values()]
 
@@ -408,11 +401,12 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
             if rec.key() in seen:
                 continue
             seen.add(rec.key())
-            x, y = plan.values(*candidate)
+            pairs = plan.pairs(*candidate)
             rec.provenance.append(Provenance(
-                strategy=plan_class.strategy, heights=(height(x), height(y)),
-                params={plan.params[0]: format_rat(x),
-                        plan.params[1]: format_rat(y)}))
+                strategy=plan_class.strategy,
+                heights=tuple(max(abs(n), d) for n, d in pairs),
+                params={name: format_pair(*p)
+                        for name, p in zip(plan.params, pairs)}))
             if path:
                 emitted.append(rec.as_json())
             yield rec
@@ -558,8 +552,13 @@ def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tup
         group, idx, bits = rows[at], plan.columns[w], plan.bits[w]
         end = np.searchsorted(idx, group[-1], "right") if diagonal else len(idx)
         bits = bits[:, :(int(end) + 63) // 64]
-        alive = np.bitwise_or.reduce(
-            np.bitwise_and.reduce(bits[offsets[at]], axis=2), axis=1)
+        # each form's bit rows ANDed one modulus at a time: (rows, words)
+        alive = np.zeros((len(group), bits.shape[1]), dtype=np.uint64)
+        for form in offsets[at].transpose(1, 2, 0):
+            term = bits[form[0]]
+            for stacked in form[1:]:
+                term &= bits[stacked]
+            alive |= term
         r, word = np.nonzero(alive)
         unpacked = np.unpackbits(alive[r, word].view(np.uint8).reshape(-1, 8),
                                  axis=1, bitorder="little")
@@ -633,8 +632,10 @@ class _ThirdPairPlan:
         return ((i, j) for i in rows.tolist()
                 for j in range((index - i * (i + 1) // 2) % total, i + 1, total))
 
-    def values(self, i: int, j: int) -> tuple[Fraction, Fraction]:
-        return tuple(Fraction(int(self.nums[k]), int(self.dens[k])) for k in (i, j))
+    def pairs(self, i: int, j: int) -> tuple[Pair, Pair]:
+        """(p1, p2) of candidate (i, j) as reduced (n, d)."""
+        nums, dens = self.nums, self.dens
+        return (int(nums[i]), int(dens[i])), (int(nums[j]), int(dens[j]))
 
     def settle(self, i: int, j: int) -> Optional[Hit]:
         """_settle of a = t^2 + c (_thirdpair_values)."""
@@ -735,8 +736,9 @@ class _ForwardPlan:
             found = found[found % total == index]
         return list(zip(*(a.tolist() for a in np.divmod(found, width))))
 
-    def values(self, ci: int, xi: int) -> tuple[Fraction, Fraction]:
-        return Fraction(*self.c_values[ci]), Fraction(*self.x_values[xi])
+    def pairs(self, ci: int, xi: int) -> tuple[Pair, Pair]:
+        """(c, x0) of candidate (ci, xi) as reduced (n, d)."""
+        return self.c_values[ci], self.x_values[xi]
 
     def settle(self, ci: int, xi: int) -> Optional[Hit]:
         """_settle of a = f_c^depth(x0) = y^2 + c, y = f_c^(depth-1)(x0)."""

@@ -3,7 +3,9 @@
 - `preimages`, the rational roots of x^2 + c = y by one `rat_sqrt`, and the
   plain pre-image level walk in `Fraction`s on it, one call per parent.
   The integer walk in `dynamics.preimage_tree`, and the search oracles that
-  must not depend on it, are checked against this.
+  must not depend on it, are checked against this: `reference_tree` as a
+  `PreimageTree` of the `Fraction`s' own lowest terms, and
+  `reference_tree_json` as its JSON, each value through `format_rat`.
 - `is_critical_value`, a membership test against the critical-value
   polynomials of `dynamics.critical_avalues`.
 - Lutz-Nagell torsion enumeration, the oracle for the division closure in
@@ -29,7 +31,9 @@
 - The height enumeration as a double loop over `Fraction`s, the oracle for
   `search._height_order`, and the third-pair values (c, a) in `Fraction`
   arithmetic, the oracle for `search._thirdpair_values` (which gives c and
-  the t with a = t^2 + c).
+  the t with a = t^2 + c).  The candidates' parameters as `Fraction`s
+  (`thirdpair_plan_values`, `forward_plan_values`), the oracle for the int
+  pairs that the scans format into provenance.
 """
 
 from fractions import Fraction
@@ -38,7 +42,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from quadpreim import search
-from quadpreim.dynamics import PreimageTree, TreeNode, critical_avalues
+from quadpreim.dynamics import PreimageTree, critical_avalues
 from quadpreim.elliptic import (
     INFINITY,
     ECPoint,
@@ -47,7 +51,7 @@ from quadpreim.elliptic import (
     point_order,
     short_integral_model,
 )
-from quadpreim.exactmath import QPoly, _cleared, rat_sqrt
+from quadpreim.exactmath import QPoly, _cleared, format_rat, rat_sqrt
 
 
 def preimages(c, y) -> tuple[Fraction, ...]:
@@ -61,11 +65,11 @@ def preimages(c, y) -> tuple[Fraction, ...]:
     return (r, -r)
 
 
-def reference_tree(c, a, depth: int) -> PreimageTree:
+def _reference_levels(c: Fraction, a: Fraction, depth: int) -> list:
+    """The levels of a's tree under f_c in Fractions, one `preimages` call
+    per parent: each a list of (value, parent index), value descending."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    c = Fraction(c)
-    a = Fraction(a)
     levels = []
     previous = (a,)
     for _ in range(depth):
@@ -74,11 +78,39 @@ def reference_tree(c, a, depth: int) -> PreimageTree:
             for v in preimages(c, y):
                 if v not in found:
                     found[v] = idx
-        nodes = tuple(TreeNode(v, found[v], v == 0)
-                      for v in sorted(found, reverse=True))
-        levels.append(nodes)
-        previous = tuple(n.value for n in nodes)
-    return PreimageTree(c=c, a=a, levels=tuple(levels))
+        levels.append([(v, found[v]) for v in sorted(found, reverse=True)])
+        previous = tuple(v for v, _ in levels[-1])
+    return levels
+
+
+def reference_tree(c, a, depth: int) -> PreimageTree:
+    """The PreimageTree of the Fraction walk, its values read off the
+    Fractions' own lowest terms."""
+    c, a = Fraction(c), Fraction(a)
+
+    def pair(q):
+        return q.numerator, q.denominator
+
+    levels = _reference_levels(c, a, depth)
+    return PreimageTree(pair(c), pair(a),
+                        tuple(tuple(pair(v) for v, _ in level) for level in levels),
+                        tuple(tuple(p for _, p in level) for level in levels))
+
+
+def reference_tree_json(c, a, depth: int) -> dict:
+    """PreimageTree.as_json of the Fraction walk, each value formatted with
+    format_rat, the union counted over Fractions."""
+    c, a = Fraction(c), Fraction(a)
+    levels = _reference_levels(c, a, depth)
+    return {
+        "c": format_rat(c),
+        "a": format_rat(a),
+        "depth": depth,
+        "levels": [[format_rat(v) for v, _ in level] for level in levels],
+        "parents": [[p for _, p in level] for level in levels],
+        "signature": [len(level) for level in levels],
+        "union": len({v for level in levels for v, _ in level}),
+    }
 
 
 def is_critical_value(a, n: int) -> bool:
@@ -156,6 +188,16 @@ def reference_fractions_by_height(bound: int) -> list[Fraction]:
             if gcd(h, d) == 1:
                 out.append(Fraction(h, d))
     return out
+
+
+def thirdpair_plan_values(plan, i: int, j: int) -> tuple[Fraction, Fraction]:
+    """(p1, p2) of the third-pair plan's candidate (i, j) as Fractions."""
+    return tuple(Fraction(int(plan.nums[k]), int(plan.dens[k])) for k in (i, j))
+
+
+def forward_plan_values(plan, ci: int, xi: int) -> tuple[Fraction, Fraction]:
+    """(c, x0) of the forward plan's candidate (ci, xi) as Fractions."""
+    return Fraction(*plan.c_values[ci]), Fraction(*plan.x_values[xi])
 
 
 def reference_thirdpair_values(p1: Fraction, p2: Fraction):

@@ -54,6 +54,11 @@ def test_tree_parse_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "tree", "--c", "x", "--a", "1", "--depth", "1")
     assert code == 2
     assert "position" in err
+    # int() rejects these where the digit scan passed them
+    for text in ("\u00b2", "1" * 5000):
+        code, _, err = run_cli(capsys, "tree", "--c", text, "--a", "1",
+                               "--depth", "1")
+        assert code == 2 and "position" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

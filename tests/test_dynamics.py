@@ -1,6 +1,9 @@
+import json
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -14,7 +17,12 @@ from quadpreim.dynamics import (
     preimage_tree,
 )
 from quadpreim.exactmath import QPoly, height
-from reference import is_critical_value, preimages, reference_tree
+from reference import (
+    is_critical_value,
+    preimages,
+    reference_tree,
+    reference_tree_json,
+)
 
 SEED = 424242
 print("test_dynamics random seed:", SEED)
@@ -186,6 +194,92 @@ def test_tree_json_roundtrip():
     tree = preimage_tree(PAIR4_C, PAIR4_A, 3)
     again = PreimageTree.from_json(tree.as_json())
     assert again == tree
+
+
+def _scaled_tree(c, a, depth, k, m):
+    # tree_from_levels of (c, a) with c and a given times k and level 1
+    # times m, unreduced, and the levels below walked from that level 1
+    cp = (c.numerator * k, c.denominator * k)
+    ap = (a.numerator * k, a.denominator * k)
+    (first,) = dynamics.preimage_levels(cp, (ap,), 1)
+    level1 = {(n * m, d * m): ap for n, d in first}
+    rest = dynamics.preimage_levels(cp, list(level1), depth - 1)
+    return dynamics.tree_from_levels(cp, ap, [level1, *rest])
+
+
+def _oracle_cases(rng, count):
+    # c = 0, a = c (level 1 is {0}), empty trees, orbits, and random pairs
+    cases = [(F(0), F(0), 3), (F(0), F(4), 3), (F(-2), F(-2), 4),
+             (F(5), F(0), 2), (F(1, 4), F(1, 2), 3), (PAIR4_C, PAIR4_A, 4),
+             (PAIR4_C, PAIR4_C, 3)]
+    for _ in range(count):
+        c = F(rng.randint(-30, 30), rng.randint(1, 12))
+        depth = rng.randint(1, 4)
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = c
+        elif kind == 1:
+            a = _plain_iterate(c, F(rng.randint(-12, 12), rng.randint(1, 6)),
+                               rng.randint(1, depth))
+        else:
+            a = F(rng.randint(-40, 40), rng.randint(1, 12))
+        cases.append((c, a, depth))
+    return cases
+
+
+def test_int_tree_matches_fraction_oracle():
+    # the int tree's JSON, signature, union and equality against the
+    # Fraction walk formatted with format_rat: reduced input, and c, a and
+    # level 1 given unreduced to tree_from_levels
+    rng = random.Random(SEED + 4)
+    empty = degenerate = scaled = 0
+    for c, a, depth in _oracle_cases(rng, 300):
+        expected = reference_tree_json(c, a, depth)
+        reference = reference_tree(c, a, depth)
+        for k, m in ((1, 1), (rng.randint(2, 9), rng.randint(2, 9))):
+            tree = _scaled_tree(c, a, depth, k, m)
+            assert tree.as_json() == expected
+            assert list(tree.signature()) == expected["signature"]
+            assert tree.union_count() == expected["union"]
+            assert tree == reference and hash(tree) == hash(reference)
+            assert tree == preimage_tree(c, a, depth)
+            assert (tree.c, tree.a) == (c, a)
+            assert [[n.value for n in level] for level in tree.levels] == [
+                [Fraction(v) for v in level] for level in expected["levels"]]
+            scaled += k > 1 and tree.signature()[0] > 0
+        empty += sum(tree.signature()) == 0
+        degenerate += any(n.degenerate for level in tree.levels for n in level)
+    assert empty >= 30 and degenerate >= 30 and scaled >= 30
+    # the periodic root 1/2 of x^2 + 1/4 sits at levels 1 and 2: given as
+    # (2, 4) at level 1, it still counts once in the union
+    tree = _scaled_tree(F(1, 4), F(1, 2), 2, 1, 2)
+    assert tree.values == (((1, 2), (-1, 2)), ((1, 2), (-1, 2)))
+    assert tree.union_count() == 2 and tree.as_json()["union"] == 2
+    assert tree != _scaled_tree(F(1, 4), F(1, 2), 3, 1, 2)
+
+
+def test_tree_from_json_and_pickle_round_trips():
+    # both routes read and write the int pairs: a tree whose Fraction view
+    # was read pickles to the same bytes as one never read, and JSON with
+    # unreduced or sign-flipped values parses to lowest terms
+    rng = random.Random(SEED + 5)
+    for c, a, depth in _oracle_cases(rng, 100):
+        tree = preimage_tree(c, a, depth)
+        blob = pickle.dumps(tree)
+        assert tree.levels is tree.levels and tree.c == c
+        assert pickle.dumps(tree) == blob
+        for again in (pickle.loads(blob),
+                      PreimageTree.from_json(json.loads(json.dumps(tree.as_json())))):
+            assert again == tree and again.as_json() == tree.as_json()
+            assert again.levels == tree.levels
+    data = preimage_tree(F(-1), F(0), 2).as_json()
+    data.update(c="-3/3", a="0/-7", levels=[["-2/-2", "-1"], data["levels"][1]])
+    tree = PreimageTree.from_json(data)
+    assert tree == preimage_tree(F(-1), F(0), 2)
+    assert all(gcd(*v) == 1 and v[1] > 0 for level in tree.values for v in level)
+    data["parents"] = [[0], [0]]
+    with pytest.raises(ValueError):
+        PreimageTree.from_json(data)
 
 
 def test_tree_rejects_bad_depth():

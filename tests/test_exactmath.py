@@ -12,6 +12,7 @@ from quadpreim.exactmath import (
     format_rat,
     height,
     int_sqrt,
+    parse_pair,
     parse_rat,
     rat_sqrt,
     resultant,
@@ -85,6 +86,20 @@ def test_parse_rat_errors_carry_position():
         parse_rat("1/0")
     with pytest.raises(RatParseError):
         parse_rat("")
+    # digits that str.isdigit accepts but int() does not, a non-ASCII digit
+    # that int() would read, and more digits than int() converts
+    for text, position in (("\u00b2", 0), ("1/\u0661", 2), ("1" * 5000, 0),
+                           ("2/-" + "3" * 5000, 2)):
+        with pytest.raises(RatParseError) as err:
+            parse_rat(text)
+        assert err.value.position == position
+
+
+def test_parse_pair_lowest_terms():
+    assert parse_pair("-6/-8") == (3, 4)
+    assert parse_pair(" 6/-8") == (-3, 4)
+    assert parse_pair("+0/-5") == parse_pair("-0") == (0, 1)
+    assert parse_pair("12") == (12, 1)
 
 
 # -- polynomials ------------------------------------------------------------

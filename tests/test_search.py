@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -10,7 +11,7 @@ import pytest
 
 from quadpreim import cli, search
 from quadpreim.dynamics import orbit
-from quadpreim.exactmath import height, parse_rat, rat_sqrt
+from quadpreim.exactmath import format_pair, format_rat, height, parse_rat, rat_sqrt
 from quadpreim.search import (
     CheckpointError,
     Provenance,
@@ -24,12 +25,15 @@ from quadpreim.search import (
     verify_pair,
 )
 from reference import (
+    forward_plan_values,
     reference_branch_mask,
     reference_branches,
     reference_fractions_by_height,
     reference_hit,
     reference_thirdpair_values,
     reference_tree,
+    reference_tree_json,
+    thirdpair_plan_values,
 )
 
 PAIR4 = (Fraction(-24361, 14400), Fraction(-42, 25))
@@ -639,7 +643,7 @@ def test_one_walk_tree_of_unreduced_and_zero_level_one():
     # third-pair t that is not in lowest terms
     config = SearchConfig(height_bound=1, depth=3, target=(1, 2))
     plan = search._ForwardPlan(config)
-    assert plan.values(2, 0) == (F(-1), F(0))
+    assert forward_plan_values(plan, 2, 0) == (F(-1), F(0))
     hit = plan.settle(2, 0)
     assert hit is not None and hit[2][0] == {(0, 1): hit[1]}
     tree = search._record(*hit).tree
@@ -780,14 +784,15 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
         kept = set(plan.candidates(0, plan.size))
         live = set(plan.live.tolist())
         branching = {(ci, xi) for ci, xi in every if ci in live
-                     and reference_branches(*plan.values(ci, xi), depth, target)}
+                     and reference_branches(*forward_plan_values(plan, ci, xi),
+                                            depth, target)}
         assert branching <= kept and len(kept) < len(every) // 4
         expected = {}
         for ci, xi in every:
             hit = plan.settle(ci, xi)
             if hit is not None:
                 expected.setdefault((F(*hit[0]), F(*hit[1])),
-                                    plan.values(ci, xi)[1])
+                                    forward_plan_values(plan, ci, xi)[1])
         assert total > 1 or len(expected) == records
         for jobs in (1, 2):
             assert [(r.c, r.a, parse_rat(r.provenance[0].params["x0"]))
@@ -861,3 +866,63 @@ def test_record_json_roundtrip():
     assert clone.signature == rec.signature
     assert clone.tree == rec.tree
     assert clone.provenance == rec.provenance
+
+
+SCANS = [(scan_thirdpair, dict(height_bound=40, depth=3, target=(2, 4, 4))),
+         (scan_forward, dict(height_bound=8, depth=3, target=(2, 2, 4)))]
+
+
+@pytest.mark.parametrize("scan, cfg", SCANS)
+def test_records_read_their_tree(scan, cfg):
+    # a record's c, a, signature, key and JSON come from its int tree: the
+    # key in lowest terms (the third-pair c and t arrive unreduced), the
+    # JSON that of the Fraction oracle, and a pickled record (as --jobs
+    # workers send them) equal to the original
+    records = list(scan(SearchConfig(**cfg)))
+    assert len(records) >= 5
+    for rec in records:
+        (cn, cd), (an, ad) = key = rec.key()
+        assert gcd(cn, cd) == gcd(an, ad) == 1 and cd > 0 and ad > 0
+        assert key == ((rec.c.numerator, rec.c.denominator),
+                       (rec.a.numerator, rec.a.denominator))
+        data = rec.as_json()
+        assert data["tree"] == reference_tree_json(rec.c, rec.a, cfg["depth"])
+        assert (data["c"], data["a"]) == (format_rat(rec.c), format_rat(rec.a))
+        assert data["signature"] == list(rec.signature) == data["tree"]["signature"]
+        clone = pickle.loads(pickle.dumps(rec))
+        assert clone == rec and clone.as_json() == data
+    c, t = _thirdpair_values(5, 3, 1, 3)
+    rec = search._record(*search._settle(SearchConfig(1, 3, ()), c, t))
+    assert gcd(*c) > 1 and gcd(*t) > 1
+    assert rec.key() == ((rec.c.numerator, rec.c.denominator),
+                         (rec.a.numerator, rec.a.denominator))
+
+
+@pytest.mark.parametrize("scan, cfg", SCANS)
+def test_resume_replays_identical_records(tmp_path, scan, cfg):
+    # resuming a finished scan replays records equal to the scanned ones,
+    # prints the same bytes and rewrites the same checkpoint bytes
+    path = tmp_path / "scan.ckpt"
+    cfg = SearchConfig(checkpoint_path=str(path), **cfg)
+    records = list(scan(cfg))
+    written = path.read_bytes()
+    replayed = list(scan(cfg, resume=True))
+    assert replayed == records and _printed(replayed) == _printed(records)
+    assert path.read_bytes() == written
+
+
+def test_provenance_pairs_match_fraction_values():
+    # the int pairs that provenance is formatted from, against the plans'
+    # candidates as Fractions through format_rat and height
+    for plan_class, cfg, values in (
+            (search._ThirdPairPlan, dict(height_bound=60, depth=3, target=(2, 4, 4)),
+             thirdpair_plan_values),
+            (search._ForwardPlan, dict(height_bound=6, depth=3, target=(2, 2)),
+             forward_plan_values)):
+        plan = plan_class(SearchConfig(**cfg))
+        candidates = list(plan.candidates(0, plan.size))
+        assert len(candidates) >= 50
+        for candidate in candidates:
+            pairs, fractions = plan.pairs(*candidate), values(plan, *candidate)
+            assert [format_pair(*p) for p in pairs] == list(map(format_rat, fractions))
+            assert [max(abs(n), d) for n, d in pairs] == list(map(height, fractions))

@@ -4,9 +4,9 @@ Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it).  The torsion hot path,
-the elimination of c and the settling of a search candidate stay on Python
-ints, and the numpy code of the scans' filters has no true division and no
-float dtype.
+the elimination of c, the settling of a search candidate and the making of
+its record stay on Python ints, and the numpy code of the scans' filters
+has no true division and no float dtype.
 Every name that the benchmark harness traces still exists in the package, no
 module-level function or class is dead, and no parameter default in the
 package is an option that nothing sets.
@@ -46,9 +46,20 @@ INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
 INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
                   ("search", "_settle"), ("search", "_ForwardPlan.settle"),
                   ("search", "_ThirdPairPlan.settle"),
-                  ("search", "_scan_block"), ("search", "_lowest"),
+                  ("search", "_scan_block"), ("exactmath", "lowest_terms"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
                   ("dynamics", "_descending"))
+# a hit's way to the output: the tree built from the walk's level maps, its
+# signature, union and JSON, the record around it, its dedup key and JSON,
+# and the scan driver that formats provenance from the plans' int pairs
+INTEGER_RECORD = (("dynamics", "tree_from_levels"),
+                  ("dynamics", "PreimageTree.as_json"),
+                  ("dynamics", "PreimageTree.signature"),
+                  ("dynamics", "PreimageTree.union_count"),
+                  ("search", "_record"), ("search", "SearchRecord.as_json"),
+                  ("search", "SearchRecord.key"), ("search", "_scan"),
+                  ("search", "_ThirdPairPlan.pairs"),
+                  ("search", "_ForwardPlan.pairs"))
 # the scans' numpy filter code, which decides candidates on int arrays: the
 # forms and their kind tables, the shared builder and survivor helpers, and
 # the plans around them
@@ -150,8 +161,13 @@ def _functions(module):
 def test_search_hot_path_names_no_fraction_type():
     # a candidate that misses builds no Fraction, and a block dedups its hits
     # on ints: the functions that settle and dedup them never name the type
-    # (only dynamics.tree_from_levels, the node constructor, does)
     assert _named(INTEGER_SETTLE, ("Fraction",)) == set()
+
+
+def test_record_path_names_no_fraction_type():
+    # a hit becomes a tree, a record, provenance and JSON on int pairs; only
+    # the readers of c, a and levels make Fractions
+    assert _named(INTEGER_RECORD, ("Fraction",)) == set()
 
 
 def _float_dtype(node):
