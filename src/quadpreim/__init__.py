@@ -29,11 +29,9 @@ from .exactmath import (
     Rat,
     eliminate_c,
     format_rat,
-    height,
     int_sqrt,
     parse_rat,
     rat_sqrt,
-    resultant,
 )
 from .models import (
     QuadricModel,
@@ -62,9 +60,8 @@ __all__ = [
     "TorsionKind", "WeierstrassCurve", "arrangement_curve",
     "critical_avalues", "critical_poly", "curve_244", "eliminate_c",
     "format_rat", "genus_closed", "genus_hilbert", "genus_with_delta",
-    "height", "ideal_j", "infinity_points", "int_sqrt", "iterate",
-    "jacobian_minors", "parse_rat", "plane_genus_with_delta",
-    "point_order", "preimage_tree", "rat_sqrt", "resultant",
-    "scan_forward", "scan_thirdpair", "specialize_e222",
+    "ideal_j", "infinity_points", "int_sqrt", "iterate", "jacobian_minors",
+    "parse_rat", "plane_genus_with_delta", "point_order", "preimage_tree",
+    "rat_sqrt", "scan_forward", "scan_thirdpair", "specialize_e222",
     "specialize_e24", "torsion_family_a", "torsion_subgroup", "verify_pair",
 ]

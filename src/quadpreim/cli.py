@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__, dynamics, elliptic, models, search, verify
@@ -86,8 +87,11 @@ def _poly_json(poly: QPoly) -> list[str]:
 
 
 def _display_float(q: Fraction, digits: int) -> str:
-    # display-only convenience; the core never floats
-    return ("%%.%dg" % digits) % float(q)
+    # display-only; the core never floats (past a double's range: decimal)
+    try:
+        return ("%%.%dg" % digits) % float(q)
+    except OverflowError:
+        return format(Decimal(q.numerator) / q.denominator, ".%dg" % digits)
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +159,9 @@ def cmd_model(args, config) -> int:
 
 def cmd_ec(args, config) -> int:
     digits = _config_int(config, "display_digits", 6)
+    if not 1 <= digits <= 17:      # %g's precision; a double has 17 digits
+        raise UsageError("config key display_digits expects an integer from 1 "
+                         "to 17, got %r" % config["display_digits"])
 
     if args.ec_command in ("specialize-e24", "specialize-e222"):
         e24 = args.ec_command == "specialize-e24"
@@ -390,6 +397,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed the message; normalize the usage exit code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # print every integer the command makes: lift the interpreter's int-to-str
+    # digit limit, where it has one (parse_rat bounds an argument's digits)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         config = load_config(args.config)
         return args.func(args, config)
@@ -399,6 +411,9 @@ def main(argv=None) -> int:
     except search.CheckpointError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -95,10 +95,6 @@ class PreimageTree:
                            for v, p in zip(values, parents))
                      for values, parents in zip(self.values, self.parents))
 
-    @property
-    def depth(self) -> int:
-        return len(self.values)
-
     def signature(self) -> tuple[int, ...]:
         return tuple(map(len, self.values))
 
@@ -119,11 +115,13 @@ class PreimageTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "PreimageTree":
-        values = tuple(tuple(map(parse_pair, level)) for level in data["levels"])
+        # as_json prints every integer whole, so no digit bound applies
+        read = partial(parse_pair, max_digits=None)
+        values = tuple(tuple(map(read, level)) for level in data["levels"])
         parents = tuple(map(tuple, data["parents"]))
         if list(map(len, values)) != list(map(len, parents)):
             raise ValueError("tree levels and parents differ in shape")
-        return cls(parse_pair(data["c"]), parse_pair(data["a"]), values, parents)
+        return cls(read(data["c"]), read(data["a"]), values, parents)
 
 
 def preimage_levels(c: Pair, level: Iterable[Pair],

@@ -22,7 +22,7 @@ Pair = tuple[int, int]          # a rational as (n, d) with d > 0
 
 
 # ---------------------------------------------------------------------------
-# square roots and heights
+# square roots
 # ---------------------------------------------------------------------------
 
 def int_sqrt(n: int) -> Optional[int]:
@@ -52,13 +52,6 @@ def rat_sqrt(q: RatLike) -> Optional[Fraction]:
     if rd is None:
         return None
     return Fraction(rn, rd)
-
-
-def height(q: RatLike) -> int:
-    """Multiplicative height of a rational: max(|numerator|, denominator)."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    return max(abs(q.numerator), q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +89,11 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(*parse_pair(text))
 
 
-def parse_pair(text: str) -> Pair:
+def parse_pair(text: str, max_digits: Optional[int] = 4300) -> Pair:
     """Parse "p/q" (or "p"), ASCII digits each with an optional sign, to
-    (n, d) in lowest terms with d > 0.  Raises RatParseError with the bad
-    position."""
+    (n, d) in lowest terms with d > 0, of max_digits digits at most each (str
+    to int is quadratic in them; 4,300 is the interpreter's default cap).
+    Raises RatParseError with the bad position."""
     s = text.strip()
     if not s:
         raise RatParseError(text, 0, "empty string")
@@ -112,10 +106,9 @@ def parse_pair(text: str) -> Pair:
         for i, ch in enumerate(part[pos:], start=pos):
             if ch not in "0123456789":
                 raise RatParseError(text, base + i, "expected digit, got %r" % ch)
-        try:
-            return int(part)
-        except ValueError:      # past int()'s limit on the digits it converts
+        if max_digits is not None and len(part) - pos > max_digits:
             raise RatParseError(text, base, "too many digits")
+        return int(part)
 
     if "/" in s:
         slash = s.index("/")
@@ -362,19 +355,6 @@ def _poly_sub(f: list[int], g: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
-
-def resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Resultant of two univariate polynomials over Q, zero iff f and g
-    share a root over the closure: Res(l f, m g) = l^deg g m^deg f Res(f, g)
-    with the denominators l and m cleared once."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("resultant of two zero polynomials is undefined")
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    lam, fs = _cleared(f.coeffs)
-    mu, gs = _cleared(g.coeffs)
-    return Fraction(_int_resultant(fs, gs), lam ** g.degree * mu ** f.degree)
-
 
 def _int_resultant(a: list[int], b: list[int]) -> int:
     """Resultant of two int coefficient lists with nonzero leading terms (a

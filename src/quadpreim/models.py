@@ -57,20 +57,11 @@ class QuadricForm:
             raise ValueError("expected %d coordinates" % self.num_vars)
         return _evaluate_terms(self.terms, point, a_value)
 
-    def partial(self, var: int) -> "LinearForm":
-        entries: dict[Monomial, QPoly] = {}
-        for mono, coeff in self.terms:
-            e = mono[var]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[var] -= 1
-            key = tuple(lowered)
-            scaled = coeff * e
-            entries[key] = entries.get(key, QPoly.zero()) + scaled
-        return LinearForm(num_vars=self.num_vars,
-                          terms=tuple(sorted((k, v) for k, v in entries.items()
-                                             if not v.is_zero())))
+    def partial(self, var: int) -> tuple[tuple[Monomial, QPoly], ...]:
+        """The terms of the derivative in coordinate var, a linear form."""
+        return tuple((mono[:var] + (mono[var] - 1,) + mono[var + 1:],
+                      coeff * mono[var])
+                     for mono, coeff in self.terms if mono[var])
 
     def format(self, names: Sequence[str]) -> str:
         if not self.terms:
@@ -93,17 +84,6 @@ class QuadricForm:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A partial derivative of a QuadricForm; coefficients are QPoly in a."""
-
-    num_vars: int
-    terms: tuple[tuple[Monomial, QPoly], ...]
-
-    def evaluate(self, point: Sequence, a_value):
-        return _evaluate_terms(self.terms, point, a_value)
 
 
 @dataclass(frozen=True)
@@ -315,7 +295,8 @@ def jacobian_minors(model: QuadricModel, chart_var: int, point: Sequence,
     cols = [i for i in range(nv) if i != chart_var]
     matrix = []
     for gen in model.generators:
-        matrix.append([gen.partial(i).evaluate(proj, a_value) for i in cols])
+        matrix.append([_evaluate_terms(gen.partial(i), proj, a_value)
+                       for i in cols])
     rows = len(matrix)
     minors = []
     for chosen in itertools.combinations(range(len(cols)), rows):

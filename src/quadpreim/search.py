@@ -58,10 +58,10 @@ A candidate is settled on int pairs (_settle): each plan knows a y with
 a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
 {0}, and the walk (_walk) starts there: a miss never square-tests a, the
 largest number of the candidate.  A hit is walked once, past the target's
-levels to the full depth, and a block builds one record from those level
-maps for each distinct (c, a) it reaches.  Records, their trees and their
-provenance stay reduced (n, d) pairs, formatted straight to the output; a
-Fraction is made only where a caller reads a record's c, a or levels.
+levels to the full depth, and the driver builds one record from its level
+maps for each new (c, a).  Records, their trees and their provenance stay
+reduced (n, d) pairs, formatted straight to the output; a Fraction is made
+only where a caller reads a record's c, a or levels.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ class CheckpointError(RuntimeError):
 # _height_order peaks at about 22 H^2 bytes (90 MB at 2,000); the forward plan
 # keeps three int pairs a fraction (about 1 GB at 2,000)
 _HEIGHT_BOUND_CAP = 2000
+# _kind_filter packs at least a word a stacked row (5 KB for the forward
+# filter) for every shard class with a column: about 20 MB at 4,096 classes
+_SHARD_TOTAL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,9 @@ class SearchConfig:
                 "height_bound must be between 1 and %d: the height order holds "
                 "about H^2/2 int64 pairs" % _HEIGHT_BOUND_CAP)
         index, total = self.shard
-        if total < 1 or not 0 <= index < total:
-            raise SearchArgumentError("shard must satisfy 0 <= index < total")
+        if not 0 <= index < total <= _SHARD_TOTAL_CAP:
+            raise SearchArgumentError("shard must satisfy 0 <= index < total "
+                                      "<= %d" % _SHARD_TOTAL_CAP)
         if self.depth < 1:
             raise SearchArgumentError("depth must be at least 1")
         if self.depth < len(self.target):
@@ -299,7 +303,7 @@ def _load_checkpoint(path: str,
         digest, next_block = payload["config_sha"], payload["next_block"]
         records = [SearchRecord.from_json(data) for data in payload["records"]]
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         raise SearchArgumentError("cannot resume from checkpoint %r: %r"
                                   % (path, exc))
     if digest != expected_digest:
@@ -332,16 +336,10 @@ def _blocks(live: np.ndarray, tile: int, start: int) -> list[tuple[int, int]]:
     return list(zip([start] + ends[:-1], ends))
 
 
-def _scan_block(plan, block: tuple[int, int]) -> list:
-    """The hits (candidate, record) of one block, in candidate order: one
-    record for each distinct (c, a), built for the first candidate that
-    reaches it."""
-    firsts: dict[tuple[Pair, Pair], tuple] = {}
-    for candidate in plan.candidates(*block):
-        if (hit := plan.settle(*candidate)) is not None:
-            firsts.setdefault((lowest_terms(hit[0]), lowest_terms(hit[1])),
-                              (candidate, hit))
-    return [(candidate, _record(*hit)) for candidate, hit in firsts.values()]
+def _scan_block(plan, block: tuple[int, int]) -> list[tuple[tuple, Hit]]:
+    """The hits (candidate, hit) of one block, in candidate order."""
+    return [(candidate, hit) for candidate in plan.candidates(*block)
+            if (hit := plan.settle(*candidate)) is not None]
 
 
 _pool_plan = None           # the plan of a worker process
@@ -370,8 +368,9 @@ def _block_hits(plan, blocks: list, jobs: int) -> Iterator[list]:
 def _scan(plan_class, config: SearchConfig, resume: bool,
           jobs: int) -> Iterator[SearchRecord]:
     """Replay the checkpoint's records on resume, then read each block's
-    hits in order: drop a (c, a) emitted before, attach the provenance, emit,
-    and checkpoint every _CHECKPOINT_BLOCKS blocks and at the end."""
+    hits in order: drop a (c, a) emitted before, build the record of a new
+    one and attach its provenance, emit, and checkpoint every
+    _CHECKPOINT_BLOCKS blocks and at the end."""
     digest = config.digest(plan_class.strategy)
     path = config.checkpoint_path
     start, replayed = 0, []
@@ -397,10 +396,13 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
     blocks = _blocks(plan.live, plan.tile, start)
     for done, (hits, (_, end)) in enumerate(
             zip(_block_hits(plan, blocks, jobs), blocks), start=1):
-        for candidate, rec in hits:
-            if rec.key() in seen:
-                continue
-            seen.add(rec.key())
+        new = []        # a block's trees built together: 2% off a forward call
+        for candidate, (c, a, levels) in hits:
+            key = lowest_terms(c), lowest_terms(a)
+            if key not in seen:
+                seen.add(key)
+                new.append((candidate, _record(c, a, levels)))
+        for candidate, rec in new:
             pairs = plan.pairs(*candidate)
             rec.provenance.append(Provenance(
                 strategy=plan_class.strategy,
@@ -529,15 +531,17 @@ def _kind_filter(tables, rows: tuple, cols: tuple, columns: np.ndarray,
     start = np.arange(0, stacked.size, stacked.shape[1])[:, None]
     # runs of columns that keep the take's index near 2^18 entries (2 MB)
     run = max(1, (1 << 18) // len(stacked) // 64) * 64
-    shard, bits = [columns % total == w for w in range(total)], []
-    for at in shard:
+    classes, shard, bits = columns % total, [], []
+    for w in range(total):
+        at = classes == w
+        shard.append(columns[at])
         kinds = col_kinds[col_keys[:, at]]
         packed = [np.packbits(stacked.take(kinds[modulus, lo:lo + run] + start),
                               axis=1, bitorder="little")
                   for lo in range(0, kinds.shape[1], run)]
         pad = np.zeros((len(stacked), -kinds.shape[1] // 8 % 8), dtype=np.uint8)
         bits.append(np.concatenate(packed + [pad], axis=1).view(np.uint64))
-    return offsets, [columns[at] for at in shard], bits
+    return offsets, shard, bits
 
 
 def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tuple:

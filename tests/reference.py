@@ -21,13 +21,16 @@
 - The integral short model by prime factoring of the scaling denominators
   (`reference_short_integral_model`), the oracle for the coprime-base
   scaling of `elliptic.short_integral_model`.
-- The Sylvester-determinant resultant in `Fraction`s, the oracle for the
-  integer subresultant route of `exactmath.resultant` and, specialized at
-  values of a, for the interpolation in `exactmath.eliminate_c`.
+- `resultant` of two `QPoly`s: denominators cleared once, then the
+  package's integer subresultant PRS (`exactmath._int_resultant`), which
+  only `exactmath.eliminate_c` calls in the package.  The
+  Sylvester-determinant resultant in `Fraction`s is the oracle for it and,
+  specialized at values of a, for the interpolation in `eliminate_c`.
 - The branch test of the forward scan on Python ints (`reference_branches`:
   is G_m a perfect square), and the residue filter that ran the orbit mod
   each filter modulus for every candidate (`reference_branch_mask`), the
   oracles for the forward scan's kind-table filter.
+- `height`, max(|n|, d) of a rational, for the tests' height bounds.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
   `search._height_order`, and the third-pair values (c, a) in `Fraction`
   arithmetic, the oracle for `search._thirdpair_values` (which gives c and
@@ -51,7 +54,8 @@ from quadpreim.elliptic import (
     point_order,
     short_integral_model,
 )
-from quadpreim.exactmath import QPoly, _cleared, format_rat, rat_sqrt
+from quadpreim.exactmath import (QPoly, _cleared, _int_resultant, format_rat,
+                                  rat_sqrt)
 
 
 def preimages(c, y) -> tuple[Fraction, ...]:
@@ -174,6 +178,12 @@ def reference_branch_mask(u, v, n, d, first: int, end: int):
 
 
 # -- third-pair search -------------------------------------------------------
+
+def height(q) -> int:
+    """Multiplicative height of a rational: max(|numerator|, denominator)."""
+    q = Fraction(q)
+    return max(abs(q.numerator), q.denominator)
+
 
 def reference_fractions_by_height(bound: int) -> list[Fraction]:
     """All positive reduced fractions with height <= bound, ordered by
@@ -485,10 +495,24 @@ def reference_short_integral_model(curve: WeierstrassCurve) -> ShortIntegralMode
 
 # -- resultants -----------------------------------------------------------------
 
+def resultant(f: QPoly, g: QPoly) -> Fraction:
+    """Resultant of two univariate polynomials over Q, zero iff f and g
+    share a root over the closure, on the package's integer subresultant PRS
+    (`exactmath._int_resultant`): Res(l f, m g) = l^deg g m^deg f Res(f, g)
+    with the denominators l and m cleared once."""
+    if f.is_zero() and g.is_zero():
+        raise ValueError("resultant of two zero polynomials is undefined")
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    lam, fs = _cleared(f.coeffs)
+    mu, gs = _cleared(g.coeffs)
+    return Fraction(_int_resultant(fs, gs), lam ** g.degree * mu ** f.degree)
+
+
 def sylvester_resultant(f: QPoly, g: QPoly) -> Fraction:
     """Resultant as the determinant of the Sylvester matrix, by exact
-    Gaussian elimination.  Independent of the subresultant route in
-    `exactmath.resultant`, which is checked against it.
+    Gaussian elimination.  Independent of the subresultant PRS that
+    `resultant` runs, which is checked against it.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")

@@ -12,6 +12,7 @@ from quadpreim import cli, dynamics, elliptic, models, search
 from quadpreim.cli import MODEL_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
+from quadpreim.exactmath import format_rat
 from quadpreim.search import SearchRecord
 
 
@@ -59,6 +60,47 @@ def test_tree_parse_error_is_usage_error(capsys):
         code, _, err = run_cli(capsys, "tree", "--c", text, "--a", "1",
                                "--depth", "1")
         assert code == 2 and "position" in err
+
+
+def test_integers_past_the_str_digit_limit_print(capsys, tmp_path):
+    # a computation's integers can pass the interpreter's 4,300-digit limit
+    # on int-to-str conversion (this delta has about 5,000 digits, the
+    # depth-16 orbits far more): main lifts it while the command runs and
+    # restores it after, in process and through the interpreter, and a
+    # checkpoint holding such integers resumes to the same output
+    a = Fraction("7" * 1000)
+    delta = a * (4 * a + 1) ** 4
+    j = (16 * a * a - 56 * a + 1) ** 3 / delta
+    fiber = ("ec", "specialize-e24", "--a", "7" * 1000)
+    forward = ("search", "--strategy", "forward", "--height-bound", "2",
+               "--depth", "16", "--target", "2", "--format", "structured")
+    forward += ("--checkpoint", str(tmp_path / "d16.ckpt"))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    runs = [run_cli(capsys, *fiber), run_cli(capsys, *forward)]
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    runs += [run_module(*fiber), run_module(*forward, "--resume")]
+    assert [code for code, *_ in runs] == [0] * 4
+    assert runs[3][1] == runs[1][1]
+    assert not any("Traceback" in err for *_, err in runs)
+    if limit:
+        sys.set_int_max_str_digits(0)      # to print the Fraction oracle
+    try:
+        for _, out, _ in runs[::2]:
+            lines = out.splitlines()
+            assert lines[2] == "delta = %s, singular = False" % format_rat(delta)
+            assert lines[3].startswith("j = %s (~1.24444e+1001)" % format_rat(j))
+        for _, out, _ in runs[1::2]:
+            records = [json.loads(line) for line in out.splitlines()]
+            assert len(records) == 24
+            for rec in records:
+                params = rec["provenance"][0]["params"]
+                c, x = Fraction(params["c"]), Fraction(params["x0"])
+                for _ in range(16):
+                    x = x * x + c
+                assert (rec["c"], rec["a"]) == (params["c"], format_rat(x))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -121,6 +163,17 @@ def test_ec_order_and_torsion(capsys):
                            "--a6", "48", "--format", "structured")
     payload = json.loads(out.strip())
     assert payload["invariants"] == [1, 4]
+    # structured order on curve-244: its generator, and a point of order 2
+    for x, y, order in (("3", "4", None), ("1", "0", 2)):
+        code, out, _ = run_cli(capsys, "ec", "order", "--a2", "1", "--a4", "-9",
+                               "--a6", "7", "--x", x, "--y", y,
+                               "--format", "structured")
+        assert code == 0 and json.loads(out) == {"order": order}
+    for coeffs, line in ((("--a4", "1", "--a6", "1"), "trivial (order 1)"),
+                         (("--a6", "1"), "Z/6 (order 6)")):
+        code, out, _ = run_cli(capsys, "ec", "torsion", *coeffs)
+        assert code == 0
+        assert out.splitlines()[0] == "torsion subgroup: " + line
 
 
 def test_ec_off_curve_point_is_usage_error(capsys):
@@ -181,6 +234,15 @@ def test_search_shard_flag(capsys):
                            "--target", "2,2", "--shard", "1/2",
                            "--format", "structured")
     assert code == 0
+    # a shard total past the cap is refused before the filter's per-class
+    # bit matrices are made: exit status 2, one error line, no traceback
+    for strategy in ("thirdpair", "forward"):
+        code, out, err = run_module("search", "--strategy", strategy,
+                                    "--height-bound", "10", "--depth", "3",
+                                    "--target", "2,4,6", "--shard", "0/10000000")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: shard must satisfy 0 <= index < total <= 4096"]
 
 
 def test_search_jobs_merge_matches_single(capsys):
@@ -236,6 +298,12 @@ def _bad_checkpoints(tmp_path):
         "bad record": json.dumps({
             "config_sha": old.digest("thirdpair"), "next_block": 0,
             "records": [{"c": "-5/16"}]}),
+        "next block -1": json.dumps({
+            "config_sha": old.digest("thirdpair"), "next_block": -1,
+            "records": []}),
+        # past the JSON decoder's recursion limit
+        "deeply nested": '{"config_sha": "x", "next_block": 0, "records": '
+                         + "[" * 5000 + "]" * 5000 + "}",
     }
     paths = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}
     for name, text in texts.items():
@@ -254,6 +322,14 @@ def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
         code, out, err = run_module(*argv)
         assert code == 2 and out == "", name
         assert "Traceback" not in err and len(err.splitlines()) == 1, name
+
+
+def test_search_checkpoint_write_failure_exits_1(capsys, tmp_path):
+    path = tmp_path / "no_dir" / "h12.ckpt"
+    code, _, err = run_cli(capsys, *H12, "--checkpoint", str(path))
+    assert code == 1
+    assert err.startswith("error: checkpoint write to %r failed" % str(path))
+    assert len(err.splitlines()) == 1 and not path.parent.exists()
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -369,6 +445,11 @@ def test_config_file_supplies_height_bound(capsys, tmp_path):
     ("height_bound = abc", ("search", "--strategy", "forward", "--depth", "2",
                             "--target", "2,2")),
     ("display_digits = x", ("ec", "specialize-e24", "--a", "1")),
+    # integers that %g cannot take as a precision
+    ("display_digits = -5", ("ec", "specialize-e24", "--a", "1")),
+    ("display_digits = 0", ("ec", "specialize-e24", "--a", "1")),
+    ("display_digits = 18", ("ec", "specialize-e24", "--a", "1")),
+    ("display_digits = 99999999999", ("ec", "specialize-e24", "--a", "1")),
 ])
 def test_config_value_not_an_integer_is_usage_error(capsys, tmp_path, line, argv):
     conf = tmp_path / "bad.conf"
@@ -376,7 +457,10 @@ def test_config_value_not_an_integer_is_usage_error(capsys, tmp_path, line, argv
     code, out, err = run_cli(capsys, "--config", str(conf), *argv)
     assert code == 2 and out == ""
     key, value = (part.strip() for part in line.split("="))
-    assert err == "error: config key %s expects an integer, got %r\n" % (key, value)
+    expects = ("an integer from 1 to 17" if value.lstrip("-").isdigit()
+               else "an integer")
+    assert err == "error: config key %s expects %s, got %r\n" % (key, expects,
+                                                                  value)
 
 
 def test_verify_paper_under_optimize():

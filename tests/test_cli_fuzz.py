@@ -15,19 +15,23 @@ from quadpreim.cli import MODEL_MAX_DEPTH, main
 from test_cli import run_module
 
 SEED = int(os.environ.get("QUADPREIM_FUZZ_SEED", "6021"))
-CASES = 100
+CASES = 200
 MODULE_CASES = 4
 
-RATS = ["0", "1", "-3/4", "7/2", "-24361/14400", "-42/25",
+# the last valid rational's values pass the interpreter's int-to-str limit
+RATS = ["0", "1", "-3/4", "7/2", "-24361/14400", "-42/25", "7" * 1000,
         "x", "", "1/0", "2//3", "3/-4", "1e3", "-"]
 COUNTS = ["-1", "0", "abc", "2.5", ""]
 TARGETS = ["2,4,4", "2,4,6", "2,2,2", "2,2", "2,2,4", "0,0,0",
            "2,x", "", "-1,2,2", "2,4,6,8", "2"]
-SHARDS = ["0/1", "1/2", "0/3", "2/2", "x", "1/0", "-1/2", "1"]
+SHARDS = ["0/1", "1/2", "0/3", "2/2", "x", "1/0", "-1/2", "1", "0/10000000"]
 SECTIONS = ["2", "3.1", "4.2", "4.4", "genus", "6.2", "nope", ""]
 TAGS = ["224", "242", "2222", "2", "3", "4", "1", "x", "",
         str(MODEL_MAX_DEPTH + 1), "100000"]
-GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff"]
+GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff",
+           '{"records": ' + "[" * 5000 + "]" * 5000 + "}"]
+CONFIGS = ["display_digits = 3", "display_digits = -5",
+           "display_digits = 99999999999", "height_bound = 4"]
 
 
 def _maybe(rng, valid, invalid, p_valid=0.85, p_omit=0.05):
@@ -53,8 +57,8 @@ def _case(rng, tmp_path):
                           "search", "search", "verify-paper"])
     if command == "tree":
         argv = ["tree"] + _flags(rng, [
-            ("--c", _maybe(rng, RATS[:6], RATS[6:])),
-            ("--a", _maybe(rng, RATS[:6], RATS[6:])),
+            ("--c", _maybe(rng, RATS[:7], RATS[7:])),
+            ("--a", _maybe(rng, RATS[:7], RATS[7:])),
             ("--depth", _maybe(rng, ["1", "2", "3", "4"], COUNTS))] + fmt)
     elif command == "critical":
         argv = ["critical"] + _flags(rng, [
@@ -68,23 +72,28 @@ def _case(rng, tmp_path):
                           "order", "torsion", "bogus"])
         options = []
         if sub.startswith("specialize"):
-            options = [("--a", _maybe(rng, RATS[:6], RATS[6:]))]
+            options = [("--a", _maybe(rng, RATS[:7], RATS[7:]))]
         elif sub in ("order", "torsion"):
             options = [("--" + k, _maybe(rng, ["0", "1", "-1", "3", "16", "48"],
-                                         RATS[6:], 0.6, 0.4))
+                                         RATS[7:], 0.6, 0.4))
                        for k in ("a1", "a2", "a3", "a4", "a6")]
             if sub == "order":
-                options += [("--x", _maybe(rng, ["2", "0", "3"], RATS[6:])),
-                            ("--y", _maybe(rng, ["10", "4", "0"], RATS[6:]))]
+                options += [("--x", _maybe(rng, ["2", "0", "3"], RATS[7:])),
+                            ("--y", _maybe(rng, ["10", "4", "0"], RATS[7:]))]
         argv = ["ec", sub] + _flags(rng, options + fmt)
+        if rng.random() < 0.3:      # every ec subcommand reads display_digits
+            config = "config%d.conf" % rng.randrange(len(CONFIGS))
+            argv = ["--config", str(tmp_path / config)] + argv
     elif command == "verify-paper":
         argv = ["verify-paper"] + _flags(rng, [
             ("--section", _maybe(rng, SECTIONS[:6], SECTIONS[6:], 0.8, 0.0))] + fmt)
     else:
         strategy = _maybe(rng, ["thirdpair", "forward"], ["bogus"], 0.9)
         highest = 6 if strategy == "forward" else 12
-        checkpoint = rng.choice([None, "missing", "run"]
-                                + ["garbled%d" % k for k in range(len(GARBLED))])
+        # only a resume reads a garbled file; a run would overwrite it
+        resume = rng.random() < 0.3
+        checkpoint = rng.choice([None, "missing", "run"] + [
+            "garbled%d" % k for k in range(len(GARBLED) if resume else 0)])
         options = [
             ("--strategy", strategy),
             ("--height-bound", _maybe(rng, [str(h) for h in range(1, highest + 1)],
@@ -95,9 +104,7 @@ def _case(rng, tmp_path):
             ("--jobs", _maybe(rng, ["1", "2"], COUNTS, 0.7, 0.2)),
             ("--checkpoint", checkpoint and str(tmp_path / (checkpoint + ".ckpt"))),
         ] + fmt
-        argv = ["search"] + _flags(rng, options)
-        if rng.random() < 0.3:
-            argv.append("--resume")
+        argv = ["search"] + _flags(rng, options) + ["--resume"] * resume
     extra = rng.random()
     if extra < 0.05:
         argv.append("--bogus")
@@ -114,6 +121,8 @@ def test_cli_argv_fuzz(capsys, tmp_path):
               % SEED)
     for k, text in enumerate(GARBLED):
         (tmp_path / ("garbled%d.ckpt" % k)).write_text(text)
+    for k, text in enumerate(CONFIGS):
+        (tmp_path / ("config%d.conf" % k)).write_text(text + "\n")
     rng = random.Random(SEED)
     cases = [_case(rng, tmp_path) for _ in range(CASES)]
     codes = []

@@ -16,8 +16,9 @@ from quadpreim.dynamics import (
     iterate,
     preimage_tree,
 )
-from quadpreim.exactmath import QPoly, height
+from quadpreim.exactmath import QPoly
 from reference import (
+    height,
     is_critical_value,
     preimages,
     reference_tree,

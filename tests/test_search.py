@@ -11,7 +11,7 @@ import pytest
 
 from quadpreim import cli, search
 from quadpreim.dynamics import orbit
-from quadpreim.exactmath import format_pair, format_rat, height, parse_rat, rat_sqrt
+from quadpreim.exactmath import format_pair, format_rat, parse_rat, rat_sqrt
 from quadpreim.search import (
     CheckpointError,
     Provenance,
@@ -26,6 +26,7 @@ from quadpreim.search import (
 )
 from reference import (
     forward_plan_values,
+    height,
     reference_branch_mask,
     reference_branches,
     reference_fractions_by_height,
@@ -152,6 +153,10 @@ def test_config_invariants():
     SearchConfig(height_bound=2000, depth=3, target=(2, 4, 6))
     with pytest.raises(search.SearchArgumentError):
         SearchConfig(height_bound=2001, depth=3, target=(2, 2, 4))
+    # the shard total is capped before a filter packs a bit matrix per class
+    SearchConfig(height_bound=5, depth=3, target=(2, 4, 6), shard=(4095, 4096))
+    with pytest.raises(search.SearchArgumentError):
+        SearchConfig(height_bound=5, depth=3, target=(2, 4, 6), shard=(0, 4097))
 
 
 def _brute_thirdpair(bound, target):

@@ -41,8 +41,9 @@ INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
                        ("exactmath", "eliminate_c"))
 # the search candidate's integer settle: the one walk with its target check,
 # the forward orbit, the level walk, the settle of each plan and of both, a
-# block's dedup of its hits by lowest-terms (c, a), and the order the tree
-# builder gives each level, as (module, qualified name)
+# block's settle of its candidates, the lowest-terms (c, a) that the driver
+# dedups hits by, and the order the tree builder gives each level, as
+# (module, qualified name)
 INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
                   ("search", "_settle"), ("search", "_ForwardPlan.settle"),
                   ("search", "_ThirdPairPlan.settle"),
@@ -50,8 +51,8 @@ INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
                   ("dynamics", "_descending"))
 # a hit's way to the output: the tree built from the walk's level maps, its
-# signature, union and JSON, the record around it, its dedup key and JSON,
-# and the scan driver that formats provenance from the plans' int pairs
+# signature, union and JSON, the record around it, its key and JSON, and the
+# scan driver that dedups hits and formats provenance from the plans' pairs
 INTEGER_RECORD = (("dynamics", "tree_from_levels"),
                   ("dynamics", "PreimageTree.as_json"),
                   ("dynamics", "PreimageTree.signature"),
@@ -159,7 +160,7 @@ def _functions(module):
 
 
 def test_search_hot_path_names_no_fraction_type():
-    # a candidate that misses builds no Fraction, and a block dedups its hits
+    # a candidate that misses builds no Fraction, and the driver dedups hits
     # on ints: the functions that settle and dedup them never name the type
     assert _named(INTEGER_SETTLE, ("Fraction",)) == set()
 
