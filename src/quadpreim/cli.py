@@ -33,6 +33,8 @@ EXIT_USAGE = 2
 CRITICAL_MAX_N = 8
 # ideal_j(n) holds n - 1 quadrics over (n + 1)-tuple monomials: O(n^2) memory
 MODEL_MAX_DEPTH = 1000
+# preimage_tree walks every level, even past the first empty one
+TREE_MAX_DEPTH = 1000
 
 
 class UsageError(Exception):
@@ -101,8 +103,8 @@ def _display_float(q: Fraction, digits: int) -> str:
 def cmd_tree(args, config) -> int:
     c = _rat(args.c)
     a = _rat(args.a)
-    if args.depth < 1:
-        raise UsageError("depth must be at least 1")
+    if not 1 <= args.depth <= TREE_MAX_DEPTH:
+        raise UsageError("tree depth must be between 1 and %d" % TREE_MAX_DEPTH)
     tree = dynamics.preimage_tree(c, a, args.depth)
     if args.format == "structured":
         _print_json(tree.as_json())

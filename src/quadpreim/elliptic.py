@@ -68,7 +68,9 @@ class ECPoint:
     def from_json(cls, data) -> "ECPoint":
         if data is None:
             return INFINITY
-        return cls.affine(parse_rat(data[0]), parse_rat(data[1]))
+        # as_json prints every integer whole, so no digit bound applies
+        return cls.affine(parse_rat(data[0], max_digits=None),
+                          parse_rat(data[1], max_digits=None))
 
 
 INFINITY = ECPoint(None, None)
@@ -210,7 +212,7 @@ class WeierstrassCurve:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeierstrassCurve":
-        return cls.from_coeffs(*(parse_rat(data[k])
+        return cls.from_coeffs(*(parse_rat(data[k], max_digits=None)
                                  for k in ("a1", "a2", "a3", "a4", "a6")))
 
     def __str__(self):

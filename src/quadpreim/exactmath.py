@@ -84,9 +84,9 @@ def format_rat(q: RatLike) -> str:
     return format_pair(q.numerator, q.denominator)
 
 
-def parse_rat(text: str) -> Fraction:
+def parse_rat(text: str, max_digits: Optional[int] = 4300) -> Fraction:
     """parse_pair as a Fraction."""
-    return Fraction(*parse_pair(text))
+    return Fraction(*parse_pair(text, max_digits))
 
 
 def parse_pair(text: str, max_digits: Optional[int] = 4300) -> Pair:

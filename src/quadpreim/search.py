@@ -49,8 +49,11 @@ fraction, so the fractions' points in P^1(Z/q^k) decide.  Classes that agree in
 every form merge into row kinds, and on their own into column kinds (126 each
 for N, of 766); a row of pairs is filtered by the AND over the moduli of its
 kinds' bit rows over a shard's columns, ORed over the forms: 64 pairs a word.
+A row that no form passes under every modulus meets no column (_row_mask);
+N is symmetric, so the third-pair plan drops such fractions before packing.
 
-Both strategies cut their shard into ordered blocks of live rows; one driver
+Both strategies cut their shard into ordered blocks of live rows (a filtered
+third-pair block as many as keep its bit arrays near 1 MB); one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
 workers, and alone dedups, emits and checkpoints.  Resume replays the records
 a checkpoint holds, so jobs and interruptions never change the output.
@@ -379,6 +382,10 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
             raise SearchArgumentError("resume requested without a checkpoint "
                                       "path")
         start, replayed = _load_checkpoint(path, digest)
+    plan = plan_class(config)
+    if start > plan.size:
+        raise SearchArgumentError("checkpoint %r has next_block %d past the "
+                                  "scan's %d rows" % (path, start, plan.size))
     yield from replayed
     seen = {rec.key() for rec in replayed}
     emitted = [rec.as_json() for rec in replayed]
@@ -392,7 +399,6 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
                 "records": list(emitted),
             })
 
-    plan = plan_class(config)
     blocks = _blocks(plan.live, plan.tile, start)
     for done, (hits, (_, end)) in enumerate(
             zip(_block_hits(plan, blocks, jobs), blocks), start=1):
@@ -517,16 +523,27 @@ def _stacked_tables(form, *args) -> tuple[np.ndarray, ...]:
     return row_kinds, col_kinds, modulus, stacked.reshape(-1, width)
 
 
-def _kind_filter(tables, rows: tuple, cols: tuple, columns: np.ndarray,
-                 total: int) -> tuple[np.ndarray, list, list]:
+def _kind_keys(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Each fraction n/d's keys into the kind tables, one row a modulus."""
+    return (_LOOKUP + nums.astype(np.int32) % _MODULUS * _MODULUS
+            + dens.astype(np.int32) % _MODULUS)
+
+
+def _row_mask(tables, keys: np.ndarray) -> np.ndarray:
+    """Whether each row (_kind_keys) can meet a column: for some form, its
+    stacked row is nonzero under every modulus, as _kind_pairs reads them."""
+    row_kinds, _, _, stacked = tables
+    return stacked.any(axis=1)[row_kinds[:, keys]].all(axis=1).any(axis=0)
+
+
+def _kind_filter(tables, row_keys: np.ndarray, col_keys: np.ndarray,
+                 columns: np.ndarray, total: int) -> tuple[np.ndarray, list, list]:
     """The packed filter of _kind_pairs over the kind tables (_stacked_tables)
-    for the rows and the columns `columns`, (nums, dens) each: offsets[r, f,
-    i], the stacked row of form f under modulus i of row r; and per class w
+    for the rows and the columns `columns`, by their keys (_kind_keys): offsets[r,
+    f, i], the stacked row of form f under modulus i of row r; and per class w
     of the shard total, the columns j = w mod total and bits[s], stacked row
     s over them, 64 columns a word, made by one take and one packbits."""
     row_kinds, col_kinds, modulus, stacked = tables
-    row_keys, col_keys = (_LOOKUP + n.astype(np.int32) % _MODULUS * _MODULUS
-                          + d.astype(np.int32) % _MODULUS for n, d in (rows, cols))
     offsets = row_kinds[:, row_keys].transpose(2, 0, 1)
     start = np.arange(0, stacked.size, stacked.shape[1])[:, None]
     # runs of columns that keep the take's index near 2^18 entries (2 MB)
@@ -600,7 +617,13 @@ def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return sums[values]
 
 
-_ROW_TILE = 256
+_ROW_TILE = 256             # rows in an unfiltered third-pair block
+_BLOCK_WORDS = 1 << 17      # words (1 MB) in a filtered block's (rows, words) arrays
+
+
+def _word_tile(bits: list) -> int:
+    """Rows in a filtered block: _BLOCK_WORDS over the widest class's words."""
+    return max(1, _BLOCK_WORDS // max(1, *(b.shape[1] for b in bits)))
 
 
 class _ThirdPairPlan:
@@ -614,17 +637,19 @@ class _ThirdPairPlan:
         self.config = config
         self.nums, self.dens = nums, dens = _height_order(config.height_bound)
         self.size = len(nums)
-        self.tile = _ROW_TILE
         # the integer square filter is sound only when the target forces a
         # rational second-level sibling (four second pre-images)
         self.filtered = config.target[1] >= 4
         if not self.filtered:
-            self.live = np.arange(self.size)
+            self.live, self.tile = np.arange(self.size), _ROW_TILE
             return
-        self.live = live = np.flatnonzero(_two_square_mask(nums, dens))
+        live = np.flatnonzero(_two_square_mask(nums, dens))
+        tables, keys = _stacked_tables(_pair_form), _kind_keys(nums[live], dens[live])
+        alive = _row_mask(tables, keys)     # N is symmetric: dead columns too
+        self.live, keys = live[alive], keys[:, alive]
         self.offsets, self.columns, self.bits = _kind_filter(
-            _stacked_tables(_pair_form), (nums[live], dens[live]),
-            (nums[live], dens[live]), live, config.shard[1])
+            tables, keys, keys, self.live, config.shard[1])
+        self.tile = _word_tile(self.bits)
 
     def candidates(self, first: int, end: int):
         """The shard's pairs (i, j <= i) over the live rows in [first, end),
@@ -720,8 +745,8 @@ class _ForwardPlan:
         self.offsets, self.columns, self.bits = _kind_filter(
             _stacked_tables(_branch_forms, config.depth - self.wide + 1,
                             config.depth),
-            (self.c_num[live], self.c_den[live]), (self.x_num, self.x_den),
-            np.arange(width), config.shard[1])
+            _kind_keys(self.c_num[live], self.c_den[live]),
+            _kind_keys(self.x_num, self.x_den), np.arange(width), config.shard[1])
 
     def candidates(self, first: int, end: int) -> list[tuple[int, int]]:
         """The shard's pairs (ci, xi) over the live rows in [first, end), in

@@ -9,7 +9,7 @@ import pytest
 
 import quadpreim
 from quadpreim import cli, dynamics, elliptic, models, search
-from quadpreim.cli import MODEL_MAX_DEPTH, main
+from quadpreim.cli import MODEL_MAX_DEPTH, TREE_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
 from quadpreim.exactmath import format_rat
@@ -98,6 +98,28 @@ def test_integers_past_the_str_digit_limit_print(capsys, tmp_path):
                 for _ in range(16):
                     x = x * x + c
                 assert (rec["c"], rec["a"]) == (params["c"], format_rat(x))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_printed_curve_past_the_digit_bound_reads_back(capsys):
+    # an input at the 4,300-digit bound makes coefficients and a section
+    # past it; what the CLI prints reads back whole, with the interpreter's
+    # int-to-str limit lifted as main lifts it
+    code, out, _ = run_cli(capsys, "ec", "specialize-e24", "--a", "7" * 4300,
+                           "--format", "structured")
+    assert code == 0
+    data = json.loads(out)
+    assert max(len(data[k]) for k in ("a2", "a4", "a6")) > 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        fiber = elliptic.specialize_e24(Fraction("7" * 4300))
+        assert WeierstrassCurve.from_json(data) == fiber.curve
+        assert elliptic.ECPoint.from_json(data["section"]) == fiber.torsion_point
+        assert WeierstrassCurve.from_json(fiber.curve.as_json()) == fiber.curve
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -193,6 +215,23 @@ def test_model_command(capsys):
     payload = json.loads(out.strip())
     assert payload["variables"] == ["z0", "z1", "z2", "z3"]
     assert len(payload["generators"]) == 2
+
+
+def test_tree_depth_beyond_cap_is_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "tree", "--c", "1", "--a", "1", "--depth",
+                           str(TREE_MAX_DEPTH), "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["signature"] == [1] + [0] * (TREE_MAX_DEPTH - 1)
+    message = "error: tree depth must be between 1 and %d" % TREE_MAX_DEPTH
+    for depth in (str(TREE_MAX_DEPTH + 1), "100000000", "0", "-3"):
+        code, out, err = run_cli(capsys, "tree", "--c", "1", "--a", "1",
+                                 "--depth", depth)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+    code, out, err = run_module("tree", "--c", "1", "--a", "1", "--depth",
+                                "100000000")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_model_depth_beyond_cap_is_usage_error(capsys, monkeypatch):
@@ -300,6 +339,14 @@ def _bad_checkpoints(tmp_path):
             "records": [{"c": "-5/16"}]}),
         "next block -1": json.dumps({
             "config_sha": old.digest("thirdpair"), "next_block": -1,
+            "records": []}),
+        # past the plan's end: the rows end at its size, a finished run's mark
+        "next block 10^30": json.dumps({
+            "config_sha": old.digest("thirdpair"), "next_block": 10 ** 30,
+            "records": []}),
+        "next block size + 1": json.dumps({
+            "config_sha": old.digest("thirdpair"),
+            "next_block": len(search.fractions_by_height(12)) + 1,
             "records": []}),
         # past the JSON decoder's recursion limit
         "deeply nested": '{"config_sha": "x", "next_block": 0, "records": '

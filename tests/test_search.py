@@ -381,6 +381,78 @@ def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     assert funnel == [checks, squares]
 
 
+def _is_square_pair(n1, d1, n2, d2):
+    x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
+    big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+    return big >= 0 and isqrt(big) ** 2 == big
+
+
+def test_row_mask_keeps_every_fraction_of_a_square_pair():
+    # brute isqrt over every pair of two-square fractions at H = 60: the row
+    # mask keeps each fraction of a pair whose N is a square, and a fraction
+    # it drops has an empty table row under some modulus
+    nums, dens = search._height_order(60)
+    live = np.flatnonzero(_two_square_mask(nums, dens))
+    keys = search._kind_keys(nums[live], dens[live])
+    kept = search._row_mask(search._stacked_tables(search._pair_form), keys)
+    values = list(zip(nums[live].tolist(), dens[live].tolist()))
+    paired = {k for i, p1 in enumerate(values) for j, p2 in enumerate(values[:i + 1])
+              if _is_square_pair(*p1, *p2) for k in (i, j)}
+    assert paired and kept[sorted(paired)].all()
+    dropped = np.flatnonzero(~kept)
+    assert 0 < len(dropped) < len(live) - len(paired)
+    empty = np.zeros(len(dropped), dtype=bool)
+    for m, q in search._MODULI:
+        classes, table = search._filter_tables(search._pair_form, m, q)
+        n, d = nums[live[dropped]], dens[live[dropped]]
+        empty |= ~table[0].any(axis=1)[classes[n % m, d % m]]
+    assert empty.all()
+
+
+def test_row_mask_on_forward_tables():
+    # the two forms G_1, G_2 of target 2,2,4 at depth 3: a c row that the
+    # mask drops meets no x0 in _kind_pairs, for every shard class; some
+    # kept rows pass under one form only, so the mask ORs over the forms
+    cfg = SearchConfig(height_bound=16, depth=3, target=(2, 2, 4))
+    plan = search._ForwardPlan(cfg)
+    tables = search._stacked_tables(search._branch_forms, 1, 3)
+    keys = search._kind_keys(plan.c_num[plan.live], plan.c_den[plan.live])
+    kept = search._row_mask(tables, keys)
+    row_kinds, _, _, stacked = tables
+    per_form = stacked.any(axis=1)[row_kinds[:, keys]].all(axis=1)
+    assert per_form.shape[0] == 2 and (per_form.sum(axis=0) == 1).any()
+    dropped, alive = plan.live[~kept], plan.live[kept]
+    assert len(dropped) and len(alive)
+    for want in range(cfg.shard[1]):
+        ci, _ = search._kind_pairs(plan, dropped, np.full(len(dropped), want),
+                                   diagonal=False)
+        assert len(ci) == 0
+    ci, _ = search._kind_pairs(plan, alive, np.zeros(len(alive), dtype=int),
+                               diagonal=False)
+    assert len(ci)
+
+
+@pytest.mark.parametrize("target", [(2, 4, 6), (2, 4, 4)])
+def test_block_layout_does_not_change_the_output(tmp_path, monkeypatch, target):
+    # one row a block, eight rows, or the whole H = 60 scan in one block,
+    # for one job and two: the same records and the same final checkpoint
+    outputs = set()
+    for words in (1, 32, search._BLOCK_WORDS):
+        monkeypatch.setattr(search, "_BLOCK_WORDS", words)
+        for jobs in (1, 2):
+            path = tmp_path / ("%d-%d.ckpt" % (words, jobs))
+            cfg = SearchConfig(height_bound=60, depth=3, target=target,
+                               checkpoint_path=str(path))
+            assert search._ThirdPairPlan(cfg).tile == {
+                1: 1, 32: 4}.get(words, 16384)
+            printed = tuple(_printed(scan_thirdpair(cfg, jobs=jobs)))
+            outputs.add((printed, path.read_bytes()))
+    assert len(outputs) == 1
+    printed, checkpoint = outputs.pop()
+    assert len(printed) == (0 if target == (2, 4, 6) else 119)
+    assert json.loads(checkpoint)["next_block"] == len(fractions_by_height(60))
+
+
 def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     path = str(tmp_path / "scan.ckpt")
     cfg = SearchConfig(height_bound=40, depth=3, target=(2, 4, 4),
@@ -391,7 +463,8 @@ def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_write_checkpoint",
                         lambda p, payload: (payloads.append(payload),
                                             write(p, payload)))
-    monkeypatch.setattr(search, "_ROW_TILE", 8)
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 32)     # 8-row blocks
+    assert search._ThirdPairPlan(cfg).tile == 8
     full = [r.as_json() for r in scan_thirdpair(cfg)]
     mask = _two_square_mask(*_num_den_arrays(fractions_by_height(40)))
     mid = [p for p in payloads
@@ -411,8 +484,9 @@ def _printed(records):
 
 
 @pytest.mark.parametrize("scan, cfg, tile", [
+    # 32 words over the 4 of H = 40: blocks of eight rows
     (scan_thirdpair, dict(height_bound=40, depth=3, target=(2, 4, 4)),
-     ("_ROW_TILE", 8)),
+     ("_BLOCK_WORDS", 32)),
     # blocks of two rows: 12 values of x0 at H = 4, 20 at H = 5
     (scan_forward, dict(height_bound=4, depth=2, target=(2, 2)),
      ("_FORWARD_BLOCK", 24)),

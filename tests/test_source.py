@@ -66,7 +66,8 @@ INTEGER_RECORD = (("dynamics", "tree_from_levels"),
 # the plans around them
 INTEGER_FILTER = ("_height_order", "_two_square_mask", "_pair_form",
                   "_branch_forms", "_filter_tables", "_kind_tables",
-                  "_stacked_tables", "_kind_filter", "_kind_pairs",
+                  "_stacked_tables", "_kind_keys", "_row_mask", "_word_tile",
+                  "_kind_filter", "_kind_pairs",
                   "_ThirdPairPlan.__init__", "_square_pairs",
                   "_ForwardPlan.__init__", "_ForwardPlan.candidates")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
