@@ -55,8 +55,9 @@ N is symmetric, so the third-pair plan drops such fractions before packing.
 Both strategies cut their shard into ordered blocks of live rows (a filtered
 third-pair block as many as keep its bit arrays near 1 MB); one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
-workers, and alone dedups, emits and checkpoints.  Resume replays the records
-a checkpoint holds, so jobs and interruptions never change the output.
+workers, and alone dedups, emits and checkpoints: a checkpoint names the
+candidates of the emitted records, which resume settles again ahead of the
+blocks, so jobs and interruptions never change the output.
 A candidate is settled on int pairs (_settle): each plan knows a y with
 a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
 {0}, and the walk (_walk) starts there: a miss never square-tests a, the
@@ -181,10 +182,6 @@ class SearchRecord:
     def signature(self) -> tuple[int, ...]:
         return self.tree.signature()
 
-    def key(self) -> tuple[Pair, Pair]:
-        """(c, a) as (n, d) pairs in lowest terms, as a scan dedups them."""
-        return self.tree.c_pair, self.tree.a_pair
-
     def as_json(self) -> dict:
         tree = self.tree.as_json()
         return {"c": tree["c"], "a": tree["a"],
@@ -296,17 +293,16 @@ def _write_checkpoint(path: str, payload: dict):
 
 
 def _load_checkpoint(path: str,
-                     expected_digest: str) -> tuple[int, list[SearchRecord]]:
-    """The next block and the emitted records of a checkpoint;
+                     expected_digest: str) -> tuple[int, list[tuple[int, int]]]:
+    """The next block and the candidates of the emitted records of a checkpoint;
     SearchArgumentError for a file that is not a readable checkpoint of this
-    configuration."""
+    configuration, or names a candidate not two nonnegative ints in its rows."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         digest, next_block = payload["config_sha"], payload["next_block"]
-        records = [SearchRecord.from_json(data) for data in payload["records"]]
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            ZeroDivisionError, RecursionError) as exc:
+        hits = [(i, j) for i, j in payload["hits"]]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
         raise SearchArgumentError("cannot resume from checkpoint %r: %r"
                                   % (path, exc))
     if digest != expected_digest:
@@ -315,7 +311,11 @@ def _load_checkpoint(path: str,
     if type(next_block) is not int or next_block < 0:
         raise SearchArgumentError("checkpoint %r has next_block %r"
                                   % (path, next_block))
-    return next_block, records
+    if not all(type(i) is type(j) is int and 0 <= i < next_block and j >= 0
+               for i, j in hits):
+        raise SearchArgumentError("checkpoint %r has a hit that is not two "
+                                  "nonnegative ints in its rows" % (path,))
+    return next_block, hits
 
 
 # ---------------------------------------------------------------------------
@@ -370,40 +370,42 @@ def _block_hits(plan, blocks: list, jobs: int) -> Iterator[list]:
 
 def _scan(plan_class, config: SearchConfig, resume: bool,
           jobs: int) -> Iterator[SearchRecord]:
-    """Replay the checkpoint's records on resume, then read each block's
-    hits in order: drop a (c, a) emitted before, build the record of a new
-    one and attach its provenance, emit, and checkpoint every
-    _CHECKPOINT_BLOCKS blocks and at the end."""
+    """Settle the checkpoint's hits again on resume, then feed them and each
+    block's hits in order to one loop: drop a (c, a) emitted before, build
+    the record of a new one and attach its provenance, emit, and checkpoint
+    the emitted candidates every _CHECKPOINT_BLOCKS blocks and at the end."""
     digest = config.digest(plan_class.strategy)
     path = config.checkpoint_path
-    start, replayed = 0, []
+    start, hits = 0, []
     if resume:
         if not path:
             raise SearchArgumentError("resume requested without a checkpoint "
                                       "path")
-        start, replayed = _load_checkpoint(path, digest)
+        start, hits = _load_checkpoint(path, digest)
     plan = plan_class(config)
     if start > plan.size:
         raise SearchArgumentError("checkpoint %r has next_block %d past the "
                                   "scan's %d rows" % (path, start, plan.size))
-    yield from replayed
-    seen = {rec.key() for rec in replayed}
-    emitted = [rec.as_json() for rec in replayed]
+    try:        # all settled before the first record: a bad hit prints none
+        replayed = [(candidate, plan.settle(*candidate)) for candidate in hits]
+    except (IndexError, OverflowError):         # a row or column past the plan's
+        replayed = None
+    if replayed is None or any(hit is None for _, hit in replayed):
+        raise SearchArgumentError("checkpoint %r has a hit that is no hit of "
+                                  "this scan" % (path,))
+    seen, emitted = set(), []
 
     def checkpoint(next_block: int):
         if path:
             _write_checkpoint(path, {
-                "config_sha": digest,
-                "config": config.canonical(plan_class.strategy),
-                "next_block": next_block,
-                "records": list(emitted),
-            })
+                "config_sha": digest, "config": config.canonical(plan_class.strategy),
+                "next_block": next_block, "hits": list(emitted)})
 
     blocks = _blocks(plan.live, plan.tile, start)
-    for done, (hits, (_, end)) in enumerate(
-            zip(_block_hits(plan, blocks, jobs), blocks), start=1):
+    batches = zip(_block_hits(plan, blocks, jobs), [end for _, end in blocks])
+    for done, (found, end) in enumerate(itertools.chain([(replayed, start)], batches)):
         new = []        # a block's trees built together: 2% off a forward call
-        for candidate, (c, a, levels) in hits:
+        for candidate, (c, a, levels) in found:
             key = lowest_terms(c), lowest_terms(a)
             if key not in seen:
                 seen.add(key)
@@ -415,10 +417,9 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
                 heights=tuple(max(abs(n), d) for n, d in pairs),
                 params={name: format_pair(*p)
                         for name, p in zip(plan.params, pairs)}))
-            if path:
-                emitted.append(rec.as_json())
+            emitted.append(candidate)
             yield rec
-        if done % _CHECKPOINT_BLOCKS == 0:
+        if done and done % _CHECKPOINT_BLOCKS == 0:     # done 0: the replayed hits
             checkpoint(end)
     checkpoint(plan.size)
 
@@ -668,9 +669,8 @@ class _ThirdPairPlan:
 
     def settle(self, i: int, j: int) -> Optional[Hit]:
         """_settle of a = t^2 + c (_thirdpair_values)."""
-        nums, dens = self.nums, self.dens
-        return _settle(self.config, *_thirdpair_values(
-            int(nums[i]), int(dens[i]), int(nums[j]), int(dens[j])))
+        (n1, d1), (n2, d2) = self.pairs(i, j)
+        return _settle(self.config, *_thirdpair_values(n1, d1, n2, d2))
 
 
 def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int]]:
@@ -771,6 +771,5 @@ class _ForwardPlan:
 
     def settle(self, ci: int, xi: int) -> Optional[Hit]:
         """_settle of a = f_c^depth(x0) = y^2 + c, y = f_c^(depth-1)(x0)."""
-        c = self.c_values[ci]
-        return _settle(self.config, c,
-                       orbit(c, self.x_values[xi], self.config.depth - 1))
+        c, x0 = self.pairs(ci, xi)
+        return _settle(self.config, c, orbit(c, x0, self.config.depth - 1))

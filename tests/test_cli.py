@@ -323,8 +323,44 @@ def test_search_resume_replays_emitted_records(capsys, tmp_path):
     assert run_cli(capsys, *H12, "--shard", "1/2", "--jobs", "2")[1] == sharded
 
 
+@pytest.mark.parametrize("strategy", ["thirdpair", "forward"])
+def test_checkpoint_hits_are_the_printed_candidates(capsys, tmp_path, strategy):
+    # a checkpoint names the candidate of each printed record, in print
+    # order: (i, j) over the height order for the third-pair scan, (ci, xi)
+    # over c in 0, 1, -1, ... and x0 in 0, 1, ... for the forward scan
+    if strategy == "thirdpair":
+        argv, params = H12, ("p1", "p2")
+        rows = cols = search.fractions_by_height(12)
+    else:
+        argv = ("search", "--strategy", "forward", "--height-bound", "5",
+                "--depth", "2", "--target", "2,3", "--format", "structured")
+        params, fractions = ("c", "x0"), search.fractions_by_height(5)
+        rows = [0, *(sign * q for q in fractions for sign in (1, -1))]
+        cols = [0, *fractions]
+    path = tmp_path / "scan.ckpt"
+    code, out, _ = run_cli(capsys, *argv, "--checkpoint", str(path))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(records) >= 8
+    expected = []
+    for rec in records:
+        [provenance] = rec["provenance"]
+        p, q = (Fraction(provenance["params"][name]) for name in params)
+        expected.append([rows.index(p), cols.index(q)])
+    assert json.loads(path.read_text())["hits"] == expected
+
+
 def _bad_checkpoints(tmp_path):
-    old = search.SearchConfig(height_bound=12, depth=3, target=(2, 4, 4))
+    old = search.SearchConfig(height_bound=12, depth=3, target=(2, 4, 4),
+                              checkpoint_path=str(tmp_path / "finished.ckpt"))
+    records = [rec.as_json() for rec in search.scan_thirdpair(old)]
+    finished = json.loads((tmp_path / "finished.ckpt").read_text())
+    (i, j), size = finished["hits"][0], finished["next_block"]
+
+    def checkpoint(next_block, hits):
+        return json.dumps({"config_sha": old.digest("thirdpair"),
+                           "config": old.canonical("thirdpair"),
+                           "next_block": next_block, "hits": hits})
+
     texts = {
         "list": "[]",
         "garbled": '{"config_sha": ',
@@ -334,22 +370,30 @@ def _bad_checkpoints(tmp_path):
             "config_sha": old.digest("thirdpair"),
             "config": old.canonical("thirdpair"), "next_block": 0,
             "emitted": 1, "seen": [["-5/16", "-1/4"]]}),
-        "bad record": json.dumps({
-            "config_sha": old.digest("thirdpair"), "next_block": 0,
-            "records": [{"c": "-5/16"}]}),
-        "next block -1": json.dumps({
-            "config_sha": old.digest("thirdpair"), "next_block": -1,
-            "records": []}),
-        # past the plan's end: the rows end at its size, a finished run's mark
-        "next block 10^30": json.dumps({
-            "config_sha": old.digest("thirdpair"), "next_block": 10 ** 30,
-            "records": []}),
-        "next block size + 1": json.dumps({
+        # the format before checkpoints named hits: the emitted records whole
+        "records": json.dumps({
             "config_sha": old.digest("thirdpair"),
-            "next_block": len(search.fractions_by_height(12)) + 1,
-            "records": []}),
+            "config": old.canonical("thirdpair"), "next_block": size,
+            "records": records}),
+        "next block -1": checkpoint(-1, []),
+        # past the plan's end: the rows end at its size, a finished run's mark
+        "next block 10^30": checkpoint(10 ** 30, []),
+        "next block size + 1": checkpoint(size + 1, []),
+        # p1 = p2 = 1: c = -1, a = 0, whose second level is {0}
+        "miss": checkpoint(1, [[0, 0]]),
+        "row at next block": checkpoint(i, [[i, j]]),
+        "negative row": checkpoint(size, [[-1, j]]),
+        "negative column": checkpoint(size, [[i, -1]]),
+        "float": checkpoint(size, [[float(i), j]]),
+        "bool": checkpoint(size, [[True, False]]),
+        "strings": checkpoint(size, [[str(i), str(j)]]),
+        "string": checkpoint(size, ["10"]),
+        "three ints": checkpoint(size, [[i, j, 0]]),
+        "column past the plan": checkpoint(size, [[i, size]]),
+        "column 2^63": checkpoint(size, [[i, 2 ** 63]]),
+        "column 10^30": checkpoint(size, [[i, 10 ** 30]]),
         # past the JSON decoder's recursion limit
-        "deeply nested": '{"config_sha": "x", "next_block": 0, "records": '
+        "deeply nested": '{"config_sha": "x", "next_block": 0, "hits": '
                          + "[" * 5000 + "]" * 5000 + "}",
     }
     paths = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}

@@ -6,12 +6,14 @@ cases also run through the interpreter and must print no traceback.  The
 seed is printed; QUADPREIM_FUZZ_SEED replays another one.
 """
 
+import json
 import os
 import random
 
 import pytest
 
 from quadpreim.cli import MODEL_MAX_DEPTH, main
+from quadpreim.search import SearchConfig
 from test_cli import run_module
 
 SEED = int(os.environ.get("QUADPREIM_FUZZ_SEED", "6021"))
@@ -28,8 +30,26 @@ SHARDS = ["0/1", "1/2", "0/3", "2/2", "x", "1/0", "-1/2", "1", "0/10000000"]
 SECTIONS = ["2", "3.1", "4.2", "4.4", "genus", "6.2", "nope", ""]
 TAGS = ["224", "242", "2222", "2", "3", "4", "1", "x", "",
         str(MODEL_MAX_DEPTH + 1), "100000"]
+H12 = SearchConfig(height_bound=12, depth=3, target=(2, 4, 4))
+
+
+def _checkpoint(next_block, hits, key="hits"):
+    # a checkpoint of the third-pair H = 12, 2,4,4 scan, which has 91 rows
+    return json.dumps({"config_sha": H12.digest("thirdpair"),
+                       "config": H12.canonical("thirdpair"),
+                       "next_block": next_block, key: hits})
+
+
 GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff",
-           '{"records": ' + "[" * 5000 + "]" * 5000 + "}"]
+           '{"records": ' + "[" * 5000 + "]" * 5000 + "}",
+           # the format before checkpoints named hits: whole records
+           _checkpoint(91, [{"c": "-5/16"}], key="records"),
+           _checkpoint(1, [[0, 0]]),        # a miss: c = -1, a = 0
+           _checkpoint(3, [[3, 0]]), _checkpoint(91, [[-1, 0]]),
+           _checkpoint(91, [[1.0, 0]]), _checkpoint(91, [[True, False]]),
+           _checkpoint(91, [["1", "0"]]), _checkpoint(91, ["10"]),
+           _checkpoint(91, [[1, 0, 0]]), _checkpoint(91, [[90, 91]]),
+           _checkpoint(91, [[90, 2 ** 63]])]
 CONFIGS = ["display_digits = 3", "display_digits = -5",
            "display_digits = 99999999999", "height_bound = 4"]
 

@@ -468,12 +468,12 @@ def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     full = [r.as_json() for r in scan_thirdpair(cfg)]
     mask = _two_square_mask(*_num_den_arrays(fractions_by_height(40)))
     mid = [p for p in payloads
-           if 0 < len(p["records"]) < len(full) and not mask[p["next_block"]]]
+           if 0 < len(p["hits"]) < len(full) and not mask[p["next_block"]]]
     assert mid
     for payload in mid:
         with open(path, "w") as fh:
             json.dump(payload, fh)
-        # resume replays the records the checkpoint holds, then continues
+        # resume settles the hits the checkpoint names again, then continues
         resumed = [r.as_json() for r in scan_thirdpair(cfg, resume=True)]
         assert resumed == full
 
@@ -510,7 +510,7 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
     full = _printed(scan(cfg))
     written = list(payloads)
     assert full and len(written) > 5
-    assert any(0 < len(p["records"]) < len(full) for p in written)
+    assert any(0 < len(p["hits"]) < len(full) for p in written)
     payloads.clear()
     assert _printed(scan(cfg, jobs=2)) == full
     assert payloads == written
@@ -523,8 +523,8 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
 
 def test_forward_resume_from_every_row(tmp_path):
     # checkpoints as a layout of one row per block writes them, c >= 0 rows
-    # that the cut drops included: the record prefix emitted before the row,
-    # then the rest of the scan, for one job and two
+    # that the cut drops included: the candidates of the records emitted
+    # before the row, then the rest of the scan, for one job and two
     path = str(tmp_path / "scan.ckpt")
     cfg = SearchConfig(height_bound=5, depth=2, target=(2, 3),
                        checkpoint_path=path)
@@ -532,16 +532,19 @@ def test_forward_resume_from_every_row(tmp_path):
     full = _printed(records)
     plan = search._ForwardPlan(cfg)
     row = {F(*c): k for k, c in enumerate(plan.c_values)}
+    column = {F(*x): k for k, x in enumerate(plan.x_values)}
     first = [row[parse_rat(r.provenance[0].params["c"])] for r in records]
+    hits = [[k, column[parse_rat(r.provenance[0].params["x0"])]]
+            for r, k in zip(records, first)]
     assert len(full) == 12 and first == sorted(first)
     assert set(range(plan.size)) - set(plan.live.tolist()) == {
         k for k, (n, _) in enumerate(plan.c_values) if n >= 0}
     for next_block in range(plan.size + 1):
-        emitted = [r.as_json() for r, k in zip(records, first) if k < next_block]
+        emitted = [hit for hit in hits if hit[0] < next_block]
         with open(path, "w") as fh:
             json.dump({"config_sha": cfg.digest("forward"),
                        "config": cfg.canonical("forward"),
-                       "next_block": next_block, "records": emitted}, fh)
+                       "next_block": next_block, "hits": emitted}, fh)
         for jobs in (1, 2):
             assert _printed(scan_forward(cfg, resume=True, jobs=jobs)) == full
 
@@ -594,7 +597,7 @@ def test_checkpoint_roundtrip(tmp_path, monkeypatch):
 
     # rewind the checkpoint halfway and resume; the tail must re-emerge
     payload["next_block"] = 0
-    payload["records"] = []
+    payload["hits"] = []
     json.dump(payload, open(path, "w"))
     resumed = {(r.c, r.a) for r in scan_thirdpair(cfg, resume=True)}
     assert resumed == full
@@ -953,14 +956,14 @@ SCANS = [(scan_thirdpair, dict(height_bound=40, depth=3, target=(2, 4, 4))),
 
 @pytest.mark.parametrize("scan, cfg", SCANS)
 def test_records_read_their_tree(scan, cfg):
-    # a record's c, a, signature, key and JSON come from its int tree: the
-    # key in lowest terms (the third-pair c and t arrive unreduced), the
+    # a record's c, a, signature, pair and JSON come from its int tree: the
+    # pair in lowest terms (the third-pair c and t arrive unreduced), the
     # JSON that of the Fraction oracle, and a pickled record (as --jobs
     # workers send them) equal to the original
     records = list(scan(SearchConfig(**cfg)))
     assert len(records) >= 5
     for rec in records:
-        (cn, cd), (an, ad) = key = rec.key()
+        (cn, cd), (an, ad) = key = rec.tree.c_pair, rec.tree.a_pair
         assert gcd(cn, cd) == gcd(an, ad) == 1 and cd > 0 and ad > 0
         assert key == ((rec.c.numerator, rec.c.denominator),
                        (rec.a.numerator, rec.a.denominator))
@@ -973,8 +976,8 @@ def test_records_read_their_tree(scan, cfg):
     c, t = _thirdpair_values(5, 3, 1, 3)
     rec = search._record(*search._settle(SearchConfig(1, 3, ()), c, t))
     assert gcd(*c) > 1 and gcd(*t) > 1
-    assert rec.key() == ((rec.c.numerator, rec.c.denominator),
-                         (rec.a.numerator, rec.a.denominator))
+    assert (rec.tree.c_pair, rec.tree.a_pair) == (
+        (rec.c.numerator, rec.c.denominator), (rec.a.numerator, rec.a.denominator))
 
 
 @pytest.mark.parametrize("scan, cfg", SCANS)

@@ -7,6 +7,7 @@ pool is made, so a one-job run never pays for it).  The torsion hot path,
 the elimination of c, the settling of a search candidate and the making of
 its record stay on Python ints, and the numpy code of the scans' filters
 has no true division and no float dtype.
+The scan driver and the checkpoint reader make and read no record JSON.
 Every name that the benchmark harness traces still exists in the package, no
 module-level function or class is dead, and no parameter default in the
 package is an option that nothing sets.
@@ -51,14 +52,14 @@ INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
                   ("dynamics", "_descending"))
 # a hit's way to the output: the tree built from the walk's level maps, its
-# signature, union and JSON, the record around it, its key and JSON, and the
-# scan driver that dedups hits and formats provenance from the plans' pairs
+# signature, union and JSON, the record around it and its JSON, and the scan
+# driver that dedups hits and formats provenance from the plans' pairs
 INTEGER_RECORD = (("dynamics", "tree_from_levels"),
                   ("dynamics", "PreimageTree.as_json"),
                   ("dynamics", "PreimageTree.signature"),
                   ("dynamics", "PreimageTree.union_count"),
                   ("search", "_record"), ("search", "SearchRecord.as_json"),
-                  ("search", "SearchRecord.key"), ("search", "_scan"),
+                  ("search", "_scan"),
                   ("search", "_ThirdPairPlan.pairs"),
                   ("search", "_ForwardPlan.pairs"))
 # the scans' numpy filter code, which decides candidates on int arrays: the
@@ -170,6 +171,18 @@ def test_record_path_names_no_fraction_type():
     # a hit becomes a tree, a record, provenance and JSON on int pairs; only
     # the readers of c, a and levels make Fractions
     assert _named(INTEGER_RECORD, ("Fraction",)) == set()
+
+
+def test_checkpoint_path_builds_no_record_json():
+    # a checkpoint names the candidates of the emitted records, and resume
+    # settles them again: the driver and the checkpoint reader neither build
+    # nor parse record JSON
+    found = _functions("search")
+    calls = [(name, node.lineno) for name in ("_scan", "_load_checkpoint")
+             for node in ast.walk(found[("search", name)])
+             if isinstance(node, ast.Call)
+             and _callee(node.func) in ("as_json", "from_json")]
+    assert calls == []
 
 
 def _float_dtype(node):
