@@ -367,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="height-bounded arrangement search")
     p_search.add_argument("--strategy", choices=("thirdpair", "forward"),
-                          default="thirdpair")
+                          default="thirdpair",
+                          help="thirdpair: depth-3 targets with at least 3 "
+                               "second pre-images; forward: any target")
     p_search.add_argument("--height-bound", type=int, default=0)
     p_search.add_argument("--depth", type=int, required=True)
     p_search.add_argument("--target", required=True,

@@ -8,8 +8,11 @@ t = s^2 + c and a = t^2 + c, and the candidate is settled by re-verifying
 the whole tree.  Enumeration is by increasing height (Farey-style), so runs
 are deterministic, shardable by candidate index, and checkpointable.
 
-When the target demands four rational second pre-images, a candidate can
-only succeed if u^2 = -s^2 - 2c has a rational root, i.e. if the integer
+Level 2 of the tree is {s, -s} and {u, -u}, the pre-images of t and -t,
+with u^2 = -s^2 - 2c, so it holds more than two points only if u is
+rational (u = 0 included).  So the third-pair strategy serves the depth-3
+targets that ask for at least three second pre-images, and the forward
+strategy the others.  u is rational exactly when the integer
 N = 4 e^2 (x^2 + y^2) - (x^2 - y^2)^2 is a perfect square, where
 p1 = n1/d1, p2 = n2/d2, x = n1 d2, y = n2 d1, e = d1 d2.  With X = p1^2,
 Y = p2^2, A = X - Y and 2u = sqrt(N)/e^2, exactly
@@ -18,10 +21,10 @@ Y = p2^2, A = X - Y and 2u = sqrt(N)/e^2, exactly
 
 so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
-it to an even power) a sum of two integer squares.  The fast path drops
-every fraction failing that test before any pair is formed, and the pairs
-that the kind filter below rejects, then re-checks the rest exactly: it
-emits exactly the pairs whose N is a perfect square.
+it to an even power) a sum of two integer squares.  The scan drops every
+fraction failing that test before any pair is formed, and the pairs that
+the kind filter below rejects, then re-checks the rest exactly: it settles
+exactly the pairs whose N is a perfect square.
 
 The forward strategy seeds a = f_c^depth(x0).  A rational tree is a real
 one, and for c >= 0 every level of a real tree of f_c is empty, {0} or
@@ -52,7 +55,7 @@ kinds' bit rows over a shard's columns, ORed over the forms: 64 pairs a word.
 A row that no form passes under every modulus meets no column (_row_mask);
 N is symmetric, so the third-pair plan drops such fractions before packing.
 
-Both strategies cut their shard into ordered blocks of live rows (a filtered
+Both strategies cut their shard into ordered blocks of live rows (a
 third-pair block as many as keep its bit arrays near 1 MB); one driver
 (_scan) reads the blocks' hits in order, in this process or from `jobs`
 workers, and alone dedups, emits and checkpoints: a checkpoint names the
@@ -598,11 +601,15 @@ def scan_thirdpair(config: SearchConfig, resume: bool = False,
 
     Candidates are ordered pairs (i, j <= i) over the height-ordered fraction
     list; candidate k = i(i+1)/2 + j belongs to shard k mod total.  The union
-    over all shards equals the unsharded stream as a set.
+    over all shards equals the unsharded stream as a set.  The target must
+    ask for at least three second pre-images at depth 3, which makes u
+    rational and N a square (module docstring); scan_forward serves the
+    others.
     """
-    if len(config.target) < 3:
+    if len(config.target) < 3 or config.target[1] < 3:
         raise SearchArgumentError("the third-pair strategy needs a depth-3 "
-                                  "target")
+                                  "target with at least 3 second pre-images; "
+                                  "use --strategy forward")
     yield from _scan(_ThirdPairPlan, config, resume, jobs)
 
 
@@ -618,19 +625,19 @@ def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return sums[values]
 
 
-_ROW_TILE = 256             # rows in an unfiltered third-pair block
-_BLOCK_WORDS = 1 << 17      # words (1 MB) in a filtered block's (rows, words) arrays
+_BLOCK_WORDS = 1 << 17      # words (1 MB) in a block's (rows, words) arrays
 
 
 def _word_tile(bits: list) -> int:
-    """Rows in a filtered block: _BLOCK_WORDS over the widest class's words."""
+    """Rows in a block: _BLOCK_WORDS over the widest class's words."""
     return max(1, _BLOCK_WORDS // max(1, *(b.shape[1] for b in bits)))
 
 
 class _ThirdPairPlan:
     """What every block of a third-pair scan reads: the height-ordered
-    fractions n_i/d_i as int64 arrays, the live rows, and for a filtered scan
-    the packed kind filter of N over the live fractions (_kind_filter)."""
+    fractions n_i/d_i as int64 arrays, the live rows (the fractions that pass
+    the two-square test and _row_mask) and the packed kind filter of N over
+    them (_kind_filter)."""
 
     strategy, params = "thirdpair", ("p1", "p2")
 
@@ -638,12 +645,6 @@ class _ThirdPairPlan:
         self.config = config
         self.nums, self.dens = nums, dens = _height_order(config.height_bound)
         self.size = len(nums)
-        # the integer square filter is sound only when the target forces a
-        # rational second-level sibling (four second pre-images)
-        self.filtered = config.target[1] >= 4
-        if not self.filtered:
-            self.live, self.tile = np.arange(self.size), _ROW_TILE
-            return
         live = np.flatnonzero(_two_square_mask(nums, dens))
         tables, keys = _stacked_tables(_pair_form), _kind_keys(nums[live], dens[live])
         alive = _row_mask(tables, keys)     # N is symmetric: dead columns too
@@ -652,15 +653,10 @@ class _ThirdPairPlan:
             tables, keys, keys, self.live, config.shard[1])
         self.tile = _word_tile(self.bits)
 
-    def candidates(self, first: int, end: int):
-        """The shard's pairs (i, j <= i) over the live rows in [first, end),
-        in candidate order; a filtered scan keeps those with N a square."""
-        rows = _live_rows(self.live, first, end)
-        if self.filtered:
-            return _square_pairs(self, rows)
-        index, total = self.config.shard
-        return ((i, j) for i in rows.tolist()
-                for j in range((index - i * (i + 1) // 2) % total, i + 1, total))
+    def candidates(self, first: int, end: int) -> list[tuple[int, int]]:
+        """The shard's pairs (i, j <= i) over the live rows in [first, end)
+        whose N is a square, in candidate order."""
+        return _square_pairs(self, _live_rows(self.live, first, end))
 
     def pairs(self, i: int, j: int) -> tuple[Pair, Pair]:
         """(p1, p2) of candidate (i, j) as reduced (n, d)."""

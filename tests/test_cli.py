@@ -468,7 +468,7 @@ def test_search_bad_height_bound(capsys):
         assert "Traceback" not in err and err.count("\n") == 1
 
 
-def test_search_bad_target_is_usage_error(capsys):
+def test_search_bad_target_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
                            "--height-bound", "5", "--depth", "3",
                            "--target", "2,x,6")
@@ -481,6 +481,18 @@ def test_search_bad_target_is_usage_error(capsys):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [
         "error: --target expects comma-separated counts, got '2,x,6'"]
+    # a third-pair target with fewer than three second pre-images goes to
+    # forward, refused before any checkpoint is read
+    argv = ("search", "--strategy", "thirdpair", "--height-bound", "5",
+            "--depth", "3", "--target", "2,2,4")
+    resume = ("--checkpoint", str(tmp_path / "missing.ckpt"), "--resume")
+    for extra in ((), resume):
+        for code, out, err in (run_cli(capsys, *argv, *extra),
+                               run_module(*argv, *extra)):
+            assert code == 2 and out == "" and "Traceback" not in err
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "--strategy forward" in lines[0]
 
 
 @pytest.mark.parametrize("command", [

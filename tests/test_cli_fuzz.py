@@ -24,7 +24,7 @@ MODULE_CASES = 4
 RATS = ["0", "1", "-3/4", "7/2", "-24361/14400", "-42/25", "7" * 1000,
         "x", "", "1/0", "2//3", "3/-4", "1e3", "-"]
 COUNTS = ["-1", "0", "abc", "2.5", ""]
-TARGETS = ["2,4,4", "2,4,6", "2,2,2", "2,2", "2,2,4", "0,0,0",
+TARGETS = ["2,4,4", "2,4,6", "2,3,4", "2,2,2", "2,2", "2,2,4", "0,0,0",
            "2,x", "", "-1,2,2", "2,4,6,8", "2"]
 SHARDS = ["0/1", "1/2", "0/3", "2/2", "x", "1/0", "-1/2", "1", "0/10000000"]
 SECTIONS = ["2", "3.1", "4.2", "4.4", "genus", "6.2", "nope", ""]
@@ -119,7 +119,7 @@ def _case(rng, tmp_path):
             ("--height-bound", _maybe(rng, [str(h) for h in range(1, highest + 1)],
                                       COUNTS)),
             ("--depth", _maybe(rng, ["3", "3", "2"], COUNTS + ["1"])),
-            ("--target", _maybe(rng, TARGETS[:6], TARGETS[6:])),
+            ("--target", _maybe(rng, TARGETS[:7], TARGETS[7:])),
             ("--shard", _maybe(rng, SHARDS[:4], SHARDS[4:], 0.35, 0.55)),
             ("--jobs", _maybe(rng, ["1", "2"], COUNTS, 0.7, 0.2)),
             ("--checkpoint", checkpoint and str(tmp_path / (checkpoint + ".ckpt"))),

@@ -5,6 +5,8 @@ the command; a change to any printer shows here byte for byte.  The
 critical-value polynomials of levels 6 and 7, too long to spell out, are
 pinned by the sha256 of their structured stdout: a change to the
 elimination of c that alters a single coefficient shows there.  So is the
+third-pair rediscovery scan at height 485, which pins its records' order
+and provenance byte for byte.  So is the
 structured `ec torsion` stdout of two-four fibers with prime-power
 denominators, of family fibers with eight- and twelve-torsion, and of a long
 model, which pins the integral scaling and the torsion points it finds.
@@ -140,6 +142,11 @@ CRITICAL_SHA256 = {
     7: "5647d054ddd8e92c57ae169b02ed8586c3d4685295c478a97aa2a1602761ad96",
 }
 
+# search --strategy thirdpair --height-bound 485 --depth 3 --target 2,4,6
+# --format structured: the sha256 of its 8 lines of stdout
+REDISCOVERY_SHA256 = (
+    "6198873af4f500b5dfca8f713d86cb5d2f26ea6f545a4a3809cf6872c330c57c")
+
 # (a1, a2, a3, a4, a6) -> ec torsion --format structured: the sha256 of the
 # stdout
 _FIBERS = [specialize_e24(a).curve for a in (
@@ -205,6 +212,15 @@ def test_critical_output_hash_is_golden(capsys, n):
     assert main(["critical", "--n", str(n), "--format", "structured"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CRITICAL_SHA256[n]
+
+
+def test_rediscovery_scan_hash_is_golden(capsys):
+    assert main(["search", "--strategy", "thirdpair", "--height-bound", "485",
+                 "--depth", "3", "--target", "2,4,6",
+                 "--format", "structured"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.count(b"\n") == 8
+    assert hashlib.sha256(out).hexdigest() == REDISCOVERY_SHA256
 
 
 @pytest.mark.parametrize("coeffs", list(TORSION_SHA256))

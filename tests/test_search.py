@@ -135,8 +135,13 @@ def test_scan_thirdpair_trivial_bound_empty():
 
 
 def test_scan_rejects_short_target():
-    with pytest.raises(ValueError):
-        list(scan_thirdpair(SearchConfig(height_bound=5, depth=3, target=(2, 4))))
+    # a target short of depth 3, or asking for fewer than three second
+    # pre-images (level 2 is {s, -s} unless u is rational), goes to forward
+    for target in ((2, 4), (2, 2, 4), (2, 0, 6), (0, 0, 0)):
+        with pytest.raises(search.SearchArgumentError,
+                           match="--strategy forward"):
+            list(scan_thirdpair(SearchConfig(height_bound=5, depth=3,
+                                             target=target)))
 
 
 def test_config_invariants():
@@ -184,6 +189,13 @@ def test_scan_matches_brute_force_oracle():
     brute2 = _brute_thirdpair(12, (2, 4, 4))
     assert len(scanned2) >= 8
     assert scanned2 == brute2
+
+    # exactly three second pre-images: u = 0 or a rational pair +/-u, so N is
+    # a square and the filter drops no hit
+    cfg3 = SearchConfig(height_bound=12, depth=3, target=(2, 3, 4))
+    scanned3 = {(r.c, r.a) for r in scan_thirdpair(cfg3)}
+    assert len(scanned3) == 8
+    assert scanned3 == _brute_thirdpair(12, (2, 3, 4))
 
 
 def test_fast_path_frozen_regression():

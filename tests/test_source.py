@@ -9,8 +9,8 @@ its record stay on Python ints, and the numpy code of the scans' filters
 has no true division and no float dtype.
 The scan driver and the checkpoint reader make and read no record JSON.
 Every name that the benchmark harness traces still exists in the package, no
-module-level function or class is dead, and no parameter default in the
-package is an option that nothing sets.
+module-level function, class or constant is dead, and no parameter default
+in the package is an option that nothing sets.
 """
 
 import ast
@@ -245,26 +245,39 @@ def test_benchmark_traced_names_resolve():
     assert missing == []
 
 
+def _defined_names(top):
+    # the names a module-level statement defines: a function or class, or the
+    # plain names an assignment binds
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = (top.targets if isinstance(top, ast.Assign) else
+               [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def test_no_dead_module_level_helpers():
-    # every module-level function and class is named somewhere in the package
-    # outside its own body, exported in quadpreim.__all__, or traced by the
-    # benchmark harness; an import alone is not a use
+    # every module-level function, class and constant is read somewhere in
+    # the package outside its own statement, exported in quadpreim.__all__,
+    # or traced by the benchmark harness; an import or an assignment alone is
+    # not a use, and a dunder such as __all__ is module metadata
     users = {}
     defined = []
     for path in SOURCES:
         for top in _parse(path).body:
-            owner = (path.stem, getattr(top, "name", None))
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(owner)
+            statement = (path.stem, top.lineno)
+            defined += [(path.stem, name, statement)
+                        for name in _defined_names(top)]
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    users.setdefault(node.id, set()).add(owner)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    users.setdefault(node.id, set()).add(statement)
                 elif isinstance(node, ast.Attribute):
-                    users.setdefault(node.attr, set()).add(owner)
+                    users.setdefault(node.attr, set()).add(statement)
     traced = {(module, attr) for module, attr, *_ in _benchmark_traced()}
-    dead = [owner for owner in defined
-            if not users.get(owner[1], set()) - {owner}
-            and owner[1] not in quadpreim.__all__ and owner not in traced]
+    dead = [(module, name) for module, name, statement in defined
+            if not users.get(name, set()) - {statement}
+            and not (name.startswith("__") and name.endswith("__"))
+            and name not in quadpreim.__all__ and (module, name) not in traced]
     assert dead == []
 
 
