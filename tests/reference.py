@@ -32,8 +32,8 @@
   oracles for the forward scan's kind-table filter.
 - `height`, max(|n|, d) of a rational, for the tests' height bounds.
 - The height enumeration as a double loop over `Fraction`s, the oracle for
-  `search._height_order`, and the third-pair values (c, a) in `Fraction`
-  arithmetic, the oracle for `search._thirdpair_values` (which gives c and
+  `plans._height_order`, and the third-pair values (c, a) in `Fraction`
+  arithmetic, the oracle for `plans._thirdpair_values` (which gives c and
   the t with a = t^2 + c).  The candidates' parameters as `Fraction`s
   (`thirdpair_plan_values`, `forward_plan_values`), the oracle for the int
   pairs that the scans format into provenance.
@@ -44,7 +44,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from quadpreim import search
+from quadpreim import plans
 from quadpreim.dynamics import PreimageTree, critical_avalues
 from quadpreim.elliptic import (
     INFINITY,
@@ -166,7 +166,7 @@ def reference_branch_mask(u, v, n, d, first: int, end: int):
     every filter modulus for some m in [first, end); False throughout for an
     empty range.  Each modulus runs the orbit on the candidates' residues."""
     alive = np.ones((max(end - first, 0), len(u)), dtype=bool)
-    for mod, _ in search._MODULI:
+    for mod, _ in plans._MODULI:
         squares = np.zeros(mod, dtype=bool)
         squares[np.arange(mod) ** 2 % mod] = True
         cu, cv, p, q = u % mod, v % mod, n % mod, d % mod

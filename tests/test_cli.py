@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import quadpreim
-from quadpreim import cli, dynamics, elliptic, models, search
+from quadpreim import cli, dynamics, elliptic, models, plans, search
 from quadpreim.cli import MODEL_MAX_DEPTH, TREE_MAX_DEPTH, main
 from quadpreim.dynamics import PreimageTree
 from quadpreim.elliptic import WeierstrassCurve
@@ -429,7 +429,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(plan, tile):
         raise ValueError("broken tile")
 
-    monkeypatch.setattr(search, "_square_pairs", broken)
+    monkeypatch.setattr(plans, "_square_pairs", broken)
     with pytest.raises(ValueError, match="broken tile"):
         main(list(H12))
     assert capsys.readouterr().err == ""

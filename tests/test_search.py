@@ -9,16 +9,15 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from quadpreim import cli, search
+from quadpreim import cli, plans, search
 from quadpreim.dynamics import orbit
 from quadpreim.exactmath import format_pair, format_rat, parse_rat, rat_sqrt
+from quadpreim.plans import _thirdpair_values, _two_square_mask
 from quadpreim.search import (
     CheckpointError,
     Provenance,
     SearchConfig,
     SearchRecord,
-    _thirdpair_values,
-    _two_square_mask,
     fractions_by_height,
     scan_forward,
     scan_thirdpair,
@@ -91,7 +90,7 @@ def test_fraction_enumeration():
 
 def test_height_order_matches_reference():
     for bound in list(range(1, 61)) + [200]:
-        nums, dens = search._height_order(bound)
+        nums, dens = plans._height_order(bound)
         ref = reference_fractions_by_height(bound)
         assert nums.dtype == dens.dtype == np.int64
         assert nums.tolist() == [f.numerator for f in ref]
@@ -223,8 +222,8 @@ def test_filter_tables_match_direct_squareness():
             if gcd(n, d) == 1:
                 return n, d
 
-    for m, q in search._MODULI:
-        classes, table = search._filter_tables(search._pair_form, m, q)
+    for m, q in plans._MODULI:
+        classes, table = plans._filter_tables(plans._pair_form, m, q)
         classes, table = classes.tolist(), table[0].tolist()
         squares = {r * r % m for r in range(m)}
         seen = set()
@@ -270,10 +269,10 @@ def _check_kind_tables(forms):
     # whether form f (N, or G_k for k in range(*forms)) is a square mod m;
     # rows and columns merge on their own axes, so no two row kinds, and no
     # two column kinds, agree
-    args = (search._pair_form,) if forms == "N" else (search._branch_forms, *forms)
+    args = (plans._pair_form,) if forms == "N" else (plans._branch_forms, *forms)
     counts = []
-    for m, q in search._MODULI:
-        row_kinds, col_kinds, table = search._kind_tables(args[0], m, q, *args[1:])
+    for m, q in plans._MODULI:
+        row_kinds, col_kinds, table = plans._kind_tables(args[0], m, q, *args[1:])
         squares = {r * r % m for r in range(m)}
         points = [(k, 1) if k < m else (1, (k - m) * q) for k in range(m + m // q)]
         for row in points:
@@ -297,15 +296,15 @@ def test_stacked_kind_rows():
     # N stacks 126 rows, one form; the forward forms G_1, G_2 and G_3 (depth
     # 4, first wide level 4) stack 307 row kinds a form, so the offsets of
     # that plan need more than uint8
-    plan = search._ThirdPairPlan(SearchConfig(height_bound=40, depth=3,
+    plan = plans._ThirdPairPlan(SearchConfig(height_bound=40, depth=3,
                                               target=(2, 4, 6)))
     assert plan.offsets.shape[1:] == (1, 12) and plan.offsets.max() < 126
     assert plan.offsets.dtype == np.uint8
     assert [bits.shape[0] for bits in plan.bits] == [126]
-    rows = [len(search._kind_tables(search._branch_forms, m, q, 1, 4)[2][0])
-            for m, q in search._MODULI]
+    rows = [len(plans._kind_tables(plans._branch_forms, m, q, 1, 4)[2][0])
+            for m, q in plans._MODULI]
     assert sum(rows) == 307
-    plan = search._ForwardPlan(SearchConfig(height_bound=4, depth=4,
+    plan = plans._ForwardPlan(SearchConfig(height_bound=4, depth=4,
                                             target=(2, 2, 2, 4)))
     assert plan.offsets.shape[1:] == (3, 12) and plan.offsets.max() >= 2 * 307
     assert plan.offsets.dtype == np.uint16
@@ -350,13 +349,13 @@ def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
     # at height 2 one fraction is live, so most column classes are empty; at
     # 40 a class of five shards holds fewer columns than one 64-bit word
     reached = []
-    settle = search._ThirdPairPlan.settle
+    settle = plans._ThirdPairPlan.settle
 
     def spy(plan, i, j):
         reached.append((i, j))
         return settle(plan, i, j)
 
-    monkeypatch.setattr(search._ThirdPairPlan, "settle", spy)
+    monkeypatch.setattr(plans._ThirdPairPlan, "settle", spy)
     for bound in (2, 40):
         squares = _square_pairs(fractions_by_height(bound))
         assert squares or bound == 2
@@ -376,7 +375,7 @@ def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     # the exact checks (isqrt calls) the filter lets through and the squares
     # among them, per shard of two: a weaker filter makes more checks
     calls, funnel = [], [0, 0]
-    square_pairs, real_isqrt = search._square_pairs, search.isqrt
+    square_pairs, real_isqrt = plans._square_pairs, plans.isqrt
 
     def counted(plan, tile):
         before = len(calls)
@@ -385,9 +384,9 @@ def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
         funnel[1] += len(found)
         return found
 
-    monkeypatch.setattr(search, "isqrt",
+    monkeypatch.setattr(plans, "isqrt",
                         lambda v: calls.append(v) or real_isqrt(v))
-    monkeypatch.setattr(search, "_square_pairs", counted)
+    monkeypatch.setattr(plans, "_square_pairs", counted)
     list(scan_thirdpair(SearchConfig(height_bound=100, depth=3,
                                      target=(2, 4, 6), shard=(index, 2))))
     assert funnel == [checks, squares]
@@ -403,10 +402,10 @@ def test_row_mask_keeps_every_fraction_of_a_square_pair():
     # brute isqrt over every pair of two-square fractions at H = 60: the row
     # mask keeps each fraction of a pair whose N is a square, and a fraction
     # it drops has an empty table row under some modulus
-    nums, dens = search._height_order(60)
+    nums, dens = plans._height_order(60)
     live = np.flatnonzero(_two_square_mask(nums, dens))
-    keys = search._kind_keys(nums[live], dens[live])
-    kept = search._row_mask(search._stacked_tables(search._pair_form), keys)
+    keys = plans._kind_keys(nums[live], dens[live])
+    kept = plans._row_mask(plans._stacked_tables(plans._pair_form), keys)
     values = list(zip(nums[live].tolist(), dens[live].tolist()))
     paired = {k for i, p1 in enumerate(values) for j, p2 in enumerate(values[:i + 1])
               if _is_square_pair(*p1, *p2) for k in (i, j)}
@@ -414,8 +413,8 @@ def test_row_mask_keeps_every_fraction_of_a_square_pair():
     dropped = np.flatnonzero(~kept)
     assert 0 < len(dropped) < len(live) - len(paired)
     empty = np.zeros(len(dropped), dtype=bool)
-    for m, q in search._MODULI:
-        classes, table = search._filter_tables(search._pair_form, m, q)
+    for m, q in plans._MODULI:
+        classes, table = plans._filter_tables(plans._pair_form, m, q)
         n, d = nums[live[dropped]], dens[live[dropped]]
         empty |= ~table[0].any(axis=1)[classes[n % m, d % m]]
     assert empty.all()
@@ -426,20 +425,20 @@ def test_row_mask_on_forward_tables():
     # mask drops meets no x0 in _kind_pairs, for every shard class; some
     # kept rows pass under one form only, so the mask ORs over the forms
     cfg = SearchConfig(height_bound=16, depth=3, target=(2, 2, 4))
-    plan = search._ForwardPlan(cfg)
-    tables = search._stacked_tables(search._branch_forms, 1, 3)
-    keys = search._kind_keys(plan.c_num[plan.live], plan.c_den[plan.live])
-    kept = search._row_mask(tables, keys)
+    plan = plans._ForwardPlan(cfg)
+    tables = plans._stacked_tables(plans._branch_forms, 1, 3)
+    keys = plans._kind_keys(plan.c_num[plan.live], plan.c_den[plan.live])
+    kept = plans._row_mask(tables, keys)
     row_kinds, _, _, stacked = tables
     per_form = stacked.any(axis=1)[row_kinds[:, keys]].all(axis=1)
     assert per_form.shape[0] == 2 and (per_form.sum(axis=0) == 1).any()
     dropped, alive = plan.live[~kept], plan.live[kept]
     assert len(dropped) and len(alive)
     for want in range(cfg.shard[1]):
-        ci, _ = search._kind_pairs(plan, dropped, np.full(len(dropped), want),
+        ci, _ = plans._kind_pairs(plan, dropped, np.full(len(dropped), want),
                                    diagonal=False)
         assert len(ci) == 0
-    ci, _ = search._kind_pairs(plan, alive, np.zeros(len(alive), dtype=int),
+    ci, _ = plans._kind_pairs(plan, alive, np.zeros(len(alive), dtype=int),
                                diagonal=False)
     assert len(ci)
 
@@ -449,13 +448,13 @@ def test_block_layout_does_not_change_the_output(tmp_path, monkeypatch, target):
     # one row a block, eight rows, or the whole H = 60 scan in one block,
     # for one job and two: the same records and the same final checkpoint
     outputs = set()
-    for words in (1, 32, search._BLOCK_WORDS):
-        monkeypatch.setattr(search, "_BLOCK_WORDS", words)
+    for words in (1, 32, plans._BLOCK_WORDS):
+        monkeypatch.setattr(plans, "_BLOCK_WORDS", words)
         for jobs in (1, 2):
             path = tmp_path / ("%d-%d.ckpt" % (words, jobs))
             cfg = SearchConfig(height_bound=60, depth=3, target=target,
                                checkpoint_path=str(path))
-            assert search._ThirdPairPlan(cfg).tile == {
+            assert plans._ThirdPairPlan(cfg).tile == {
                 1: 1, 32: 4}.get(words, 16384)
             printed = tuple(_printed(scan_thirdpair(cfg, jobs=jobs)))
             outputs.add((printed, path.read_bytes()))
@@ -475,8 +474,8 @@ def test_resume_from_row_failing_the_mask(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_write_checkpoint",
                         lambda p, payload: (payloads.append(payload),
                                             write(p, payload)))
-    monkeypatch.setattr(search, "_BLOCK_WORDS", 32)     # 8-row blocks
-    assert search._ThirdPairPlan(cfg).tile == 8
+    monkeypatch.setattr(plans, "_BLOCK_WORDS", 32)     # 8-row blocks
+    assert plans._ThirdPairPlan(cfg).tile == 8
     full = [r.as_json() for r in scan_thirdpair(cfg)]
     mask = _two_square_mask(*_num_den_arrays(fractions_by_height(40)))
     mid = [p for p in payloads
@@ -513,7 +512,7 @@ def test_resume_from_every_checkpoint_replays(tmp_path, monkeypatch, scan,
     path = str(tmp_path / "scan.ckpt")
     cfg = SearchConfig(checkpoint_path=path, **cfg)
     monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 1)
-    monkeypatch.setattr(search, *tile)
+    monkeypatch.setattr(plans, *tile)
     payloads = []
     write = search._write_checkpoint
     monkeypatch.setattr(search, "_write_checkpoint",
@@ -542,7 +541,7 @@ def test_forward_resume_from_every_row(tmp_path):
                        checkpoint_path=path)
     records = list(scan_forward(cfg))
     full = _printed(records)
-    plan = search._ForwardPlan(cfg)
+    plan = plans._ForwardPlan(cfg)
     row = {F(*c): k for k, c in enumerate(plan.c_values)}
     column = {F(*x): k for k, x in enumerate(plan.x_values)}
     first = [row[parse_rat(r.provenance[0].params["c"])] for r in records]
@@ -736,7 +735,7 @@ def test_one_walk_tree_of_unreduced_and_zero_level_one():
     # level 1 {0} (c = -1, x0 = 0, so y = 0), given as 0/1 or as 0/8, and a
     # third-pair t that is not in lowest terms
     config = SearchConfig(height_bound=1, depth=3, target=(1, 2))
-    plan = search._ForwardPlan(config)
+    plan = plans._ForwardPlan(config)
     assert forward_plan_values(plan, 2, 0) == (F(-1), F(0))
     hit = plan.settle(2, 0)
     assert hit is not None and hit[2][0] == {(0, 1): hit[1]}
@@ -783,13 +782,13 @@ FORWARD_LINES = {
 def _settled(monkeypatch):
     # the c of every candidate the forward scan settles, in order
     calls = []
-    settle = search._ForwardPlan.settle
+    settle = plans._ForwardPlan.settle
 
     def spy(plan, ci, xi):
         calls.append(plan.c_values[ci])
         return settle(plan, ci, xi)
 
-    monkeypatch.setattr(search._ForwardPlan, "settle", spy)
+    monkeypatch.setattr(plans._ForwardPlan, "settle", spy)
     return calls
 
 
@@ -871,7 +870,7 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
     for index, total in ((0, 1), (1, 3)):
         cfg = SearchConfig(height_bound=12, depth=depth, target=target,
                            shard=(index, total))
-        plan = search._ForwardPlan(cfg)
+        plan = plans._ForwardPlan(cfg)
         width = len(plan.x_values)
         every = [(ci, xi) for ci in range(plan.size) for xi in range(width)
                  if (ci * width + xi) % total == index]
@@ -908,7 +907,7 @@ def test_forward_kind_filter_matches_reference_mask(depth):
             wide = next(k for k, want in enumerate(target, 1) if want > 2)
             for total in (1, 2, 3):
                 for index in range(total):
-                    plan = search._ForwardPlan(SearchConfig(
+                    plan = plans._ForwardPlan(SearchConfig(
                         height_bound=bound, depth=depth, target=target,
                         shard=(index, total)))
                     width = len(plan.x_values)
@@ -1009,9 +1008,9 @@ def test_provenance_pairs_match_fraction_values():
     # the int pairs that provenance is formatted from, against the plans'
     # candidates as Fractions through format_rat and height
     for plan_class, cfg, values in (
-            (search._ThirdPairPlan, dict(height_bound=60, depth=3, target=(2, 4, 4)),
+            (plans._ThirdPairPlan, dict(height_bound=60, depth=3, target=(2, 4, 4)),
              thirdpair_plan_values),
-            (search._ForwardPlan, dict(height_bound=6, depth=3, target=(2, 2)),
+            (plans._ForwardPlan, dict(height_bound=6, depth=3, target=(2, 2)),
              forward_plan_values)):
         plan = plan_class(SearchConfig(**cfg))
         candidates = list(plan.candidates(0, plan.size))

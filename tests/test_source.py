@@ -3,7 +3,8 @@
 Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
-pool is made, so a one-job run never pays for it).  The torsion hot path,
+pool is made, so a one-job run never pays for it) and loads no numpy: only
+`plans` imports it, and only a scan loads `plans`.  The torsion hot path,
 the elimination of c, the settling of a search candidate and the making of
 its record stay on Python ints, and the numpy code of the scans' filters
 has no true division and no float dtype.
@@ -15,11 +16,16 @@ in the package is an option that nothing sets.
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
 import quadpreim
+from quadpreim.cli import CHECKPOINT_DIR_ENV
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
@@ -45,9 +51,9 @@ INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
 # block's settle of its candidates, the lowest-terms (c, a) that the driver
 # dedups hits by, and the order the tree builder gives each level, as
 # (module, qualified name)
-INTEGER_SETTLE = (("search", "_walk"), ("search", "_thirdpair_values"),
-                  ("search", "_settle"), ("search", "_ForwardPlan.settle"),
-                  ("search", "_ThirdPairPlan.settle"),
+INTEGER_SETTLE = (("search", "_walk"), ("plans", "_thirdpair_values"),
+                  ("search", "_settle"), ("plans", "_ForwardPlan.settle"),
+                  ("plans", "_ThirdPairPlan.settle"),
                   ("search", "_scan_block"), ("exactmath", "lowest_terms"),
                   ("dynamics", "orbit"), ("dynamics", "preimage_levels"),
                   ("dynamics", "_descending"))
@@ -60,11 +66,11 @@ INTEGER_RECORD = (("dynamics", "tree_from_levels"),
                   ("dynamics", "PreimageTree.union_count"),
                   ("search", "_record"), ("search", "SearchRecord.as_json"),
                   ("search", "_scan"),
-                  ("search", "_ThirdPairPlan.pairs"),
-                  ("search", "_ForwardPlan.pairs"))
-# the scans' numpy filter code, which decides candidates on int arrays: the
-# forms and their kind tables, the shared builder and survivor helpers, and
-# the plans around them
+                  ("plans", "_ThirdPairPlan.pairs"),
+                  ("plans", "_ForwardPlan.pairs"))
+# the scans' numpy filter code in plans.py, which decides candidates on int
+# arrays: the forms and their kind tables, the shared builder and survivor
+# helpers, and the plans around them
 INTEGER_FILTER = ("_height_order", "_two_square_mask", "_pair_form",
                   "_branch_forms", "_filter_tables", "_kind_tables",
                   "_stacked_tables", "_kind_keys", "_row_mask", "_word_tile",
@@ -72,6 +78,29 @@ INTEGER_FILTER = ("_height_order", "_two_square_mask", "_pair_form",
                   "_ThirdPairPlan.__init__", "_square_pairs",
                   "_ForwardPlan.__init__", "_ForwardPlan.candidates")
 BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+# commands that run no scan, and one that does
+NO_SCAN_COMMANDS = (
+    ["tree", "--c", "-24361/14400", "--a", "-42/25", "--depth", "3"],
+    ["ec", "torsion", "--a2", "3", "--a4", "16", "--a6", "48"],
+    ["critical", "--n", "3"],
+    ["model", "--tag", "224"],
+    ["verify-paper"])
+SCAN_COMMAND = ["search", "--strategy", "thirdpair", "--height-bound", "30",
+                "--depth", "3", "--target", "2,4,6"]
+# run in a fresh interpreter (pytest has numpy loaded): whether numpy is
+# loaded after importing the package, then (exit code, loaded) after each
+# command of argv[1] in turn
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import quadpreim
+from quadpreim import cli, dynamics, elliptic, models, search, verify
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = [code, "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
 
 
 def _parse(path):
@@ -107,7 +136,8 @@ def _top_level_imports(tree):
 
 
 def test_sources_found():
-    assert {"cli.py", "search.py", "models.py"} <= {p.name for p in SOURCES}
+    assert {"cli.py", "search.py", "plans.py", "models.py"} <= {
+        p.name for p in SOURCES}
 
 
 def test_no_assert_statements():
@@ -126,6 +156,29 @@ def test_no_top_level_multiprocessing_import():
     for path in SOURCES:
         modules = list(_top_level_imports(_parse(path)))
         assert not any(m.split(".")[0] == "multiprocessing" for m in modules), path
+
+
+def test_only_plans_imports_numpy_at_top_level():
+    # the scans import plans when they start, so no other command loads numpy
+    found = [path.name for path in SOURCES
+             if any(m.split(".")[0] == "numpy"
+                    for m in _top_level_imports(_parse(path)))]
+    assert found == ["plans.py"]
+
+
+def test_numpy_loads_only_for_scans(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(quadpreim.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    env.pop(CHECKPOINT_DIR_ENV, None)      # the scan writes no checkpoint
+    commands = [*NO_SCAN_COMMANDS, SCAN_COMMAND]
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+                           json.dumps(commands)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import": False, **{" ".join(argv): [0, False] for argv in NO_SCAN_COMMANDS},
+        " ".join(SCAN_COMMAND): [0, True]}
 
 
 def _named(keys, names):
@@ -216,8 +269,8 @@ def test_thirdpair_filter_has_no_float_arithmetic():
     # no float array decides a candidate: the enumeration, the masks, the
     # tables and the filter divide only with // and build only int and bool
     # arrays
-    found = _functions("search")
-    keys = [("search", name) for name in INTEGER_FILTER]
+    found = _functions("plans")
+    keys = [("plans", name) for name in INTEGER_FILTER]
     assert set(keys) <= set(found)
     inexact = [(name, node.lineno) for module, name in keys
                for node in ast.walk(found[(module, name)]) if _inexact(node)]
