@@ -19,8 +19,16 @@ so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
 it to an even power) a sum of two integer squares.  The plan drops every
 fraction failing that test before any pair is formed, and the pairs that
-the kind filter below rejects, then re-checks the rest exactly: it settles
-exactly the pairs whose N is a perfect square.
+the kind filter below rejects, then re-checks the rest exactly: its
+candidates are exactly the pairs whose N is a perfect square.  With
+S = x^2 + y^2 and r = sqrt(N), c = -S/(2 e^2) and u = r/(2 e^2), so level 3,
+{+/- p1, +/- p2} and the square roots of
+
+    u - c = 2 (S + r) / (2 e)^2,        -u - c = 2 (S - r) / (2 e)^2,
+
+holds at most 4 + 2k points, k the number of the integers 2 (S +/- r) that
+are perfect squares (a collapse such as u = 0 only lowers the count): the
+plan walks only the candidates whose bound meets the target.
 
 Forward.  A rational tree is a real one, and for c >= 0 every level of a
 real tree of f_c is empty, {0} or {r, -r}: by induction, as -r - c < 0 for
@@ -316,8 +324,20 @@ class _ThirdPairPlan:
         return (int(nums[i]), int(dens[i])), (int(nums[j]), int(dens[j]))
 
     def settle(self, i: int, j: int) -> Optional[Hit]:
-        """_settle of a = t^2 + c (_thirdpair_values)."""
+        """_settle of a = t^2 + c (_thirdpair_values), or None unwalked when
+        r = isqrt(N) has r^2 != N (u is irrational and level 2 {s, -s}, short
+        of any target the scan takes) or level 3, at most 4 + 2k points (k
+        squares among the integers 2 (x^2 + y^2 +/- r)), is short of it."""
         (n1, d1), (n2, d2) = self.pairs(i, j)
+        x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
+        big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
+        r = isqrt(max(big, 0))
+        if r * r != big:
+            return None
+        roots = sum(v >= 0 and isqrt(v) ** 2 == v
+                    for v in (2 * (x2 + y2 + r), 2 * (x2 + y2 - r)))
+        if 4 + 2 * roots < self.config.target[2]:
+            return None
         return _settle(self.config, *_thirdpair_values(n1, d1, n2, d2))
 
 

@@ -4,9 +4,11 @@ arrangements.
 The third-pair strategy walks ordered pairs (p1, p2) of positive reduced
 rationals: demanding p1^2 + c = s and p2^2 + c = -s for some second-level
 value s pins c = -(p1^2 + p2^2)/2 and s = (p1^2 - p2^2)/2, hence
-t = s^2 + c and a = t^2 + c, and the candidate is settled by re-verifying
-the whole tree.  Enumeration is by increasing height (Farey-style), so runs
-are deterministic, shardable by candidate index, and checkpointable.
+t = s^2 + c and a = t^2 + c.  A candidate whose level 3 can meet the
+target (a bound read off the second-level value u, quadpreim.plans) is
+settled by re-verifying the whole tree; the others are not walked.
+Enumeration is by increasing height (Farey-style), so runs are
+deterministic, shardable by candidate index, and checkpointable.
 
 Level 2 of the tree is {s, -s} and {u, -u}, the pre-images of t and -t,
 with u^2 = -s^2 - 2c, so it holds more than two points only if u is
@@ -323,11 +325,13 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
     if start > plan.size:
         raise SearchArgumentError("checkpoint %r has next_block %d past the "
                                   "scan's %d rows" % (path, start, plan.size))
-    try:        # all settled before the first record: a bad hit prints none
-        replayed = [(candidate, plan.settle(*candidate)) for candidate in hits]
-    except (IndexError, OverflowError):         # a row or column past the plan's
-        replayed = None
-    if replayed is None or any(hit is None for _, hit in replayed):
+    # each hit must be a candidate that the plan lists in its row, and all are
+    # settled before the first record: a bad hit prints none
+    listed = {candidate for row in {i for i, _ in hits}
+              for candidate in plan.candidates(row, row + 1)}
+    replayed = [(candidate, plan.settle(*candidate)) for candidate in hits
+                if candidate in listed]
+    if len(replayed) < len(hits) or any(hit is None for _, hit in replayed):
         raise SearchArgumentError("checkpoint %r has a hit that is no hit of "
                                   "this scan" % (path,))
     seen, emitted = set(), []

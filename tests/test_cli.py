@@ -415,6 +415,35 @@ def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
         assert "Traceback" not in err and len(err.splitlines()) == 1, name
 
 
+@pytest.mark.parametrize("scan", [
+    ("--strategy", "thirdpair", "--height-bound", "40", "--depth", "3",
+     "--target", "2,4,4"),
+    ("--strategy", "forward", "--height-bound", "5", "--depth", "2",
+     "--target", "2,3")])
+def test_resume_refuses_a_hit_its_plan_does_not_list(capsys, tmp_path, scan):
+    # shard 1's first hit, and that candidate with row and column swapped,
+    # put ahead of shard 0's hits: shard 0's plan lists neither, so resume
+    # refuses the checkpoint instead of printing an extra record
+    argv = ("search", *scan, "--format", "structured")
+    paths = [tmp_path / ("shard%d.ckpt" % k) for k in range(2)]
+    outs = []
+    for k, path in enumerate(paths):
+        code, out, _ = run_cli(capsys, *argv, "--shard", "%d/2" % k,
+                               "--checkpoint", str(path))
+        assert code == 0 and out
+        outs.append(out)
+    payload = json.loads(paths[0].read_text())
+    other = json.loads(paths[1].read_text())["hits"][0]
+    resume = (*argv, "--shard", "0/2", "--checkpoint", str(paths[0]), "--resume")
+    for hit in (other, other[::-1]):
+        paths[0].write_text(json.dumps(dict(payload, hits=[hit, *payload["hits"]])))
+        for code, out, err in (run_cli(capsys, *resume), run_module(*resume)):
+            assert code == 2 and out == "", hit
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, hit
+    paths[0].write_text(json.dumps(payload))
+    assert run_cli(capsys, *resume) == (0, outs[0], "")
+
+
 def test_search_checkpoint_write_failure_exits_1(capsys, tmp_path):
     path = tmp_path / "no_dir" / "h12.ckpt"
     code, _, err = run_cli(capsys, *H12, "--checkpoint", str(path))

@@ -373,9 +373,11 @@ def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
                                                     (1, 221, 139)])
 def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     # the exact checks (isqrt calls) the filter lets through and the squares
-    # among them, per shard of two: a weaker filter makes more checks
-    calls, funnel = [], [0, 0]
+    # among them, per shard of two: a weaker filter makes more checks; of
+    # the squares, settle walks only those whose level 3 can hold 6 points
+    calls, funnel, walked = [], [0, 0], []
     square_pairs, real_isqrt = plans._square_pairs, plans.isqrt
+    settle = plans._settle
 
     def counted(plan, tile):
         before = len(calls)
@@ -387,9 +389,74 @@ def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     monkeypatch.setattr(plans, "isqrt",
                         lambda v: calls.append(v) or real_isqrt(v))
     monkeypatch.setattr(plans, "_square_pairs", counted)
-    list(scan_thirdpair(SearchConfig(height_bound=100, depth=3,
-                                     target=(2, 4, 6), shard=(index, 2))))
+    monkeypatch.setattr(plans, "_settle",
+                        lambda *args: walked.append(args) or settle(*args))
+    records = list(scan_thirdpair(SearchConfig(
+        height_bound=100, depth=3, target=(2, 4, 6), shard=(index, 2))))
     assert funnel == [checks, squares]
+    assert len(walked) == (1, 2)[index] and len(records) == 1
+
+
+@pytest.mark.parametrize("depth, target", [
+    *((3, target) for target in ((2, 4, 4), (2, 4, 5), (2, 4, 6), (2, 4, 7),
+                                 (2, 4, 8), (2, 3, 5), (2, 3, 6), (1, 3, 6))),
+    (4, (2, 4, 6, 8))])
+def test_settle_cut_matches_the_walk(monkeypatch, depth, target):
+    # every candidate with N a square at H = 100: the plan's settle, which
+    # walks only those whose level 3 can meet the target, equals the walk;
+    # a pair whose N is no square (u irrational) is not walked at all
+    plan = plans._ThirdPairPlan(SearchConfig(height_bound=100, depth=depth,
+                                             target=target))
+    candidates = plan.candidates(0, plan.size)
+    assert len(candidates) == 262
+    hits = 0
+    for i, j in candidates:
+        (n1, d1), (n2, d2) = plan.pairs(i, j)
+        hit = plan.settle(i, j)
+        assert hit == search._settle(plan.config,
+                                     *_thirdpair_values(n1, d1, n2, d2))
+        hits += hit is not None
+    walked = []
+    monkeypatch.setattr(plans, "_settle", lambda *args: walked.append(args))
+    listed = set(candidates)
+    assert all(plan.settle(i, j) is None for i in range(80)
+               for j in range(i + 1) if (i, j) not in listed)
+    assert walked == []
+    # 260 trees have 4 points at level 3 and 2 have 6; none reach 2,4,6,8
+    assert hits == (260 if target[2] <= 4 else 2 if target[2] <= 6
+                    and depth == 3 else 0)
+
+
+def test_settle_level_three_identity():
+    # with S = x^2 + y^2, r = sqrt(N) and u the sibling second pre-image,
+    # u - c = 2 (S + r) / (2e)^2 and -u - c = 2 (S - r) / (2e)^2 in Fraction
+    # arithmetic, and each is a rational square iff its integer 2 (S +/- r)
+    # is a perfect square
+    plan = plans._ThirdPairPlan(SearchConfig(height_bound=100, depth=3,
+                                             target=(2, 4, 6)))
+    candidates = plan.candidates(0, plan.size)
+    found = set()
+    for i, j in candidates[::13] + [(i, j) for i, j in candidates
+                                    if plan.settle(i, j)]:
+        p1, p2 = thirdpair_plan_values(plan, i, j)
+        (n1, d1), (n2, d2) = plan.pairs(i, j)
+        x, y, e = n1 * d2, n2 * d1, d1 * d2
+        big = 4 * e * e * (x * x + y * y) - (x * x - y * y) ** 2
+        r = isqrt(big)
+        assert r * r == big
+        c, a = reference_thirdpair_values(p1, p2)
+        s = (p1 * p1 - p2 * p2) / 2
+        t = s * s + c
+        u = F(r, 2 * e * e)
+        assert t * t + c == a and u * u + c == -t
+        assert p1 * p1 == s - c and p2 * p2 == -s - c
+        for value, sign in ((u - c, 1), (-u - c, -1)):
+            whole = 2 * (x * x + y * y + sign * r)
+            assert value == F(whole, (2 * e) ** 2)
+            square = whole >= 0 and isqrt(whole) ** 2 == whole
+            assert (rat_sqrt(value) is not None) == square
+            found.add(square)
+    assert found == {True, False}
 
 
 def _is_square_pair(n1, d1, n2, d2):
