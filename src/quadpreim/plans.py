@@ -19,16 +19,15 @@ so for both p = n/d the integer d^2 + 2 n^2 = (d^2/4)(4 + 8 p^2) is a sum
 of two rational squares, hence (Fermat-Euler: every prime = 3 mod 4 divides
 it to an even power) a sum of two integer squares.  The plan drops every
 fraction failing that test before any pair is formed, and the pairs that
-the kind filter below rejects, then re-checks the rest exactly: its
-candidates are exactly the pairs whose N is a perfect square.  With
-S = x^2 + y^2 and r = sqrt(N), c = -S/(2 e^2) and u = r/(2 e^2), so level 3,
-{+/- p1, +/- p2} and the square roots of
+the kind filter below rejects, then re-checks the rest exactly with
+r = isqrt(N).  With S = x^2 + y^2 and r^2 = N, c = -S/(2 e^2) and
+u = r/(2 e^2), so level 3, {+/- p1, +/- p2} and the square roots of
 
     u - c = 2 (S + r) / (2 e)^2,        -u - c = 2 (S - r) / (2 e)^2,
 
 holds at most 4 + 2k points, k the number of the integers 2 (S +/- r) that
 are perfect squares (a collapse such as u = 0 only lowers the count): the
-plan walks only the candidates whose bound meets the target.
+exact stage reads it off r and keeps only the pairs it lets meet the target.
 
 Forward.  A rational tree is a real one, and for c >= 0 every level of a
 real tree of f_c is empty, {0} or {r, -r}: by induction, as -r - c < 0 for
@@ -280,11 +279,13 @@ def _two_square_mask(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     root = isqrt(int(values.max()))
     squares = np.arange(root + 1, dtype=np.int64) ** 2
     sums = np.zeros(2 * (root + 1) ** 2, dtype=bool)   # > values.max()
-    for sq in squares:
-        sums[sq + squares] = True
+    run = max(1, _SUM_BLOCK // (root + 1))
+    for lo in range(0, root + 1, run):
+        sums[squares[lo:lo + run, None] + squares] = True
     return sums[values]
 
 
+_SUM_BLOCK = 1 << 16        # entries (0.5 MB) in an outer sum of _two_square_mask
 _BLOCK_WORDS = 1 << 17      # words (1 MB) in a block's (rows, words) arrays
 
 
@@ -315,8 +316,12 @@ class _ThirdPairPlan:
 
     def candidates(self, first: int, end: int) -> list[tuple[int, int]]:
         """The shard's pairs (i, j <= i) over the live rows in [first, end)
-        whose N is a square, in candidate order."""
-        return _square_pairs(self, _live_rows(self.live, first, end))
+        whose N is a square, in candidate order, if level 3 can meet the
+        target: 4 + 2k points, k squares among the integers 2 (S +/- r)."""
+        tile, want = _live_rows(self.live, first, end), self.config.target[2]
+        return [(i, j) for i, j, s, r in _square_pairs(self, tile)
+                if 4 + 2 * sum(v >= 0 and isqrt(v) ** 2 == v
+                               for v in (2 * (s + r), 2 * (s - r))) >= want]
 
     def pairs(self, i: int, j: int) -> tuple[Pair, Pair]:
         """(p1, p2) of candidate (i, j) as reduced (n, d)."""
@@ -324,41 +329,29 @@ class _ThirdPairPlan:
         return (int(nums[i]), int(dens[i])), (int(nums[j]), int(dens[j]))
 
     def settle(self, i: int, j: int) -> Optional[Hit]:
-        """_settle of a = t^2 + c (_thirdpair_values), or None unwalked when
-        r = isqrt(N) has r^2 != N (u is irrational and level 2 {s, -s}, short
-        of any target the scan takes) or level 3, at most 4 + 2k points (k
-        squares among the integers 2 (x^2 + y^2 +/- r)), is short of it."""
+        """_settle of a = t^2 + c (_thirdpair_values)."""
         (n1, d1), (n2, d2) = self.pairs(i, j)
-        x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
-        big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
-        r = isqrt(max(big, 0))
-        if r * r != big:
-            return None
-        roots = sum(v >= 0 and isqrt(v) ** 2 == v
-                    for v in (2 * (x2 + y2 + r), 2 * (x2 + y2 - r)))
-        if 4 + 2 * roots < self.config.target[2]:
-            return None
         return _settle(self.config, *_thirdpair_values(n1, d1, n2, d2))
 
 
-def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, int]]:
+def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, ...]]:
     """The pairs (i in tile, j <= i) of the shard whose N is a perfect
-    square, in candidate order: those that the kind filter keeps, checked
-    exactly with isqrt.  Rows and columns are live fractions under their
-    original indices, so candidate numbering, shards, provenance and
-    next_block keep their meaning."""
+    square, in candidate order, as (i, j, S = x^2 + y^2, r = isqrt(N)): those
+    that the kind filter keeps, checked exactly.  Rows and columns are live
+    fractions under their original indices, so candidate numbering, shards,
+    provenance and next_block keep their meaning."""
     shard_index, shard_total = plan.config.shard
     # candidate i(i+1)/2 + j is in the shard iff j = want mod shard_total
     want = (shard_index - tile * (tile + 1) // 2) % shard_total
     gi, gj = _kind_pairs(plan, tile, want, diagonal=True)
-    survivors: list[tuple[int, int]] = []
+    survivors: list[tuple[int, ...]] = []
     for i, j, n1, d1, n2, d2 in zip(
             gi.tolist(), gj.tolist(), plan.nums[gi].tolist(),
             plan.dens[gi].tolist(), plan.nums[gj].tolist(), plan.dens[gj].tolist()):
         x2, y2, e2 = (n1 * d2) ** 2, (n2 * d1) ** 2, (d1 * d2) ** 2
-        big = 4 * e2 * (x2 + y2) - (x2 - y2) ** 2
-        if big >= 0 and isqrt(big) ** 2 == big:
-            survivors.append((i, j))
+        big = 4 * e2 * (s := x2 + y2) - (x2 - y2) ** 2
+        if big >= 0 and (r := isqrt(big)) ** 2 == big:
+            survivors.append((i, j, s, r))
     survivors.sort()
     return survivors
 

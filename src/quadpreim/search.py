@@ -20,12 +20,12 @@ of height within the bound.
 Each strategy has a plan (quadpreim.plans, the one module that imports
 numpy, loaded when a scan starts) that lists its candidates in order and
 passes on only those that can meet the target: a third-pair candidate
-needs u rational, a forward one a branch off the orbit.  Both strategies
-cut their shard into ordered blocks of live rows; one driver (_scan) reads
-the blocks' hits in order, in this process or from `jobs` workers, and
-alone dedups, emits and checkpoints: a checkpoint names the candidates of
-the emitted records, which resume settles again ahead of the blocks, so
-jobs and interruptions never change the output.
+needs u rational and room at level 3, a forward one a branch off the orbit.
+Both strategies cut their shard into ordered blocks of live rows; one driver
+(_scan) reads the blocks' hits in order, in this process or from `jobs`
+workers, and alone dedups, emits and checkpoints: a checkpoint names the
+candidates of the emitted records, which resume settles again ahead of the
+blocks, so jobs and interruptions never change the output.
 A candidate is settled on int pairs (_settle): each plan knows a y with
 a = y^2 + c (t, or f_c^(depth-1)(x0)), so level 1 is exactly {y, -y}, or
 {0}, and the walk (_walk) starts there: a miss never square-tests a, the
@@ -239,7 +239,8 @@ def _load_checkpoint(path: str,
                      expected_digest: str) -> tuple[int, list[tuple[int, int]]]:
     """The next block and the candidates of the emitted records of a checkpoint;
     SearchArgumentError for a file that is not a readable checkpoint of this
-    configuration, or names a candidate not two nonnegative ints in its rows."""
+    configuration, or names a candidate not two nonnegative ints in its rows
+    or not past the one before (the scan emits them in increasing order)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -258,6 +259,9 @@ def _load_checkpoint(path: str,
                for i, j in hits):
         raise SearchArgumentError("checkpoint %r has a hit that is not two "
                                   "nonnegative ints in its rows" % (path,))
+    if any(a >= b for a, b in zip(hits, hits[1:])):
+        raise SearchArgumentError("checkpoint %r lists its hits out of "
+                                  "candidate order" % (path,))
     return next_block, hits
 
 

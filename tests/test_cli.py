@@ -309,6 +309,8 @@ def test_search_jobs_match_single_at_height_100(capsys, shard):
 
 H12 = ("search", "--strategy", "thirdpair", "--height-bound", "12",
        "--depth", "3", "--target", "2,4,4", "--format", "structured")
+FORWARD5 = ("search", "--strategy", "forward", "--height-bound", "5",
+            "--depth", "2", "--target", "2,3", "--format", "structured")
 
 
 def test_search_resume_replays_emitted_records(capsys, tmp_path):
@@ -332,9 +334,8 @@ def test_checkpoint_hits_are_the_printed_candidates(capsys, tmp_path, strategy):
         argv, params = H12, ("p1", "p2")
         rows = cols = search.fractions_by_height(12)
     else:
-        argv = ("search", "--strategy", "forward", "--height-bound", "5",
-                "--depth", "2", "--target", "2,3", "--format", "structured")
-        params, fractions = ("c", "x0"), search.fractions_by_height(5)
+        argv, params = FORWARD5, ("c", "x0")
+        fractions = search.fractions_by_height(5)
         rows = [0, *(sign * q for q in fractions for sign in (1, -1))]
         cols = [0, *fractions]
     path = tmp_path / "scan.ckpt"
@@ -350,6 +351,7 @@ def test_checkpoint_hits_are_the_printed_candidates(capsys, tmp_path, strategy):
 
 
 def _bad_checkpoints(tmp_path):
+    # (scan argv, path): H12 checkpoints unless the name says forward
     old = search.SearchConfig(height_bound=12, depth=3, target=(2, 4, 4),
                               checkpoint_path=str(tmp_path / "finished.ckpt"))
     records = [rec.as_json() for rec in search.scan_thirdpair(old)]
@@ -396,17 +398,30 @@ def _bad_checkpoints(tmp_path):
         "deeply nested": '{"config_sha": "x", "next_block": 0, "hits": '
                          + "[" * 5000 + "]" * 5000 + "}",
     }
-    paths = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}
+    # a finished run's checkpoint with its hits out of the order it emitted
+    forward = search.SearchConfig(height_bound=5, depth=2, target=(2, 3),
+                                  checkpoint_path=str(tmp_path / "forward.ckpt"))
+    list(search.scan_forward(forward))
+    for strategy, payload in (("thirdpair", finished), ("forward", json.loads(
+            (tmp_path / "forward.ckpt").read_text()))):
+        hits = payload["hits"]
+        assert len(hits) >= 8
+        texts[strategy + " reversed"] = json.dumps(dict(payload, hits=hits[::-1]))
+        texts[strategy + " duplicated"] = json.dumps(
+            dict(payload, hits=[*hits[:3], hits[2], *hits[3:]]))
+    paths = {"missing": (H12, tmp_path / "missing.ckpt"),
+             "directory": (H12, tmp_path)}
     for name, text in texts.items():
-        paths[name] = tmp_path / (name.replace(" ", "_") + ".ckpt")
-        paths[name].write_text(text)
+        path = tmp_path / (name.replace(" ", "_") + ".ckpt")
+        paths[name] = (FORWARD5 if name.startswith("forward") else H12, path)
+        path.write_text(text)
     return paths
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
-    for name, path in _bad_checkpoints(tmp_path).items():
-        argv = (*H12, "--jobs", jobs, "--checkpoint", str(path), "--resume")
+    for name, (scan, path) in _bad_checkpoints(tmp_path).items():
+        argv = (*scan, "--jobs", jobs, "--checkpoint", str(path), "--resume")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", name
         assert len(err.splitlines()) == 1 and err.startswith("error: "), name

@@ -330,6 +330,25 @@ def test_two_square_mask_matches_brute_force():
     assert sum(brute) == 1335
 
 
+@pytest.mark.parametrize("bound", [100, 300])
+def test_two_square_mask_block_layout_does_not_matter(monkeypatch, bound):
+    # the a^2 + b^2 table in outer sums of one row of a, runs that leave a
+    # short last run (1000 entries: 5 rows of 174 at H = 100; the default:
+    # 126 rows of 520 at H = 300) or one sum, against a table made one
+    # square at a time
+    nums, dens = plans._height_order(bound)
+    values = dens * dens + 2 * nums * nums
+    squares = np.arange(isqrt(int(values.max())) + 1, dtype=np.int64) ** 2
+    table = np.zeros(2 * len(squares) ** 2, dtype=bool)
+    for sq in squares:
+        table[sq + squares] = True
+    for block in (1, 7, 1000, plans._SUM_BLOCK):
+        monkeypatch.setattr(plans, "_SUM_BLOCK", block)
+        mask = _two_square_mask(nums, dens)
+        assert mask.tolist() == table[values].tolist(), block
+    assert 0 < mask.sum() < len(mask)
+
+
 def _square_pairs(frs):
     # every pair (i, j <= i) whose integer N is a perfect square, with no
     # prefilter, in candidate order
@@ -345,28 +364,57 @@ def _square_pairs(frs):
     return out
 
 
+def _level_three_bound(p1, p2):
+    # in Fraction arithmetic, for a pair whose u is rational: level 2 is
+    # {s, -s, u, -u}, so level 3 is {+/- p1, +/- p2} and the roots of u - c
+    # and -u - c, at most 4 + 2 (the rational squares among those two)
+    c, _ = reference_thirdpair_values(p1, p2)
+    s = (p1 * p1 - p2 * p2) / 2
+    u = rat_sqrt(-(s * s + c) - c)
+    assert u is not None
+    return 4 + 2 * sum(rat_sqrt(v) is not None for v in (u - c, -u - c))
+
+
 def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
     # at height 2 one fraction is live, so most column classes are empty; at
-    # 40 a class of five shards holds fewer columns than one 64-bit word
-    reached = []
-    settle = plans._ThirdPairPlan.settle
+    # 40 a class of five shards holds fewer columns than one 64-bit word: the
+    # exact stage passes on exactly the pairs whose N is a square, and settle
+    # is reached exactly on those whose level 3 bound meets the target
+    emitted, reached = [], []
+    square_pairs, settle = plans._square_pairs, plans._ThirdPairPlan.settle
 
-    def spy(plan, i, j):
+    def spy_pairs(plan, tile):
+        found = square_pairs(plan, tile)
+        emitted.extend((i, j) for i, j, *_ in found)
+        return found
+
+    def spy_settle(plan, i, j):
         reached.append((i, j))
         return settle(plan, i, j)
 
-    monkeypatch.setattr(plans._ThirdPairPlan, "settle", spy)
+    monkeypatch.setattr(plans, "_square_pairs", spy_pairs)
+    monkeypatch.setattr(plans._ThirdPairPlan, "settle", spy_settle)
+    seen = set()
     for bound in (2, 40):
-        squares = _square_pairs(fractions_by_height(bound))
+        frs = fractions_by_height(bound)
+        squares = _square_pairs(frs)
         assert squares or bound == 2
-        for total in (1, 2, 3, 5):
-            for index in range(total):
-                reached.clear()
-                cfg = SearchConfig(height_bound=bound, depth=3,
-                                   target=(2, 4, 6), shard=(index, total))
-                list(scan_thirdpair(cfg))
-                assert reached == [(i, j) for i, j in squares
-                                   if (i * (i + 1) // 2 + j) % total == index]
+        room = {(i, j): _level_three_bound(frs[i], frs[j]) for i, j in squares}
+        seen |= set(room.values())
+        for target in ((2, 4, 4), (2, 4, 6)):
+            for total in (1, 2, 3, 5):
+                for index in range(total):
+                    emitted.clear()
+                    reached.clear()
+                    cfg = SearchConfig(height_bound=bound, depth=3,
+                                       target=target, shard=(index, total))
+                    list(scan_thirdpair(cfg))
+                    shard = [(i, j) for i, j in squares
+                             if (i * (i + 1) // 2 + j) % total == index]
+                    assert emitted == shard
+                    assert reached == [pair for pair in shard
+                                       if room[pair] >= target[2]]
+    assert seen == {4, 8}
 
 
 @pytest.mark.parametrize("index, checks, squares", [(0, 196, 123),
@@ -374,7 +422,8 @@ def test_fast_path_emits_exactly_the_square_pairs(monkeypatch):
 def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     # the exact checks (isqrt calls) the filter lets through and the squares
     # among them, per shard of two: a weaker filter makes more checks; of
-    # the squares, settle walks only those whose level 3 can hold 6 points
+    # the squares, the plan lists, and so walks, only those whose level 3
+    # can hold 6 points
     calls, funnel, walked = [], [0, 0], []
     square_pairs, real_isqrt = plans._square_pairs, plans.isqrt
     settle = plans._settle
@@ -401,49 +450,56 @@ def test_filter_funnel_at_height_100(monkeypatch, index, checks, squares):
     *((3, target) for target in ((2, 4, 4), (2, 4, 5), (2, 4, 6), (2, 4, 7),
                                  (2, 4, 8), (2, 3, 5), (2, 3, 6), (1, 3, 6))),
     (4, (2, 4, 6, 8))])
-def test_settle_cut_matches_the_walk(monkeypatch, depth, target):
-    # every candidate with N a square at H = 100: the plan's settle, which
-    # walks only those whose level 3 can meet the target, equals the walk;
-    # a pair whose N is no square (u irrational) is not walked at all
+def test_settle_cut_matches_the_walk(depth, target):
+    # every pair with N a square at H = 100: the plan lists it exactly when
+    # its level 3 bound (in Fractions) meets the target, its settle is the
+    # walk, and every pair whose walk hits is listed; among rows < 80, no
+    # pair outside the listing is a hit
     plan = plans._ThirdPairPlan(SearchConfig(height_bound=100, depth=depth,
                                              target=target))
+    squares = [(i, j) for i, j, *_ in plans._square_pairs(plan, plan.live)]
+    assert len(squares) == 262
     candidates = plan.candidates(0, plan.size)
-    assert len(candidates) == 262
-    hits = 0
-    for i, j in candidates:
-        (n1, d1), (n2, d2) = plan.pairs(i, j)
-        hit = plan.settle(i, j)
-        assert hit == search._settle(plan.config,
-                                     *_thirdpair_values(n1, d1, n2, d2))
-        hits += hit is not None
-    walked = []
-    monkeypatch.setattr(plans, "_settle", lambda *args: walked.append(args))
     listed = set(candidates)
-    assert all(plan.settle(i, j) is None for i in range(80)
-               for j in range(i + 1) if (i, j) not in listed)
-    assert walked == []
+    assert candidates == [pair for pair in squares if pair in listed]
+    hits = 0
+    for i, j in squares:
+        (n1, d1), (n2, d2) = plan.pairs(i, j)
+        hit = search._settle(plan.config, *_thirdpair_values(n1, d1, n2, d2))
+        room = _level_three_bound(*thirdpair_plan_values(plan, i, j))
+        assert ((i, j) in listed) == (room >= target[2])
+        assert hit is None or ((i, j) in listed and plan.settle(i, j) == hit)
+        hits += hit is not None
+    for i in range(80):
+        for j in range(i + 1):
+            if (i, j) not in listed:
+                (n1, d1), (n2, d2) = plan.pairs(i, j)
+                assert search._settle(plan.config, *_thirdpair_values(
+                    n1, d1, n2, d2)) is None
     # 260 trees have 4 points at level 3 and 2 have 6; none reach 2,4,6,8
     assert hits == (260 if target[2] <= 4 else 2 if target[2] <= 6
                     and depth == 3 else 0)
 
 
 def test_settle_level_three_identity():
-    # with S = x^2 + y^2, r = sqrt(N) and u the sibling second pre-image,
-    # u - c = 2 (S + r) / (2e)^2 and -u - c = 2 (S - r) / (2e)^2 in Fraction
-    # arithmetic, and each is a rational square iff its integer 2 (S +/- r)
-    # is a perfect square
+    # with S = x^2 + y^2, r = sqrt(N) and u the sibling second pre-image, as
+    # the exact stage hands them over: u - c = 2 (S + r) / (2e)^2 and
+    # -u - c = 2 (S - r) / (2e)^2 in Fraction arithmetic, and each is a
+    # rational square iff its integer 2 (S +/- r) is a perfect square
     plan = plans._ThirdPairPlan(SearchConfig(height_bound=100, depth=3,
                                              target=(2, 4, 6)))
-    candidates = plan.candidates(0, plan.size)
+    squares = plans._square_pairs(plan, plan.live)
+    hits = {(i, j) for i, j in plan.candidates(0, plan.size)
+            if plan.settle(i, j)}
+    assert hits
     found = set()
-    for i, j in candidates[::13] + [(i, j) for i, j in candidates
-                                    if plan.settle(i, j)]:
+    for i, j, whole_s, r in squares[::13] + [q for q in squares
+                                             if q[:2] in hits]:
         p1, p2 = thirdpair_plan_values(plan, i, j)
         (n1, d1), (n2, d2) = plan.pairs(i, j)
         x, y, e = n1 * d2, n2 * d1, d1 * d2
         big = 4 * e * e * (x * x + y * y) - (x * x - y * y) ** 2
-        r = isqrt(big)
-        assert r * r == big
+        assert whole_s == x * x + y * y and r * r == big and r >= 0
         c, a = reference_thirdpair_values(p1, p2)
         s = (p1 * p1 - p2 * p2) / 2
         t = s * s + c
@@ -451,7 +507,7 @@ def test_settle_level_three_identity():
         assert t * t + c == a and u * u + c == -t
         assert p1 * p1 == s - c and p2 * p2 == -s - c
         for value, sign in ((u - c, 1), (-u - c, -1)):
-            whole = 2 * (x * x + y * y + sign * r)
+            whole = 2 * (whole_s + sign * r)
             assert value == F(whole, (2 * e) ** 2)
             square = whole >= 0 and isqrt(whole) ** 2 == whole
             assert (rat_sqrt(value) is not None) == square
