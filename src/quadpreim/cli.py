@@ -21,9 +21,6 @@ from fractions import Fraction
 from . import __version__, dynamics, elliptic, models, search, verify
 from .exactmath import QPoly, RatParseError, format_rat, parse_rat
 
-CHECKPOINT_DIR_ENV = "QUADPREIM_CHECKPOINT_DIR"
-CONFIG_ENV = "QUADPREIM_CONFIG"
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -48,38 +45,6 @@ def _rat(text: str) -> Fraction:
         raise UsageError(str(exc))
 
 
-def load_config(path: str | None) -> dict:
-    """Simple key = value configuration (comments with #); recognized keys:
-    height_bound, display_digits."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV)
-    settings: dict[str, str] = {}
-    if not path:
-        return settings
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError("config %s line %d: expected key = value"
-                                     % (path, lineno))
-                key, value = line.split("=", 1)
-                settings[key.strip()] = value.strip()
-    except OSError as exc:
-        raise UsageError("cannot read config %s: %s" % (path, exc))
-    return settings
-
-
-def _config_int(config: dict, key: str, default: int) -> int:
-    try:
-        return int(config.get(key, default))
-    except ValueError:
-        raise UsageError("config key %s expects an integer, got %r"
-                         % (key, config[key]))
-
-
 def _print_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -88,19 +53,19 @@ def _poly_json(poly: QPoly) -> list[str]:
     return [format_rat(c) for c in poly.coeffs]
 
 
-def _display_float(q: Fraction, digits: int) -> str:
+def _display_float(q: Fraction) -> str:
     # display-only; the core never floats (past a double's range: decimal)
     try:
-        return ("%%.%dg" % digits) % float(q)
+        return "%.6g" % float(q)
     except OverflowError:
-        return format(Decimal(q.numerator) / q.denominator, ".%dg" % digits)
+        return format(Decimal(q.numerator) / q.denominator, ".6g")
 
 
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_tree(args, config) -> int:
+def cmd_tree(args) -> int:
     c = _rat(args.c)
     a = _rat(args.a)
     if not 1 <= args.depth <= TREE_MAX_DEPTH:
@@ -118,7 +83,7 @@ def cmd_tree(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_critical(args, config) -> int:
+def cmd_critical(args) -> int:
     if not 2 <= args.n <= CRITICAL_MAX_N:
         raise UsageError("--n must be between 2 and %d" % CRITICAL_MAX_N)
     data = dynamics.critical_avalues(args.n)
@@ -136,7 +101,7 @@ def cmd_critical(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_model(args, config) -> int:
+def cmd_model(args) -> int:
     if args.tag in ("224", "242", "2222"):
         model = models.arrangement_curve(args.tag)
     else:
@@ -159,12 +124,7 @@ def cmd_model(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_ec(args, config) -> int:
-    digits = _config_int(config, "display_digits", 6)
-    if not 1 <= digits <= 17:      # %g's precision; a double has 17 digits
-        raise UsageError("config key display_digits expects an integer from 1 "
-                         "to 17, got %r" % config["display_digits"])
-
+def cmd_ec(args) -> int:
     if args.ec_command in ("specialize-e24", "specialize-e222"):
         e24 = args.ec_command == "specialize-e24"
         specialize = elliptic.specialize_e24 if e24 else elliptic.specialize_e222
@@ -181,7 +141,7 @@ def cmd_ec(args, config) -> int:
                                                  fiber.singular))
             if fiber.j is not None:
                 print("j = %s (~%s)" % (format_rat(fiber.j),
-                                        _display_float(fiber.j, digits)))
+                                        _display_float(fiber.j)))
         return EXIT_OK
 
     if args.ec_command == "curve-244":
@@ -227,15 +187,7 @@ def cmd_ec(args, config) -> int:
     raise UsageError("unknown ec subcommand %r" % args.ec_command)
 
 
-def _default_checkpoint(strategy: str, target: str, shard_index: int):
-    directory = os.environ.get(CHECKPOINT_DIR_ENV)
-    if not directory:
-        return None
-    name = "%s-%s-%d.ckpt" % (strategy, target.replace(",", ""), shard_index)
-    return os.path.join(directory, name)
-
-
-def cmd_search(args, config) -> int:
+def cmd_search(args) -> int:
     try:
         target = tuple(int(part) for part in args.target.split(","))
     except ValueError:
@@ -249,17 +201,14 @@ def cmd_search(args, config) -> int:
             raise UsageError("--shard expects INDEX/TOTAL")
     else:
         shard = (0, 1)
-    height_bound = args.height_bound or _config_int(config, "height_bound", 0)
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise UsageError("--jobs must be between 1 and the %d CPUs" % cpus)
-    checkpoint = args.checkpoint or _default_checkpoint(
-        args.strategy, args.target, shard[0])
     count = 0
     try:
-        cfg = search.SearchConfig(height_bound=height_bound, depth=args.depth,
-                                  target=target, shard=shard,
-                                  checkpoint_path=checkpoint)
+        cfg = search.SearchConfig(height_bound=args.height_bound,
+                                  depth=args.depth, target=target, shard=shard,
+                                  checkpoint_path=args.checkpoint)
         scan = {"thirdpair": search.scan_thirdpair,
                 "forward": search.scan_forward}[args.strategy]
         for record in scan(cfg, resume=args.resume, jobs=args.jobs):
@@ -277,7 +226,7 @@ def cmd_search(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_verify_paper(args, config) -> int:
+def cmd_verify_paper(args) -> int:
     results = verify.run_checks(args.section)
     failed = 0
     for result in results:
@@ -318,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="rational pre-image trees, pre-image curve models, and "
                     "arrangement searches for x^2 + c")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="key = value settings file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = dict(choices=("human", "structured"), default="human")
@@ -370,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="thirdpair",
                           help="thirdpair: depth-3 targets with at least 3 "
                                "second pre-images; forward: any target")
-    p_search.add_argument("--height-bound", type=int, default=0)
+    p_search.add_argument("--height-bound", type=int, required=True)
     p_search.add_argument("--depth", type=int, required=True)
     p_search.add_argument("--target", required=True,
                           help="comma-separated per-level counts, e.g. 2,4,6")
@@ -407,8 +355,7 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        config = load_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import functools
 import json
 import multiprocessing
 import os
@@ -465,6 +466,16 @@ def test_search_checkpoint_write_failure_exits_1(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: checkpoint write to %r failed" % str(path))
     assert len(err.splitlines()) == 1 and not path.parent.exists()
+    # a checkpoint path naming a directory: the temporary file is written,
+    # then os.replace fails, and the temporary file is removed again
+    path = tmp_path / "adir"
+    path.mkdir()
+    argv = ("search", "--height-bound", "5", "--depth", "3", "--target", "2,4,4",
+            "--checkpoint", str(path))
+    for code, out, err in (run_cli(capsys, *argv), run_module(*argv)):
+        assert code == 1 and out.count("hit ") == 2
+        assert err.startswith("error: checkpoint write to %r failed" % str(path))
+        assert list(tmp_path.iterdir()) == [path] and not any(path.iterdir())
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -512,6 +523,22 @@ def test_search_bad_height_bound(capsys):
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_search_depth_beyond_cap_is_usage_error(capsys, monkeypatch):
+    # a forward orbit's numbers double in digits at each level, so a depth
+    # past the cap is refused before any plan is built
+    def no_plan(config):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(plans, "_ForwardPlan", no_plan)
+    message = "error: depth must be between 1 and %d" % search._DEPTH_CAP
+    for depth in (str(search._DEPTH_CAP + 1), "34", "0"):
+        argv = ("search", "--strategy", "forward", "--height-bound", "2",
+                "--depth", depth, "--target", "2,2,2")
+        for code, out, err in (run_cli(capsys, *argv), run_module(*argv)):
+            assert code == 2 and out == ""
+            assert err.splitlines() == [message]
+
+
 def test_search_bad_target_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "--strategy", "thirdpair",
                            "--height-bound", "5", "--depth", "3",
@@ -552,18 +579,6 @@ def test_ec_singular_model_is_usage_error(capsys, command):
     assert len(err.strip().splitlines()) == 1 and "singular" in err
 
 
-def test_checkpoint_dir_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QUADPREIM_CHECKPOINT_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "search", "--strategy", "forward",
-                         "--height-bound", "2", "--depth", "2",
-                         "--target", "2,2")
-    assert code == 0
-    checkpoints = list(tmp_path.glob("*.ckpt"))
-    assert len(checkpoints) == 1
-    payload = json.loads(checkpoints[0].read_text())
-    assert payload["config"]["strategy"] == "forward"
-
-
 def test_torsion_of_hard_denominator_fiber_exits_zero(capsys):
     # a Z/2 x Z/8 fiber whose scaling denominators have 97 digits with a
     # hard composite part: the coprime-base scaling needs no prime of them
@@ -578,36 +593,25 @@ def test_torsion_of_hard_denominator_fiber_exits_zero(capsys):
         assert "Traceback" not in err
 
 
-def test_config_file_supplies_height_bound(capsys, tmp_path):
-    conf = tmp_path / "settings.conf"
-    conf.write_text("# search defaults\nheight_bound = 3\n")
-    code, out, _ = run_cli(capsys, "--config", str(conf), "search",
-                           "--strategy", "forward", "--depth", "2",
-                           "--target", "2,2", "--format", "structured")
-    assert code == 0
-    assert out.strip()
-
-
-@pytest.mark.parametrize("line, argv", [
-    ("height_bound = abc", ("search", "--strategy", "forward", "--depth", "2",
-                            "--target", "2,2")),
-    ("display_digits = x", ("ec", "specialize-e24", "--a", "1")),
-    # integers that %g cannot take as a precision
-    ("display_digits = -5", ("ec", "specialize-e24", "--a", "1")),
-    ("display_digits = 0", ("ec", "specialize-e24", "--a", "1")),
-    ("display_digits = 18", ("ec", "specialize-e24", "--a", "1")),
-    ("display_digits = 99999999999", ("ec", "specialize-e24", "--a", "1")),
-])
-def test_config_value_not_an_integer_is_usage_error(capsys, tmp_path, line, argv):
-    conf = tmp_path / "bad.conf"
-    conf.write_text(line + "\n")
-    code, out, err = run_cli(capsys, "--config", str(conf), *argv)
-    assert code == 2 and out == ""
-    key, value = (part.strip() for part in line.split("="))
-    expects = ("an integer from 1 to 17" if value.lstrip("-").isdigit()
-               else "an integer")
-    assert err == "error: config key %s expects %s, got %r\n" % (key, expects,
-                                                                  value)
+def test_flags_are_the_only_settings(capsys, tmp_path, monkeypatch):
+    # the CLI reads no config file and no environment variable: --config is
+    # an unknown flag, and a checkpoint is written only where --checkpoint
+    # points
+    monkeypatch.setenv("QUADPREIM_CHECKPOINT_DIR", str(tmp_path))
+    monkeypatch.setenv("QUADPREIM_CONFIG", "/nonexistent/q.conf")
+    tree = ("tree", "--c", "0", "--a", "0", "--depth", "1")
+    forward = ("search", "--strategy", "forward", "--depth", "2", "--target", "2,2")
+    for run in (functools.partial(run_cli, capsys), run_module):
+        code, out, _ = run("--config", "x", *tree)
+        assert code == 2 and out == ""
+        code, out, _ = run(*forward)
+        assert code == 2 and out == ""
+        code, out, _ = run(*forward, "--height-bound", "2")
+        assert code == 0 and out.endswith(" record(s)\n")
+        assert run(*tree)[0] == 0
+        code, out, _ = run("ec", "specialize-e24", "--a", "1")
+        assert code == 0 and "\nj = -59319/625 (~-94.9104)\n" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_paper_under_optimize():

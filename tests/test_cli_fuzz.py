@@ -50,8 +50,6 @@ GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff",
            _checkpoint(91, [["1", "0"]]), _checkpoint(91, ["10"]),
            _checkpoint(91, [[1, 0, 0]]), _checkpoint(91, [[90, 91]]),
            _checkpoint(91, [[90, 2 ** 63]])]
-CONFIGS = ["display_digits = 3", "display_digits = -5",
-           "display_digits = 99999999999", "height_bound = 4"]
 
 
 def _maybe(rng, valid, invalid, p_valid=0.85, p_omit=0.05):
@@ -101,9 +99,6 @@ def _case(rng, tmp_path):
                 options += [("--x", _maybe(rng, ["2", "0", "3"], RATS[7:])),
                             ("--y", _maybe(rng, ["10", "4", "0"], RATS[7:]))]
         argv = ["ec", sub] + _flags(rng, options + fmt)
-        if rng.random() < 0.3:      # every ec subcommand reads display_digits
-            config = "config%d.conf" % rng.randrange(len(CONFIGS))
-            argv = ["--config", str(tmp_path / config)] + argv
     elif command == "verify-paper":
         argv = ["verify-paper"] + _flags(rng, [
             ("--section", _maybe(rng, SECTIONS[:6], SECTIONS[6:], 0.8, 0.0))] + fmt)
@@ -129,8 +124,6 @@ def _case(rng, tmp_path):
     if extra < 0.05:
         argv.append("--bogus")
     elif extra < 0.08:
-        argv = ["--config", str(tmp_path / "missing.conf")] + argv
-    elif extra < 0.1:
         argv.append("--help")
     return argv
 
@@ -141,8 +134,6 @@ def test_cli_argv_fuzz(capsys, tmp_path):
               % SEED)
     for k, text in enumerate(GARBLED):
         (tmp_path / ("garbled%d.ckpt" % k)).write_text(text)
-    for k, text in enumerate(CONFIGS):
-        (tmp_path / ("config%d.conf" % k)).write_text(text + "\n")
     rng = random.Random(SEED)
     cases = [_case(rng, tmp_path) for _ in range(CASES)]
     codes = []

@@ -150,6 +150,10 @@ def test_config_invariants():
         SearchConfig(height_bound=5, depth=2, target=(2, 4, 6))
     with pytest.raises(ValueError):
         SearchConfig(height_bound=5, depth=0, target=())
+    # a forward orbit's numbers double in digits at each level: depth is capped
+    SearchConfig(height_bound=2, depth=16, target=(2, 2, 2))
+    with pytest.raises(search.SearchArgumentError):
+        SearchConfig(height_bound=2, depth=17, target=(2, 2, 2))
     with pytest.raises(ValueError):
         SearchConfig(height_bound=5, depth=3, target=(2, 4, 6), shard=(3, 3))
     # one cap for every scan, at least the reach of the planned (k, m) hunt;

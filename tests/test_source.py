@@ -25,7 +25,6 @@ import sys
 import numpy as np
 
 import quadpreim
-from quadpreim.cli import CHECKPOINT_DIR_ENV
 
 SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
@@ -170,7 +169,6 @@ def test_numpy_loads_only_for_scans(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(pathlib.Path(quadpreim.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    env.pop(CHECKPOINT_DIR_ENV, None)      # the scan writes no checkpoint
     commands = [*NO_SCAN_COMMANDS, SCAN_COMMAND]
     done = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
                            json.dumps(commands)], capture_output=True,
