@@ -5,14 +5,15 @@ model, and the specializations of the pre-image elliptic surfaces with their
 torsion-family parametrizations.
 
 The division closure runs on Python ints.  Its candidates are the integer
-roots of division-polynomial equations with int coefficients, taken as points
-of Y^2 = X^3 + a X + b, and every multiple of a torsion point is integral
-(Lutz-Nagell), so it adds points with an integer slope and stops at the first
-slope that is not an integer: that proves infinite order.  Points become
-`Fraction` points only when they are pulled back to the source curve.  The
-integral model takes its scale from a coprime base of the scaling
-denominators, split by gcds alone, so no integer is ever factored into
-primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
+roots of division-polynomial equations with int coefficients, or for a
+halving sums of exact square roots, taken as X of Y^2 = X^3 + a X + b.  Every
+multiple of a torsion point is integral (Lutz-Nagell), so it adds points with
+an integer slope and stops at the first slope that is not an integer: that
+proves infinite order.  Points become `Fraction` points only when they are
+pulled back to the source curve.  The integral model takes its scale from a
+coprime base of the scaling denominators, split by gcds alone, so no integer
+is ever factored into primes; it refuses a singular curve, where
+4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -591,22 +592,49 @@ def _torsion_multiples(a: int, p) -> Optional[list]:
     return None
 
 
+def _halvings(a: int, e1: int, p) -> list[int]:
+    """Sorted integer candidates X, among them the X of every rational Q with
+    2Q = P, for an integral P = (xp, yp) on Y^2 = (X - e1)(X - e2)(X - e3) =
+    X^3 + a X + b, e1 an integer.  With r_i^2 = xp - e_i and r1 r2 r3 = yp,
+    the halves of P have X = xp + r1 r2 + r1 r3 + r2 r3 over the four sign
+    changes that keep the product (Knapp, Elliptic Curves, Thm 4.2).  A half
+    of an integral point is integral (for each p the points with p in a
+    denominator, and O, form a subgroup) and the r_i, r2 r3 and r2 + r3 are
+    algebraic integers, so for a rational half they are integers: s = r1 with
+    s^2 = xp - e1 (X - e1 is a square on 2E(Q)), m = r2 r3 = yp / s (s^2
+    divides yp^2) and t = r2 + r3 with t^2 = 2 xp + e1 + 2m (as
+    e1 + e2 + e3 = 0), and X = xp + m +/- s t; r1 -> -r1 flips m.  When
+    s = 0, P = (e1, 0) and X = e1 +/- r2 r3 with
+    (r2 r3)^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + a."""
+    xp, yp = p
+    if xp < e1 or (s := int_sqrt(xp - e1)) is None:
+        return []
+    # (X at t = 0, the factor of t, t^2)
+    terms = ([(e1, 1, 3 * e1 * e1 + a)] if s == 0 else
+             [(xp + m, s, 2 * xp + e1 + 2 * m) for m in (yp // s, -yp // s)])
+    return sorted({x + sign * scale * t for x, scale, square in terms
+                   if square >= 0 and (t := int_sqrt(square)) is not None
+                   for sign in (1, -1)})
+
+
 def _division_solve(a: int, b: int, ell: int, target,
                     psi_cache: dict) -> dict[tuple[int, int], int]:
     """All rational Q on the integral model with [ell]Q = target, each with
-    its order, found by solving x([ell]Q) = x(target) over the integers
-    (torsion coordinates on an integral model are integers) and verifying
-    each candidate exactly.  The target is a torsion point, so every
-    solution is one too.  With x([ell]Q) = X - psi_{ell-1} psi_{ell+1} /
-    psi_ell^2 the equation is a hand-expanded quartic for ell = 2, and for
-    odd ell (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1} = 0 in
-    the f_n of _division_polys; [ell]Q = O exactly on the roots of f_ell."""
+    its order, from integer candidates X (a torsion point is integral), each
+    verified exactly; the target is torsion, and so is every solution.  For
+    ell = 2 they are the integer roots of X^3 + a X + b, cached under 2, or
+    the _halvings of the target by one of them; for odd ell the integer
+    roots of f_ell, or for a target, as x([ell]Q) = X - psi_{ell-1}
+    psi_{ell+1} / psi_ell^2, of (X - x_P) f_ell^2 - 4 (X^3 + a X + b)
+    f_{ell-1} f_{ell+1} in the f_n of _division_polys."""
     if ell == 2:
+        if 2 not in psi_cache:
+            psi_cache[2] = integer_roots([b, a, 0, 1])
         if target is None:
-            return {(x, 0): 2 for x in integer_roots([b, a, 0, 1])}
-        xp = target[0]
-        xs = integer_roots([a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a,
-                            -4 * xp, 1])
+            return {(x, 0): 2 for x in psi_cache[2]}
+        if not psi_cache[2]:
+            raise ValueError("halving needs a rational 2-torsion point")
+        xs = _halvings(a, psi_cache[2][0], target)
     else:
         if ell not in psi_cache:
             f = _division_polys(a, b, ell + 1)
@@ -687,7 +715,8 @@ def _torsion_by_division(a: int, b: int,
     ell that does not divide the bound never divides the order and is
     skipped (an odd bound rules out 2-torsion, and a bound of 1 needs no
     solve), and the closure stops as soon as it holds bound points, O
-    included: no torsion point is left.
+    included: no torsion point is left.  With no 2-torsion the order is odd
+    (Cauchy), so the bound drops to its gcd with 315 and ell = 2 leaves.
     """
     bound = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
@@ -706,6 +735,8 @@ def _torsion_by_division(a: int, b: int,
                     continue
                 solved.add((ell, target))
                 found = _division_solve(a, b, ell, target, psi_cache)
+                if ell == 2 and not found and target is None:
+                    bound = gcd(bound, 315)     # 1, 3, 5, 7, 9 divide 315
                 for q, order in found.items():
                     if q not in points:
                         points[q] = order
@@ -746,13 +777,13 @@ class TorsionGroup:
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     """Rational torsion subgroup, by ell-division closure on an integral
     short model (see _torsion_by_division), in integer arithmetic until the
-    points are pulled back; no factoring of the discriminant.  The closure
-    stops once it has as many points as the gcd of #E(F_p) over good primes
-    p >= 5, which the torsion order divides, since for odd p reduction
-    embeds the torsion in E(F_p).  Every point found is checked to have
-    integer coordinates with Y = 0 or Y^2 | disc (Lutz-Nagell) and, on
-    integers, to map back onto the source curve.  A singular curve raises
-    ValueError from short_integral_model."""
+    points are pulled back, halving by square roots; no factoring of the
+    discriminant.  The closure stops once it has as many points as the gcd
+    of #E(F_p) over good primes p >= 5, which the torsion order divides, as
+    for odd p reduction embeds the torsion in E(F_p).  Every point found is
+    checked to have integer coordinates with Y = 0 or Y^2 | disc
+    (Lutz-Nagell) and, on integers, to map back onto the source curve.  A
+    singular curve raises ValueError from short_integral_model."""
     model = short_integral_model(curve)
     a, b = model.a, model.b
     disc = -16 * (4 * a ** 3 + 27 * b ** 2)

@@ -365,12 +365,12 @@ _FORWARD_BLOCK = 1 << 15     # candidates in a forward block, at least one row
 
 class _ForwardPlan:
     """The forward scan's candidates (ci, xi) on (n, d) pairs: c over 0 and
-    +/- each fraction, x0 over 0 and each fraction, as int lists for the
-    settle and int64 arrays for the filter.  Every c is a live row, but for
-    a target above 2 at some level only the rows with c < 0 are (a level of
-    a real tree of f_c with c >= 0 is empty, {0} or {r, -r}), and only the
-    candidates that may branch off the orbit are settled: those that the
-    kind filter of the G_m passes (_kind_filter)."""
+    +/- each fraction, x0 over 0 and each fraction, as int64 arrays that
+    the settle reads as ints.  Every c is a live row, but for a target above
+    2 at some level only the rows with c < 0 are (a level of a real tree of
+    f_c with c >= 0 is empty, {0} or {r, -r}), and only the candidates that
+    may branch off the orbit are settled: those that the kind filter of the
+    G_m passes (_kind_filter)."""
 
     strategy, params = "forward", ("c", "x0")
 
@@ -380,9 +380,7 @@ class _ForwardPlan:
         self.x_num, self.x_den = np.append(0, nums), np.append(1, dens)
         self.c_num = np.append(0, np.stack((nums, -nums), axis=1).ravel())
         self.c_den = np.append(1, np.repeat(dens, 2))
-        self.c_values = list(zip(self.c_num.tolist(), self.c_den.tolist()))
-        self.x_values = list(zip(self.x_num.tolist(), self.x_den.tolist()))
-        self.size, width = len(self.c_values), len(self.x_values)
+        self.size, width = len(self.c_num), len(self.x_num)
         self.tile = max(1, _FORWARD_BLOCK // width)
         # the first level whose target is above 2, if any
         self.wide = next((k for k, want in enumerate(config.target, 1)
@@ -404,7 +402,7 @@ class _ForwardPlan:
         candidate order; for a target above 2, only those that may branch
         off the orbit before its first wide level."""
         index, total = self.config.shard
-        width = len(self.x_values)
+        width = len(self.x_num)
         rows = _live_rows(self.live, first, end)
         if self.wide:
             # candidate ci width + xi is in the shard iff xi = want mod total
@@ -418,7 +416,8 @@ class _ForwardPlan:
 
     def pairs(self, ci: int, xi: int) -> tuple[Pair, Pair]:
         """(c, x0) of candidate (ci, xi) as reduced (n, d)."""
-        return self.c_values[ci], self.x_values[xi]
+        return ((int(self.c_num[ci]), int(self.c_den[ci])),
+                (int(self.x_num[xi]), int(self.x_den[xi])))
 
     def settle(self, ci: int, xi: int) -> Optional[Hit]:
         """_settle of a = f_c^depth(x0) = y^2 + c, y = f_c^(depth-1)(x0)."""

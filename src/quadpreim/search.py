@@ -39,7 +39,6 @@ only where a caller reads a record's c, a or levels.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import json
 import os
@@ -111,6 +110,7 @@ class SearchConfig:
         }
 
     def digest(self, strategy: str) -> str:
+        import hashlib          # lazily: only a checkpoint needs OpenSSL
         payload = json.dumps(self.canonical(strategy), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -325,8 +325,8 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
     block's hits in order to one loop: drop a (c, a) emitted before, build
     the record of a new one and attach its provenance, emit, and checkpoint
     the emitted candidates every _CHECKPOINT_BLOCKS blocks and at the end."""
-    digest = config.digest(plan_class.strategy)
     path = config.checkpoint_path
+    digest = config.digest(plan_class.strategy) if path else None
     start, hits = 0, []
     if resume:
         if not path:

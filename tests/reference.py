@@ -11,7 +11,9 @@
 - Lutz-Nagell torsion enumeration, the oracle for the division closure in
   `elliptic.torsion_subgroup`; `push`, the map from a curve to its integral
   short model, and `reference_pull`, its inverse in `Fraction` arithmetic,
-  the oracle for the integer `ShortIntegralModel.pull`; and the integer
+  the oracle for the integer `ShortIntegralModel.pull`; the halves of a
+  torsion point by the integer roots of the halving quartic, the oracle for
+  the square-root halving of `elliptic._division_solve`; and the integer
   roots of a polynomial by the rational root theorem, the oracle for
   `elliptic.integer_roots`.
 - Prime factorization, which the Lutz-Nagell enumeration and the
@@ -51,6 +53,8 @@ from quadpreim.elliptic import (
     ECPoint,
     ShortIntegralModel,
     WeierstrassCurve,
+    _torsion_multiples,
+    integer_roots,
     point_order,
     short_integral_model,
 )
@@ -207,7 +211,8 @@ def thirdpair_plan_values(plan, i: int, j: int) -> tuple[Fraction, Fraction]:
 
 def forward_plan_values(plan, ci: int, xi: int) -> tuple[Fraction, Fraction]:
     """(c, x0) of the forward plan's candidate (ci, xi) as Fractions."""
-    return Fraction(*plan.c_values[ci]), Fraction(*plan.x_values[xi])
+    return (Fraction(int(plan.c_num[ci]), int(plan.c_den[ci])),
+            Fraction(int(plan.x_num[xi]), int(plan.x_den[xi])))
 
 
 def reference_thirdpair_values(p1: Fraction, p2: Fraction):
@@ -340,6 +345,31 @@ def reference_torsion(curve) -> dict:
                 if order is not None:
                     found[reference_pull(model, point)] = order
     return found
+
+
+def halving_quartic(a: int, b: int, xp: int) -> list[int]:
+    """x([2]Q) = xp on Y^2 = X^3 + a X + b, cleared of its denominator
+    4 (X^3 + a X + b): the quartic X^4 - 4 xp X^3 - 2a X^2 - (8b + 4a xp) X
+    + a^2 - 4b xp, coefficients from the constant term up."""
+    return [a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a, -4 * xp, 1]
+
+
+def reference_halvings(a: int, b: int, target) -> dict:
+    """{Q: its order} for every torsion Q with 2Q = target, an integral point
+    of Y^2 = X^3 + a X + b, in the order of X and then Y, -Y: X runs over
+    the integer roots of the halving quartic, and each (X, Y) is checked on
+    the integer group law."""
+    out = {}
+    for x in integer_roots(halving_quartic(a, b, target[0])):
+        yy = x ** 3 + a * x + b
+        r = isqrt(max(yy, 0))
+        if r * r != yy:
+            continue
+        for y in ((0,) if r == 0 else (r, -r)):
+            multiples = _torsion_multiples(a, (x, y))
+            if multiples and multiples[1 % len(multiples)] == target:
+                out[(x, y)] = len(multiples)
+    return out
 
 
 def reference_integer_roots(coeffs) -> list[int]:

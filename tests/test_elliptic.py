@@ -29,7 +29,9 @@ from quadpreim.elliptic import (
 from quadpreim.exactmath import int_sqrt
 from reference import (
     factorize,
+    halving_quartic,
     push,
+    reference_halvings,
     reference_integer_roots,
     reference_pull,
     reference_short_integral_model,
@@ -343,6 +345,109 @@ def test_odd_point_count_bound_skips_two_division(monkeypatch):
         assert torsion_subgroup(curve).invariants == invariants
         assert 2 not in calls, calls
     assert calls == []
+
+
+def _two_torsion_models(rng):
+    # integral short models with a rational 2-torsion point, as (a, b): the
+    # curves (X - e)(X^2 + e X + c) of small e and c, and the models of
+    # seeded Tate normal forms with torsion Z/4, Z/6, Z/8 and Z/10, of
+    # seeded two-four fibers (Z/4, Z/2 x Z/4 where -a is a square) and of
+    # the four torsion families
+    models = []
+    while len(models) < 24:
+        e, c = rng.randint(-12, 12), rng.randint(-40, 40)
+        a, b = c - e * e, -e * c
+        if 4 * a ** 3 + 27 * b ** 2:
+            models.append((a, b))
+    curves = []
+    for _ in range(3):
+        t = F(rng.randint(2, 30), rng.randint(1, 9)) * rng.choice([-1, 1])
+        u = t * t - 3 * t + 1
+        for b, c in ((t, F(0)), (t + t * t, t),
+                     ((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+                     (t ** 3 * (t - 1) * (2 * t - 1) / u ** 2,
+                      -t * (t - 1) * (2 * t - 1) / u)):
+            curves.append(WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0))
+    for _ in range(10):
+        curves.append(specialize_e24(
+            F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))).curve)
+    for kind in TorsionKind:
+        for t in (F(3), F(5, 2)):
+            curves.append(specialize_e24(torsion_family_a(kind, t)).curve)
+    for curve in curves:
+        if curve.is_singular():
+            continue
+        model = short_integral_model(curve)
+        if integer_roots([model.b, model.a, 0, 1]):
+            models.append((model.a, model.b))
+    return models
+
+
+def test_halving_matches_quartic_route():
+    # the square-root halving of _division_solve gives the quartic route's
+    # dict, in the same order, for every torsion point and for integral
+    # points of small X; and whichever rational root e1 it is given,
+    # _halvings lists only roots of the quartic, among them every root that
+    # is the X of a rational point
+    rng = random.Random(SEED + 31)
+    models = _two_torsion_models(rng)
+    assert len(models) >= 40
+    orders = set()
+    for a, b in models:
+        disc = -16 * (4 * a ** 3 + 27 * b ** 2)
+        torsion = elliptic._torsion_by_division(a, b, disc)
+        orders.update(torsion.values())
+        small = [(x, y) for x in range(-60, 61) if x ** 3 + a * x + b >= 0
+                 and (r := int_sqrt(x ** 3 + a * x + b)) is not None
+                 for y in {r, -r}]
+        roots = integer_roots([b, a, 0, 1])
+        for target in [*torsion, *small]:
+            got = elliptic._division_solve(a, b, 2, target, {})
+            assert list(got.items()) == list(
+                reference_halvings(a, b, target).items()), (a, b, target)
+            quartic = integer_roots(halving_quartic(a, b, target[0]))
+            halves = {x for x in quartic if x ** 3 + a * x + b >= 0
+                      and int_sqrt(x ** 3 + a * x + b) is not None}
+            for e1 in roots:
+                candidates = elliptic._halvings(a, e1, target)
+                assert halves <= set(candidates) <= set(quartic), (
+                    a, b, target, e1)
+                assert candidates == sorted(set(candidates))
+    # the models reach every even order that halving can produce here
+    assert {2, 4, 6, 8, 10, 12} <= orders, orders
+
+
+def test_halving_without_two_torsion_is_refused():
+    # y^2 + y = x^3 has Z/3 and no point of order 2, so no e1 to halve by
+    model = short_integral_model(WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0))
+    a, b = model.a, model.b
+    (point, _), *_ = elliptic._torsion_by_division(
+        a, b, -16 * (4 * a ** 3 + 27 * b ** 2)).items()
+    with pytest.raises(ValueError):
+        elliptic._division_solve(a, b, 2, point, {})
+
+
+def test_odd_torsion_closure_makes_no_halving(monkeypatch):
+    # the Tate normal form with Z/7 at t = -11/10 has an even point-count
+    # bound, but its cubic has no integer root: by Cauchy its order is odd,
+    # so the closure makes no ell = 2 solve with a target
+    t = F(-11, 10)
+    b, c = t ** 3 - t * t, t * t - t
+    curve = WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+    model = short_integral_model(curve)
+    disc = -16 * (4 * model.a ** 3 + 27 * model.b ** 2)
+    assert _torsion_order_bound(model.a, model.b, disc) % 2 == 0
+    calls = []
+    solve = elliptic._division_solve
+
+    def recording(a, b, ell, target, cache):
+        calls.append((ell, target))
+        return solve(a, b, ell, target, cache)
+
+    monkeypatch.setattr(elliptic, "_division_solve", recording)
+    assert torsion_subgroup(curve).invariants == (1, 7)
+    assert (2, None) in calls
+    assert [call for call in calls if call[0] == 2 and call[1]] == []
 
 
 def test_torsion_families_produce_named_groups():

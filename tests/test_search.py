@@ -669,14 +669,16 @@ def test_forward_resume_from_every_row(tmp_path):
     records = list(scan_forward(cfg))
     full = _printed(records)
     plan = plans._ForwardPlan(cfg)
-    row = {F(*c): k for k, c in enumerate(plan.c_values)}
-    column = {F(*x): k for k, x in enumerate(plan.x_values)}
+    row = {F(n, d): k for k, (n, d) in enumerate(
+        zip(plan.c_num.tolist(), plan.c_den.tolist()))}
+    column = {F(n, d): k for k, (n, d) in enumerate(
+        zip(plan.x_num.tolist(), plan.x_den.tolist()))}
     first = [row[parse_rat(r.provenance[0].params["c"])] for r in records]
     hits = [[k, column[parse_rat(r.provenance[0].params["x0"])]]
             for r, k in zip(records, first)]
     assert len(full) == 12 and first == sorted(first)
     assert set(range(plan.size)) - set(plan.live.tolist()) == {
-        k for k, (n, _) in enumerate(plan.c_values) if n >= 0}
+        k for k, n in enumerate(plan.c_num.tolist()) if n >= 0}
     for next_block in range(plan.size + 1):
         emitted = [hit for hit in hits if hit[0] < next_block]
         with open(path, "w") as fh:
@@ -912,7 +914,7 @@ def _settled(monkeypatch):
     settle = plans._ForwardPlan.settle
 
     def spy(plan, ci, xi):
-        calls.append(plan.c_values[ci])
+        calls.append((int(plan.c_num[ci]), int(plan.c_den[ci])))
         return settle(plan, ci, xi)
 
     monkeypatch.setattr(plans._ForwardPlan, "settle", spy)
@@ -998,7 +1000,7 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
         cfg = SearchConfig(height_bound=12, depth=depth, target=target,
                            shard=(index, total))
         plan = plans._ForwardPlan(cfg)
-        width = len(plan.x_values)
+        width = len(plan.x_num)
         every = [(ci, xi) for ci in range(plan.size) for xi in range(width)
                  if (ci * width + xi) % total == index]
         kept = set(plan.candidates(0, plan.size))
@@ -1037,7 +1039,7 @@ def test_forward_kind_filter_matches_reference_mask(depth):
                     plan = plans._ForwardPlan(SearchConfig(
                         height_bound=bound, depth=depth, target=target,
                         shard=(index, total)))
-                    width = len(plan.x_values)
+                    width = len(plan.x_num)
                     ci, xi = np.divmod(np.arange(plan.size * width), width)
                     keep = (ci % 2 == 0) & (ci > 0) & (
                         (ci * width + xi) % total == index)

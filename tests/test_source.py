@@ -4,7 +4,8 @@ Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it) and loads no numpy: only
-`plans` imports it, and only a scan loads `plans`.  The torsion hot path,
+`plans` imports it, and only a scan loads `plans`.  Nor does it load
+OpenSSL's `_hashlib`, which only a checkpoint's digest needs.  The torsion hot path,
 the elimination of c, the settling of a search candidate and the making of
 its record stay on Python ints, and the numpy code of the scans' filters
 has no true division and no float dtype.
@@ -31,8 +32,9 @@ TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
 # the coprime-base split of the scaling denominators, the integer group law,
 # the integer division polynomials, the integer root isolation, the
-# point-count bound and the division closure that runs on them, with the int
-# coefficient-list arithmetic they share, as (module, qualified name)
+# square-root halving, the point-count bound and the division closure that
+# runs on them, with the int coefficient-list arithmetic they share, as
+# (module, qualified name)
 INTEGER_TORSION = (
     *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner")),
     *(("elliptic", name) for name in (
@@ -40,7 +42,7 @@ INTEGER_TORSION = (
         "_division_polys", "_low_degree_marks", "_crossing", "_sign_marks",
         "integer_roots",
         "_root_counts", "_count_points_mod_p", "_torsion_order_bound",
-        "_division_solve", "_torsion_by_division")))
+        "_halvings", "_division_solve", "_torsion_by_division")))
 # the elimination of c: the integer subresultant PRS and the Newton
 # interpolation of its samples
 INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
@@ -86,18 +88,23 @@ NO_SCAN_COMMANDS = (
     ["verify-paper"])
 SCAN_COMMAND = ["search", "--strategy", "thirdpair", "--height-bound", "30",
                 "--depth", "3", "--target", "2,4,6"]
-# run in a fresh interpreter (pytest has numpy loaded): whether numpy is
-# loaded after importing the package, then (exit code, loaded) after each
-# command of argv[1] in turn
-NUMPY_PROBE = """
+FORWARD_COMMAND = ["search", "--strategy", "forward", "--height-bound", "4",
+                   "--depth", "3", "--target", "2,2,4"]
+CHECKPOINT_COMMAND = [*SCAN_COMMAND, "--checkpoint", "scan.ckpt"]
+# run in a fresh interpreter (pytest has numpy loaded): whether numpy and
+# _hashlib (OpenSSL, which only a checkpoint's digest needs) are loaded after
+# importing the package, then (exit code, numpy, _hashlib) after each command
+# of argv[1] in turn
+LOAD_PROBE = """
 import contextlib, io, json, sys
 import quadpreim
 from quadpreim import cli, dynamics, elliptic, models, search, verify
-loaded = {"import": "numpy" in sys.modules}
+loaded = {"import": ["numpy" in sys.modules, "_hashlib" in sys.modules]}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded[" ".join(argv)] = [code, "numpy" in sys.modules]
+    loaded[" ".join(argv)] = [code, "numpy" in sys.modules,
+                              "_hashlib" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -169,14 +176,20 @@ def test_numpy_loads_only_for_scans(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(pathlib.Path(quadpreim.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    commands = [*NO_SCAN_COMMANDS, SCAN_COMMAND]
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+    # the checkpoint search comes last: a loaded module stays loaded
+    commands = [*NO_SCAN_COMMANDS, SCAN_COMMAND, FORWARD_COMMAND,
+                CHECKPOINT_COMMAND]
+    done = subprocess.run([sys.executable, "-c", LOAD_PROBE,
                            json.dumps(commands)], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "import": False, **{" ".join(argv): [0, False] for argv in NO_SCAN_COMMANDS},
-        " ".join(SCAN_COMMAND): [0, True]}
+        "import": [False, False],
+        **{" ".join(argv): [0, False, False] for argv in NO_SCAN_COMMANDS},
+        " ".join(SCAN_COMMAND): [0, True, False],
+        " ".join(FORWARD_COMMAND): [0, True, False],
+        " ".join(CHECKPOINT_COMMAND): [0, True, True]}
+    assert (tmp_path / "scan.ckpt").exists()
 
 
 def _named(keys, names):
