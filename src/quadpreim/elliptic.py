@@ -4,16 +4,16 @@ rational torsion subgroups by exact ell-division closure on an integral short
 model, and the specializations of the pre-image elliptic surfaces with their
 torsion-family parametrizations.
 
-The division closure runs on Python ints.  Its candidates are the integer
-roots of division-polynomial equations with int coefficients, or for a
-halving sums of exact square roots, taken as X of Y^2 = X^3 + a X + b.  Every
+The division closure runs on Python ints.  Its candidates are the integer roots
+of division-polynomial equations with int coefficients (by p-adic lifting), for
+a halving sums of exact square roots, and for odd ell and a target of order 2
+its sums with the ell-torsion, taken as X of Y^2 = X^3 + a X + b.  Every
 multiple of a torsion point is integral (Lutz-Nagell), so it adds points with
 an integer slope and stops at the first slope that is not an integer: that
 proves infinite order.  Points become `Fraction` points only when they are
 pulled back to the source curve.  The integral model takes its scale from a
-coprime base of the scaling denominators, split by gcds alone, so no integer
-is ever factored into primes; it refuses a singular curve, where
-4a^3 + 27b^2 = 0.
+coprime base of the scaling denominators, split by gcds alone, so no integer is
+ever factored into primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
-from .exactmath import _cleared, _horner, _poly_mul, _poly_sub
+from .exactmath import (_cleared, _horner, _poly_mul, _poly_sub, _pseudo_rem,
+                        _squarefree)
 
 
 class OffCurveError(ValueError):
@@ -388,129 +390,81 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
                               source=curve)
 
 
-def _low_degree_marks(coeffs: list[int], bound: int) -> list[int]:
-    """Sorted integers from -bound to bound for a polynomial of degree 1 or
-    2: the ends, and the floor and ceiling of each real root of it and of
-    its derivative, found exactly (isqrt of the discriminant)."""
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
-    marks = {-bound, bound}
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        marks.update((-c0 // c1, -(c0 // c1)))
-    else:
-        c0, c1, c2 = coeffs
-        den = 2 * c2
-        marks.update((-c1 // den, -(c1 // den)))
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc >= 0:
-            r = isqrt(disc)
-            inexact = r * r != disc
-            # the floor of (-c1 -+ sqrt(disc)) / den is the floor of the
-            # integer floor(-c1 -+ sqrt(disc)) over den
-            for num in (-c1 - r - inexact, -c1 + r):
-                q, rem = divmod(num, den)
-                marks.update((q, q + (inexact or rem != 0)))
-    return sorted(m for m in marks if -bound <= m <= bound)
-
-
-def _crossing(coeffs: list[int], lo: int, hi: int, f_lo: int, f_hi: int,
-              slope_lo: int, slope_hi: int):
-    """The integers around the one crossing of a polynomial on [lo, hi], as
-    (mark, value) pairs: the crossing itself when it is an integer, else its
-    floor and ceiling.  The polynomial is monotone and convex or concave
-    there, f_lo and f_hi have opposite signs, and slope_lo, slope_hi are its
-    derivative at the ends.
-
-    Newton steps run from the steeper end e, where f and f'' share a sign,
-    so every iterate stays on e's side of the crossing; after the first
-    step the slope is the secant through the last two iterates on that side,
-    so a step costs one evaluation.  A step is taken when it jumps past the
-    middle of the bracket or is at most half the previous step (near the
-    crossing, where the steps shrink fast); otherwise the bracket is
-    bisected."""
-    # e walks toward the other end o in direction s; |f| falls from e to the
-    # crossing at the rate drop / dist
-    if abs(slope_hi) >= abs(slope_lo):
-        e, f_e, o, f_o, s, drop = hi, f_hi, lo, f_lo, -1, abs(slope_hi)
-    else:
-        e, f_e, o, f_o, s, drop = lo, f_lo, hi, f_hi, 1, abs(slope_lo)
-    sign = -1 if f_e < 0 else 1
-    width, dist, last = hi - lo, 1, 0
-    while width > 1:
-        # the distance to the Newton point, rounded away from e so that
-        # near the crossing it lands across, kept inside the bracket; the
-        # Newton point never passes the crossing, so the probe lands at
-        # most one past it
-        step = -(-sign * f_e * dist // drop) if drop > 0 else width
-        if step >= width:
-            step = width - 1
-        if 2 * step >= width or 2 * step <= last:
-            last = step
-        else:
-            step, last = width // 2, 0
-        x = e + s * step
-        f_x = _horner(coeffs, x)
-        if f_x == 0:
-            return ((x, 0),)
-        if (f_x < 0) == (sign < 0):
-            drop, dist = sign * (f_e - f_x), step
-            e, f_e = x, f_x
-            width -= step
-        else:
-            o, f_o = x, f_x
-            width = step
-    return ((e, f_e), (o, f_o)) if e < o else ((o, f_o), (e, f_e))
-
-
-def _sign_marks(coeffs: list[int], bound: int) -> list[tuple[int, int]]:
-    """Sorted integers from -bound to bound, as (mark, value) pairs, such
-    that the polynomial has no real root strictly between two consecutive
-    marks more than 1 apart: its derivative's marks, between which both the
-    polynomial and its derivative are monotone, plus the integers around
-    each sign change.  Every integer root is a mark: a root of even
-    multiplicity changes no sign, but the derivative changes sign there.
-    Degrees 1 and 2 are solved exactly."""
-    if len(coeffs) <= 3:
-        return [(m, _horner(coeffs, m))
-                for m in _low_degree_marks(coeffs, bound)]
-    marks, slopes = zip(*_sign_marks(
-        [i * c for i, c in enumerate(coeffs)][1:], bound))
-    values = [_horner(coeffs, m) for m in marks]
-    out = [(marks[0], values[0])]
-    for i in range(1, len(marks)):
-        lo, hi, f_lo, f_hi = marks[i - 1], marks[i], values[i - 1], values[i]
-        if hi - lo > 1 and (f_lo < 0 < f_hi or f_hi < 0 < f_lo):
-            out += [(m, v) for m, v in _crossing(coeffs, lo, hi, f_lo, f_hi,
-                                                 slopes[i - 1], slopes[i])
-                    if lo < m < hi]
-        out.append((hi, f_hi))
-    return out
+def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
+    """Whether the int coefficient lists f and g, deg g < deg f, are coprime
+    in F_p[x], for a prime p that does not divide the leading coefficient of
+    f: Euclid's algorithm on pseudo-remainders reduced mod p (the powers of
+    a leading coefficient that they multiply by are units mod p)."""
+    a, b = [c % p for c in f], g
+    while True:
+        b = [c % p for c in b]
+        while b and b[-1] == 0:
+            b.pop()
+        if len(b) <= 1:
+            return len(b) == 1
+        a, b = b, _pseudo_rem(a, b)
 
 
 def integer_roots(coeffs: list[int]) -> list[int]:
     """All integer roots of a nonzero integer polynomial (coefficients from
-    the constant term up), sorted: the marks of _sign_marks where it
-    vanishes.
+    the constant term up), sorted, by p-adic lifting (R. Loos, SIAM J.
+    Comput. 12, 1983; Cohen, A Course in Computational Algebraic Number
+    Theory, 3.5).  With the factor x^k stripped (0 is then a root), f has
+    degree n, and p is the first odd prime that does not divide lc(f) and
+    at which f and f' are coprime mod p, so every root mod p is simple.
+    Each has one Newton lift to q = p^(2^j) > 2B, B being Fujiwara's bound
+    2 max |c_i/c_n|^(1/(n-i)) on the roots (rounded up to a power of two),
+    and an integer root is the symmetric residue of its lift.
 
-    The real roots of the polynomial and of its derivatives lie within
-    Fujiwara's bound 2 max |c_i/c_n|^(1/(n-i)), rounded up here to a power
-    of two.  Plain integer arithmetic throughout.
+    A prime that fails divides Res(f, f'), the determinant of a Sylvester
+    matrix with n - 1 rows of norm at most sqrt(n + 1) max |c_i| and n of
+    norm at most n sqrt(n) max |c_i|.  By Hadamard's bound its log2 is at
+    most (2n - 1)(bits(max |c_i|) + 2 bits(n)), so once the failed primes
+    multiply past that, Res(f, f') = 0: f has a repeated root, and its
+    roots are those of its squarefree part f / gcd(f, f'), all simple.
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
+    if not any(coeffs):
         raise ValueError("zero polynomial")
-    n = len(coeffs) - 1
+    k = next(i for i, c in enumerate(coeffs) if c)
+    roots, f = [0] if k else [], list(coeffs[k:])
+    while f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
     if n == 0:
-        return []
-    lead_bits = abs(coeffs[-1]).bit_length()
-    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1), so 2^k with
-    # k (n - i) >= bits(c_i) - bits(c_n) + 1 bounds its (n-i)-th root
-    k = max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
-            for i, c in enumerate(coeffs[:-1]))
-    return [m for m, value in _sign_marks(coeffs, 2 << k) if value == 0]
+        return roots
+    lead_bits = abs(f[-1]).bit_length()
+    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1), so 2^e with
+    # e (n - i) >= bits(c_i) - bits(c_n) + 1 bounds its (n-i)-th root
+    e = max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
+            for i, c in enumerate(f[:-1]))
+    bound = 2 << e
+    hadamard = (2 * n - 1) * (max(map(abs, f)).bit_length()
+                              + 2 * n.bit_length())
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    spent = 0
+    for p in count(3, 2):
+        if f[-1] % p == 0 or any(p % d == 0
+                                 for d in range(3, isqrt(p) + 1, 2)):
+            continue
+        if _coprime_mod(f, deriv, p):
+            break
+        # the failed primes multiply to at least 2^spent
+        spent += p.bit_length() - 1
+        if spent > hadamard:
+            return sorted(roots + integer_roots(_squarefree(f)))
+    reduced = [c % p for c in f]
+    for r in range(p):
+        if _horner(reduced, r) % p:
+            continue
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            r = (r - _horner(f, r) * pow(_horner(deriv, r), -1, q)) % q
+        if r > q // 2:
+            r -= q
+        if -bound <= r <= bound and _horner(f, r) == 0:
+            roots.append(r)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +577,14 @@ def _division_solve(a: int, b: int, ell: int, target,
     its order, from integer candidates X (a torsion point is integral), each
     verified exactly; the target is torsion, and so is every solution.  For
     ell = 2 they are the integer roots of X^3 + a X + b, cached under 2, or
-    the _halvings of the target by one of them; for odd ell the integer
-    roots of f_ell, or for a target, as x([ell]Q) = X - psi_{ell-1}
-    psi_{ell+1} / psi_ell^2, of (X - x_P) f_ell^2 - 4 (X^3 + a X + b)
-    f_{ell-1} f_{ell+1} in the f_n of _division_polys."""
+    the _halvings of the target by one of them.  For odd ell they are the
+    integer roots of f_ell, and the solutions are cached under (ell, None);
+    for a target P, as x([ell]Q) = X - psi_{ell-1} psi_{ell+1} / psi_ell^2,
+    of (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1} in the f_n
+    of _division_polys.  Its roots are the x(Q) with [ell]Q = +-P, so they
+    repeat only when P = -P.  Such a P needs no roots: [ell]P = P, so
+    [ell]Q = P exactly when Q = P + T with [ell]T = O, and the candidates
+    are x(P) and the x(P + T) over the cached T."""
     if ell == 2:
         if 2 not in psi_cache:
             psi_cache[2] = integer_roots([b, a, 0, 1])
@@ -635,6 +593,11 @@ def _division_solve(a: int, b: int, ell: int, target,
         if not psi_cache[2]:
             raise ValueError("halving needs a rational 2-torsion point")
         xs = _halvings(a, psi_cache[2][0], target)
+    elif target is not None and target[1] == 0:
+        if (ell, None) not in psi_cache:
+            _division_solve(a, b, ell, None, psi_cache)
+        xs = sorted({target[0], *(q[0] for t in psi_cache[ell, None]
+                                  if (q := _int_add(a, target, t)))})
     else:
         if ell not in psi_cache:
             f = _division_polys(a, b, ell + 1)
@@ -660,6 +623,8 @@ def _division_solve(a: int, b: int, ell: int, target,
             # [ell]Q is multiples[(ell - 1) % order]
             if multiples and multiples[(ell - 1) % len(multiples)] == target:
                 out[(x, y)] = len(multiples)
+    if target is None:
+        psi_cache[ell, None] = out
     return out
 
 

@@ -356,6 +356,45 @@ def _poly_sub(f: list[int], g: list[int]) -> list[int]:
 # resultants
 # ---------------------------------------------------------------------------
 
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b for int coefficient lists with
+    deg a >= deg b >= 1, stripped of leading zeros ([] for 0)."""
+    db = len(b) - 1
+    rem, lead = list(a), b[-1]
+    for top in range(len(a) - 1, db - 1, -1):
+        q = rem.pop()
+        rem = [lead * c for c in rem]
+        for j in range(db):
+            rem[top - db + j] -= q * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for an int coefficient list f of degree >= 1: the same
+    roots, each simple.  The gcd comes from the primitive PRS (Cohen,
+    Algorithm 3.2.10) and is primitive ([1] or [-1] when f is squarefree),
+    so the quotient has int coefficients (Gauss's lemma) and each step of
+    the long division is exact."""
+    def primitive(g):
+        content = gcd(*g)
+        return [c // content for c in g]
+
+    a, b = primitive(f), primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1 and (rem := _pseudo_rem(a, b)):
+        a, b = b, primitive(rem)
+    rem, quotient = list(f), []
+    while len(rem) >= len(b):
+        q = rem[-1] // b[-1]
+        shift = len(rem) - len(b)
+        for j, c in enumerate(b):
+            rem[shift + j] -= q * c
+        rem.pop()
+        quotient.append(q)
+    return quotient[::-1]
+
+
 def _int_resultant(a: list[int], b: list[int]) -> int:
     """Resultant of two int coefficient lists with nonzero leading terms (a
     constant may be [0]), by the subresultant polynomial remainder sequence
@@ -372,15 +411,7 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
         delta = da - db
         if da & db & 1:
             sign = -sign
-        # pseudo-remainder: lc(b)^(delta+1) * a  mod  b
-        rem, lead = list(a), b[-1]
-        for top in range(da, db - 1, -1):
-            q = rem.pop()
-            rem = [lead * c for c in rem]
-            for j in range(db):
-                rem[top - db + j] -= q * b[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
+        rem = _pseudo_rem(a, b)
         if not rem:
             return 0
         div = g_coef * h_coef ** delta

@@ -13,9 +13,13 @@
   short model, and `reference_pull`, its inverse in `Fraction` arithmetic,
   the oracle for the integer `ShortIntegralModel.pull`; the halves of a
   torsion point by the integer roots of the halving quartic, the oracle for
-  the square-root halving of `elliptic._division_solve`; and the integer
-  roots of a polynomial by the rational root theorem, the oracle for
-  `elliptic.integer_roots`.
+  the square-root halving of `elliptic._division_solve`; the solutions of
+  [ell]Q = P for odd ell by the integer roots of the division equation,
+  repeated roots and all (`reference_division_solve`), the oracle for its
+  closed form when P has order 2; and the integer roots of a polynomial by
+  the rational root theorem, the oracle for the p-adic lifting of
+  `elliptic.integer_roots`, with the divisors of the constant term found by
+  trial up to the root bound when that bound is small.
 - Prime factorization, which the Lutz-Nagell enumeration and the
   rational-root oracle need: `factorize` divides out the primes up to 37,
   then splits what is left by Miller-Rabin and Pollard's rho, and is
@@ -53,13 +57,14 @@ from quadpreim.elliptic import (
     ECPoint,
     ShortIntegralModel,
     WeierstrassCurve,
+    _division_polys,
     _torsion_multiples,
     integer_roots,
     point_order,
     short_integral_model,
 )
-from quadpreim.exactmath import (QPoly, _cleared, _int_resultant, format_rat,
-                                  rat_sqrt)
+from quadpreim.exactmath import (QPoly, _cleared, _int_resultant, _poly_mul,
+                                  format_rat, rat_sqrt)
 
 
 def preimages(c, y) -> tuple[Fraction, ...]:
@@ -354,22 +359,44 @@ def halving_quartic(a: int, b: int, xp: int) -> list[int]:
     return [a * a - 4 * b * xp, -(8 * b + 4 * a * xp), -2 * a, -4 * xp, 1]
 
 
-def reference_halvings(a: int, b: int, target) -> dict:
-    """{Q: its order} for every torsion Q with 2Q = target, an integral point
-    of Y^2 = X^3 + a X + b, in the order of X and then Y, -Y: X runs over
-    the integer roots of the halving quartic, and each (X, Y) is checked on
-    the integer group law."""
+def _division_points(a: int, b: int, ell: int, target, xs) -> dict:
+    """{Q: its order} for every torsion Q = (X, +-Y) with [ell]Q = target on
+    Y^2 = X^3 + a X + b and X among the sorted xs, in the order of X and
+    then Y, -Y, each checked on the integer group law."""
     out = {}
-    for x in integer_roots(halving_quartic(a, b, target[0])):
+    for x in xs:
         yy = x ** 3 + a * x + b
         r = isqrt(max(yy, 0))
         if r * r != yy:
             continue
         for y in ((0,) if r == 0 else (r, -r)):
             multiples = _torsion_multiples(a, (x, y))
-            if multiples and multiples[1 % len(multiples)] == target:
+            if multiples and multiples[(ell - 1) % len(multiples)] == target:
                 out[(x, y)] = len(multiples)
     return out
+
+
+def reference_halvings(a: int, b: int, target) -> dict:
+    """{Q: its order} for every torsion Q with 2Q = target, an integral point
+    of Y^2 = X^3 + a X + b, in the order of X and then Y, -Y: X runs over
+    the integer roots of the halving quartic."""
+    return _division_points(a, b, 2, target,
+                            integer_roots(halving_quartic(a, b, target[0])))
+
+
+def reference_division_solve(a: int, b: int, ell: int, target) -> dict:
+    """{Q: its order} for every torsion Q with [ell]Q = target, for odd ell
+    and an integral point target of Y^2 = X^3 + a X + b, in the order of X
+    and then Y, -Y: X runs over the integer roots, by the rational root
+    theorem, of (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1},
+    the numerator of x([ell]Q) - x_P, repeated roots and all."""
+    f = _division_polys(a, b, ell + 1)
+    equation = [c - d for c, d in zip(
+        _poly_mul([-target[0], 1], _poly_mul(f[ell], f[ell])),
+        _poly_mul([4 * b, 4 * a, 0, 4], _poly_mul(f[ell - 1], f[ell + 1])),
+        strict=True)]
+    return _division_points(a, b, ell, target,
+                            reference_integer_roots(equation))
 
 
 def reference_integer_roots(coeffs) -> list[int]:
@@ -377,9 +404,11 @@ def reference_integer_roots(coeffs) -> list[int]:
     the constant term up), by the rational root theorem: 0 when x divides
     it, and then every divisor of the constant term left after stripping
     the powers of x, with either sign, that is a root.  A root r also has
-    r - 1 | f(1) and r + 1 | f(-1), which skips most evaluations.  The
-    constant term is factored, so it suits constant terms with small prime
-    factors."""
+    r - 1 | f(1) and r + 1 | f(-1), which skips most evaluations.  When
+    Fujiwara's bound 2 max |c_i/c_n|^(1/(n-i)) on the roots, rounded up to
+    a power of two, is at most 2^15, the divisors are found by trial of
+    every integer up to it; otherwise the constant term is factored, which
+    suits constant terms with small prime factors."""
     coeffs = list(coeffs)
     while coeffs[-1] == 0:
         coeffs.pop()
@@ -392,9 +421,18 @@ def reference_integer_roots(coeffs) -> list[int]:
         return sum(c * x ** i for i, c in enumerate(coeffs))
 
     at_one, at_minus_one = f(1), f(-1)
-    divisors = [1]
-    for p, e in factorize(abs(coeffs[0])).items():
-        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    n, lead = len(coeffs) - 1, abs(coeffs[-1])
+    # the least e with 2^e >= |c_i / c_n|^(1/(n-i)) for every i < n
+    e = 0
+    while any(lead << e * (n - i) < abs(c)
+              for i, c in enumerate(coeffs[:-1])):
+        e += 1
+    if e < 15:
+        divisors = [d for d in range(1, (2 << e) + 1) if coeffs[0] % d == 0]
+    else:
+        divisors = [1]
+        for p, k in factorize(abs(coeffs[0])).items():
+            divisors = [d * p ** j for d in divisors for j in range(k + 1)]
     for d in divisors:
         for x in (d, -d):
             if ((x == 1 or at_one % (x - 1) == 0)

@@ -26,11 +26,12 @@ from quadpreim.elliptic import (
     torsion_family_a,
     torsion_subgroup,
 )
-from quadpreim.exactmath import int_sqrt
+from quadpreim.exactmath import _int_resultant, int_sqrt
 from reference import (
     factorize,
     halving_quartic,
     push,
+    reference_division_solve,
     reference_halvings,
     reference_integer_roots,
     reference_pull,
@@ -450,6 +451,65 @@ def test_odd_torsion_closure_makes_no_halving(monkeypatch):
     assert [call for call in calls if call[0] == 2 and call[1]] == []
 
 
+def _tate(b, c):
+    # the Tate normal form y^2 + (1 - c) x y - b y = x^3 - b x^2
+    return WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+
+
+def _primorial(n):
+    # the product of the primes up to n
+    return prod(p for p in range(2, n + 1) if all(p % d for d in range(2, p)))
+
+
+def test_odd_division_of_two_torsion_matches_reference():
+    # for odd ell and a target P of order 2, _division_solve takes the
+    # candidates P + T over the solutions T of [ell]T = O; the reference
+    # takes the integer roots of the division equation, whose roots repeat
+    # for such a P: both give the same dict in the same order, whether the
+    # solutions of [ell]T = O are cached or not.  The models are Tate
+    # normal forms with Z/6, Z/10 and Z/2 x Z/6, at parameters whose
+    # integral models keep the reference's divisor search small, and seeded
+    # curves (X - e)(X^2 + e X + c), which have 2-torsion and mostly no odd
+    # torsion
+    curves = [_tate(t + t * t, t) for t in map(F, (
+        1, -2, 2, -3, F(-1, 2), F(1, 2), F(-2, 3), F(-1, 3), F(1, 3)))]
+    for t in (F(-1), F(-1, 2), F(2), F(1, 3)):
+        u = t * t - 3 * t + 1
+        curves.append(_tate(t ** 3 * (t - 1) * (2 * t - 1) / u ** 2,
+                            -t * (t - 1) * (2 * t - 1) / u))
+    for t in (F(-1), F(2), F(-1, 3)):
+        c = (10 - 2 * t) / (t * t - 9)
+        curves.append(_tate(c + c * c, c))
+    models = [(m.a, m.b) for m in map(short_integral_model, curves)]
+    rng = random.Random(SEED + 32)
+    while len(models) < 40:
+        e, c = rng.randint(-12, 12), rng.randint(-40, 40)
+        a, b = c - e * e, -e * c
+        if 4 * a ** 3 + 27 * b ** 2:
+            models.append((a, b))
+    groups, targets = [], 0
+    for a, b in models:
+        disc = -16 * (4 * a ** 3 + 27 * b ** 2)
+        torsion = elliptic._torsion_by_division(a, b, disc)
+        groups.append(sorted(torsion.values()))
+        cache = {}
+        for target, order in torsion.items():
+            if order != 2:
+                continue
+            targets += 1
+            for ell in (3, 5):
+                expected = list(reference_division_solve(a, b, ell,
+                                                         target).items())
+                for solve_cache in (cache, {}):
+                    got = elliptic._division_solve(a, b, ell, target,
+                                                   solve_cache)
+                    assert list(got.items()) == expected, (a, b, ell, target)
+    assert targets >= 40
+    # the named groups, and 2-torsion with no odd torsion
+    assert [len(g) + 1 for g in groups[:16]] == [6] * 9 + [10] * 4 + [12] * 3
+    assert sum(all(o in (2, 4, 8) for o in g) for g in groups) >= 10
+
+
 def test_torsion_families_produce_named_groups():
     cases = [
         (TorsionKind.Z2xZ4, F(3, 2)),
@@ -853,3 +913,64 @@ def test_integer_roots_random():
     assert integer_roots([7]) == []
     with pytest.raises(ValueError):
         integer_roots([0, 0])
+
+
+def test_coprime_mod_against_resultant():
+    # f and f' are coprime mod p exactly when p does not divide
+    # Res(f, f'), for p that does not divide the leading coefficient:
+    # seeded polynomials with small coefficients, many with a repeated root
+    # mod a small p, some with a planted double root, and x^3 + 1, whose
+    # derivative vanishes mod 3
+    rng = random.Random(SEED + 33)
+    polys = [[1, 0, 0, 1]]
+    for trial in range(200):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        f.append(rng.choice([1, -2, 3, 5]))
+        if trial % 4 == 0:
+            r = rng.randint(-5, 5)
+            f = _poly_mul(f, [r * r, -2 * r, 1])
+        polys.append(f)
+    seen = {True: 0, False: 0}
+    for f in polys:
+        deriv = [i * c for i, c in enumerate(f)][1:]
+        res = _int_resultant(f, deriv)
+        for p in (3, 5, 7, 11, 13):
+            if f[-1] % p:
+                got = elliptic._coprime_mod(f, deriv, p)
+                assert got == (res % p != 0), (f, p)
+                seen[got] += 1
+    assert not elliptic._coprime_mod([1, 0, 0, 1], [0, 0, 3], 3)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_integer_roots_past_every_small_prime(monkeypatch):
+    # (x - 1)(x - 1 - P)(x^2 + 1), P the product of the primes up to 200:
+    # its two integer roots meet mod every odd prime below 200, so the walk
+    # must pass all 45 of them; with the root 1 + P doubled it falls back on
+    # the squarefree part, which has to pass them too
+    big = 1 + _primorial(200)
+    poly = _poly_mul(_poly_mul([-1, 1], [-big, 1]), [1, 0, 1])
+    tried, coprime_mod = [], elliptic._coprime_mod
+
+    def spy(f, g, p):
+        tried.append(p)
+        return coprime_mod(f, g, p)
+
+    monkeypatch.setattr(elliptic, "_coprime_mod", spy)
+    assert integer_roots(poly) == [1, big]
+    assert tried[:46] == [p for p in range(3, 212, 2)
+                          if all(p % d for d in range(3, p, 2))]
+    assert integer_roots(_poly_mul(poly, [-big, 1])) == [1, big]
+    assert integer_roots(_poly_mul(poly, [-1, 1])) == [1, big]
+
+
+def test_torsion_of_tate_seven_at_a_huge_parameter():
+    # Tate's Z/7 form at t = P + 1, P the product of the primes up to 200:
+    # every prime of P divides the discriminant, so no prime of the
+    # point-count bound is good (the bound is 0) and the root finder walks
+    # past 200 for each division polynomial
+    t = F(1 + _primorial(200))
+    curve = _tate(t ** 3 - t * t, t * t - t)
+    g = torsion_subgroup(curve)
+    assert g.invariants == (1, 7)
+    assert len(g.points) == 7 and all(curve.contains(p) for p in g.points)

@@ -31,21 +31,22 @@ SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
 # the coprime-base split of the scaling denominators, the integer group law,
-# the integer division polynomials, the integer root isolation, the
-# square-root halving, the point-count bound and the division closure that
-# runs on them, with the int coefficient-list arithmetic they share, as
-# (module, qualified name)
+# the integer division polynomials, the integer roots by p-adic lifting with
+# the squarefree part that it falls back on, the square-root halving, the
+# point-count bound and the division closure that runs on them, with the int
+# coefficient-list arithmetic they share, as (module, qualified name)
 INTEGER_TORSION = (
-    *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner")),
+    *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner",
+                                       "_pseudo_rem", "_squarefree")),
     *(("elliptic", name) for name in (
         "_root", "factorize", "_int_add", "_torsion_multiples",
-        "_division_polys", "_low_degree_marks", "_crossing", "_sign_marks",
-        "integer_roots",
+        "_division_polys", "_coprime_mod", "integer_roots",
         "_root_counts", "_count_points_mod_p", "_torsion_order_bound",
         "_halvings", "_division_solve", "_torsion_by_division")))
-# the elimination of c: the integer subresultant PRS and the Newton
-# interpolation of its samples
-INTEGER_ELIMINATION = (("exactmath", "_int_resultant"),
+# the elimination of c: the integer subresultant PRS on its pseudo-remainder
+# loop and the Newton interpolation of its samples
+INTEGER_ELIMINATION = (("exactmath", "_pseudo_rem"),
+                       ("exactmath", "_int_resultant"),
                        ("exactmath", "eliminate_c"))
 # the search candidate's integer settle: the one walk with its target check,
 # the forward orbit, the level walk, the settle of each plan and of both, a
