@@ -10,10 +10,12 @@ a halving sums of exact square roots, and for odd ell and a target of order 2
 its sums with the ell-torsion, taken as X of Y^2 = X^3 + a X + b.  Every
 multiple of a torsion point is integral (Lutz-Nagell), so it adds points with
 an integer slope and stops at the first slope that is not an integer: that
-proves infinite order.  Points become `Fraction` points only when they are
-pulled back to the source curve.  The integral model takes its scale from a
-coprime base of the scaling denominators, split by gcds alone, so no integer is
-ever factored into primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
+proves infinite order.  It also stops at the gcd of #E(F_p) over good primes,
+read from a cached table per (p, a mod p), and lifts the roots of X^3 + a X + b
+at the first good prime.  Points become `Fraction` points only when pulled back
+to the source curve.  The integral model takes its scale from a coprime base of
+the scaling denominators, split by gcds alone, so no integer is ever factored
+into primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -405,16 +407,41 @@ def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
         a, b = b, _pseudo_rem(a, b)
 
 
+def _lifted_roots(f: list[int], p: int) -> list[int]:
+    """The integer roots of f, sorted, for an odd prime p that does not
+    divide lc(f) and at which every root of f mod p is simple.  Each has one
+    Newton lift to q = p^(2^j) > 2B, B being Fujiwara's bound
+    2 max |c_i/c_n|^(1/(n-i)) on the roots (rounded up to a power of two),
+    and an integer root is the symmetric residue of its lift."""
+    n, lead_bits = len(f) - 1, abs(f[-1]).bit_length()
+    # |c_i/c_n|^(1/(n-i)) < 2^e when e (n - i) >= bits(c_i) - bits(c_n) + 1
+    bound = 2 << max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
+                     for i, c in enumerate(f[:-1]))
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    reduced = [c % p for c in f]
+    roots = []
+    for r in range(p):
+        if _horner(reduced, r) % p:
+            continue
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            r = (r - _horner(f, r) * pow(_horner(deriv, r), -1, q)) % q
+        if r > q // 2:
+            r -= q
+        if -bound <= r <= bound and _horner(f, r) == 0:
+            roots.append(r)
+    return sorted(roots)
+
+
 def integer_roots(coeffs: list[int]) -> list[int]:
     """All integer roots of a nonzero integer polynomial (coefficients from
     the constant term up), sorted, by p-adic lifting (R. Loos, SIAM J.
     Comput. 12, 1983; Cohen, A Course in Computational Algebraic Number
     Theory, 3.5).  With the factor x^k stripped (0 is then a root), f has
     degree n, and p is the first odd prime that does not divide lc(f) and
-    at which f and f' are coprime mod p, so every root mod p is simple.
-    Each has one Newton lift to q = p^(2^j) > 2B, B being Fujiwara's bound
-    2 max |c_i/c_n|^(1/(n-i)) on the roots (rounded up to a power of two),
-    and an integer root is the symmetric residue of its lift.
+    at which f and f' are coprime mod p, so every root mod p is simple and
+    _lifted_roots lifts it.
 
     A prime that fails divides Res(f, f'), the determinant of a Sylvester
     matrix with n - 1 rows of norm at most sqrt(n + 1) max |c_i| and n of
@@ -432,12 +459,6 @@ def integer_roots(coeffs: list[int]) -> list[int]:
     n = len(f) - 1
     if n == 0:
         return roots
-    lead_bits = abs(f[-1]).bit_length()
-    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1), so 2^e with
-    # e (n - i) >= bits(c_i) - bits(c_n) + 1 bounds its (n-i)-th root
-    e = max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
-            for i, c in enumerate(f[:-1]))
-    bound = 2 << e
     hadamard = (2 * n - 1) * (max(map(abs, f)).bit_length()
                               + 2 * n.bit_length())
     deriv = [i * c for i, c in enumerate(f)][1:]
@@ -452,19 +473,7 @@ def integer_roots(coeffs: list[int]) -> list[int]:
         spent += p.bit_length() - 1
         if spent > hadamard:
             return sorted(roots + integer_roots(_squarefree(f)))
-    reduced = [c % p for c in f]
-    for r in range(p):
-        if _horner(reduced, r) % p:
-            continue
-        q = p
-        while q <= 2 * bound:
-            q *= q
-            r = (r - _horner(f, r) * pow(_horner(deriv, r), -1, q)) % q
-        if r > q // 2:
-            r -= q
-        if -bound <= r <= bound and _horner(f, r) == 0:
-            roots.append(r)
-    return sorted(roots)
+    return sorted(roots + _lifted_roots(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +585,11 @@ def _division_solve(a: int, b: int, ell: int, target,
     """All rational Q on the integral model with [ell]Q = target, each with
     its order, from integer candidates X (a torsion point is integral), each
     verified exactly; the target is torsion, and so is every solution.  For
-    ell = 2 they are the integer roots of X^3 + a X + b, cached under 2, or
-    the _halvings of the target by one of them.  For odd ell they are the
-    integer roots of f_ell, and the solutions are cached under (ell, None);
-    for a target P, as x([ell]Q) = X - psi_{ell-1} psi_{ell+1} / psi_ell^2,
+    ell = 2 they are the integer roots of X^3 + a X + b, cached under 2 (the
+    closure fills that entry by a lift at a good prime), or the _halvings of
+    the target by one of them.  For odd ell they are the integer roots of
+    f_ell, and the solutions are cached under (ell, None); for a target P,
+    as x([ell]Q) = X - psi_{ell-1} psi_{ell+1} / psi_ell^2,
     of (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1} in the f_n
     of _division_polys.  Its roots are the x(Q) with [ell]Q = +-P, so they
     repeat only when P = -P.  Such a P needs no roots: [ell]P = P, so
@@ -629,41 +639,36 @@ def _division_solve(a: int, b: int, ell: int, target,
 
 
 @cache
-def _root_counts(p: int) -> tuple[int, ...]:
-    """For each v mod the odd prime p, the number of Y mod p with Y^2 = v;
-    one table per prime of _torsion_order_bound."""
-    counts = [0] * p
+def _point_counts(p: int, am: int) -> tuple[int, ...]:
+    """#E(F_p) of Y^2 = X^3 + am X + b, the point at infinity included, for
+    each b mod the odd prime p: p^2 steps, once for each of the at most 276
+    pairs (p, am) of _torsion_order_bound's primes."""
+    roots = [0] * p
     for y in range(p):
-        counts[y * y % p] += 1
-    return tuple(counts)
+        roots[y * y % p] += 1
+    roots += roots      # v + b < 2p needs no reduction
+    cubes = [(x * x * x + am * x) % p for x in range(p)]
+    return tuple(1 + sum(roots[v + b] for v in cubes) for b in range(p))
 
 
-def _count_points_mod_p(a: int, b: int, p: int) -> int:
-    """#E(F_p) of Y^2 = X^3 + a X + b, the point at infinity included."""
-    roots = _root_counts(p)
-    am, bm = a % p, b % p
-    count = 1
-    for x in range(p):
-        count += roots[(x * x * x + am * x + bm) % p]
-    return count
-
-
-def _torsion_order_bound(a: int, b: int, disc: int) -> int:
-    """gcd of #E(F_p) over several primes p >= 5 that do not divide disc: a
-    multiple of the rational torsion order.  The model has good reduction
-    at such a p, and for odd p reduction is injective on the rational
-    torsion, which so embeds in E(F_p).  0, which every ell divides, when
-    none of the primes is good."""
-    bound = 0
-    used = 0
+def _torsion_order_bound(a: int, b: int,
+                         disc: int) -> tuple[int, Optional[int]]:
+    """The gcd of #E(F_p) over several primes p >= 5 that do not divide
+    disc, a multiple of the rational torsion order, and the first such p
+    (None when there is none).  The model has good reduction at such a p,
+    and for odd p reduction is injective on the rational torsion, which so
+    embeds in E(F_p).  The gcd is 0, which every ell divides, when none of
+    the primes is good."""
+    bound, good, used = 0, None, 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
         if disc % p == 0:
             continue
-        bound = gcd(bound, _count_points_mod_p(a, b, p))
+        good = good or p
+        bound = gcd(bound, _point_counts(p, a % p)[b % p])
         used += 1
         if used >= 6 or bound in (1, 2):
             break
-    return bound
+    return bound, good
 
 
 def _torsion_by_division(a: int, b: int,
@@ -680,12 +685,16 @@ def _torsion_by_division(a: int, b: int,
     ell that does not divide the bound never divides the order and is
     skipped (an odd bound rules out 2-torsion, and a bound of 1 needs no
     solve), and the closure stops as soon as it holds bound points, O
-    included: no torsion point is left.  With no 2-torsion the order is odd
-    (Cauchy), so the bound drops to its gcd with 315 and ell = 2 leaves.
+    included: no torsion point is left.  For an even bound the roots of
+    X^3 + a X + b, which ell = 2 needs, are lifted at the bound's first good
+    prime p, where disc = -16 (4 a^3 + 27 b^2) makes them simple mod p.
+    With no 2-torsion the order is odd (Cauchy), so the bound drops to its
+    gcd with 315 and ell = 2 leaves.
     """
-    bound = _torsion_order_bound(a, b, disc)
+    bound, good = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
-    psi_cache: dict = {}
+    psi_cache: dict = ({2: _lifted_roots([b, a, 0, 1], good)}
+                       if good and bound % 2 == 0 else {})
     # a solved (ell, target) gives nothing new in a later round
     solved = set()
     changed = True

@@ -20,6 +20,9 @@
   the rational root theorem, the oracle for the p-adic lifting of
   `elliptic.integer_roots`, with the divisors of the constant term found by
   trial up to the root bound when that bound is small.
+- `reference_point_count`, #E(F_p) of Y^2 = X^3 + a X + b by a table of
+  square roots mod p and one sum over X, the oracle for the point-count
+  table `elliptic._point_counts`.
 - Prime factorization, which the Lutz-Nagell enumeration and the
   rational-root oracle need: `factorize` divides out the primes up to 37,
   then splits what is left by Miller-Rabin and Pollard's rho, and is
@@ -397,6 +400,16 @@ def reference_division_solve(a: int, b: int, ell: int, target) -> dict:
         strict=True)]
     return _division_points(a, b, ell, target,
                             reference_integer_roots(equation))
+
+
+def reference_point_count(a: int, b: int, p: int) -> int:
+    """#E(F_p) of Y^2 = X^3 + a X + b for an odd prime p, the point at
+    infinity included: the number of Y mod p with Y^2 = v, counted once per
+    v, summed over the values v of the cubic at each X mod p."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
 
 
 def reference_integer_roots(coeffs) -> list[int]:

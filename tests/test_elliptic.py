@@ -7,9 +7,10 @@ import pytest
 
 from quadpreim import elliptic
 from quadpreim.elliptic import (
-    _count_points_mod_p,
     _division_polys,
     _int_add,
+    _lifted_roots,
+    _point_counts,
     _torsion_multiples,
     _torsion_order_bound,
     ECPoint,
@@ -34,6 +35,7 @@ from reference import (
     reference_division_solve,
     reference_halvings,
     reference_integer_roots,
+    reference_point_count,
     reference_pull,
     reference_short_integral_model,
     reference_torsion,
@@ -305,7 +307,7 @@ def test_torsion_below_point_count_bound():
               F(-17, 33)):
         curve = specialize_e24(a).curve
         model = short_integral_model(curve)
-        bound = _torsion_order_bound(
+        bound, _ = _torsion_order_bound(
             model.a, model.b, -16 * (4 * model.a ** 3 + 27 * model.b ** 2))
         expected = reference_torsion(curve)
         g = torsion_subgroup(curve)
@@ -313,16 +315,94 @@ def test_torsion_below_point_count_bound():
         assert bound in (8, 12), a
 
 
-def test_count_points_mod_p_against_pairs():
-    # #E(F_p) against a count of the affine pairs (X, Y) mod p, for seeded
-    # coefficients far past p and of both signs, each prime's table reused
+def test_point_counts_against_oracle_and_pairs():
+    # every row of the table, for each of the twelve primes of the bound,
+    # against the reference's count by square roots; then #E(F_p) read from
+    # the table against a count of the affine pairs (X, Y) mod p, for seeded
+    # coefficients far past p and of both signs
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    for p in primes:
+        for am in range(p):
+            assert _point_counts(p, am) == tuple(
+                reference_point_count(am, b, p) for b in range(p)), (p, am)
     rng = random.Random(1913)
     for _ in range(300):
         a, b = (rng.randint(-10 ** 20, 10 ** 20) for _ in range(2))
-        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        for p in primes:
             pairs = sum((y * y - x ** 3 - a * x - b) % p == 0
                         for x in range(p) for y in range(p))
-            assert _count_points_mod_p(a, b, p) == 1 + pairs, (a, b, p)
+            assert _point_counts(p, a % p)[b % p] == 1 + pairs, (a, b, p)
+
+
+def test_lifted_roots_at_good_primes():
+    # seeded cubics X^3 + a X + b: with three integer roots (e1 + e2 + e3 =
+    # 0), with one (X - e)(X^2 + e X + c), with b = 0 (the root 0) and with
+    # none; at every prime 5 ... 43 that does not divide 4 a^3 + 27 b^2
+    # every root mod p is simple, and the lift there gives integer_roots
+    rng = random.Random(SEED + 41)
+    cubics = []
+    for _ in range(40):
+        e1, e2 = rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 4, 10 ** 4)
+        e3 = -e1 - e2
+        cubics.append((e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3))
+        e, c = rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 6, 10 ** 6)
+        cubics.append((c - e * e, -e * c))
+        cubics.append((rng.randint(-10 ** 6, 10 ** 6), 0))
+        cubics.append((rng.randint(-10 ** 6, 10 ** 6),
+                       rng.randint(-10 ** 6, 10 ** 6)))
+    seen = {0: 0, 1: 0, 2: 0, 3: 0, "zero": 0}
+    lifts = 0
+    for a, b in cubics:
+        if 4 * a ** 3 + 27 * b ** 2 == 0:
+            continue
+        cubic = [b, a, 0, 1]
+        roots = integer_roots(cubic)
+        assert roots == reference_integer_roots(cubic), cubic
+        seen[len(roots)] += 1
+        seen["zero"] += 0 in roots
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            if (4 * a ** 3 + 27 * b ** 2) % p:
+                assert _lifted_roots(cubic, p) == roots, (cubic, p)
+                lifts += 1
+    assert seen[3] >= 30 and seen[1] >= 30 and seen[0] >= 30, seen
+    assert seen["zero"] >= 30 and lifts >= 1500, (seen, lifts)
+
+
+def test_two_torsion_cubic_lifts_at_the_good_prime(monkeypatch):
+    # the ell = 2 cubic X^3 + a X + b lifts at the point-count bound's first
+    # good prime, with no prime search of integer_roots; the curve of
+    # test_torsion_methods_agree where every prime 5 ... 43 divides the
+    # discriminant has none, and falls back on integer_roots
+    searched, lifted = [], []
+    search, lift = elliptic.integer_roots, elliptic._lifted_roots
+
+    def search_spy(coeffs):
+        searched.append(list(coeffs))
+        return search(coeffs)
+
+    def lift_spy(f, p):
+        lifted.append((list(f), p))
+        return lift(f, p)
+
+    monkeypatch.setattr(elliptic, "integer_roots", search_spy)
+    monkeypatch.setattr(elliptic, "_lifted_roots", lift_spy)
+    rng = random.Random(SEED + 43)
+    fiber = specialize_e24(F(rng.randint(-50, 50), rng.randint(2, 12)))
+    assert not fiber.singular
+    bad_primes = WeierstrassCurve.from_coeffs(
+        1, 0, 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43, 0, 0)
+    for curve, falls_back in ((fiber.curve, False), (bad_primes, True)):
+        searched.clear()
+        lifted.clear()
+        model = short_integral_model(curve)
+        cubic = [model.b, model.a, 0, 1]
+        disc = -16 * (4 * model.a ** 3 + 27 * model.b ** 2)
+        good = _torsion_order_bound(model.a, model.b, disc)[1]
+        g = torsion_subgroup(curve)
+        assert set(g.points) == set(reference_torsion(curve)), curve
+        assert (cubic in searched) == falls_back, (curve, searched)
+        assert ((cubic, good) in lifted) != falls_back, (curve, lifted)
+        assert (good is None) == falls_back
 
 
 def test_odd_point_count_bound_skips_two_division(monkeypatch):
@@ -437,7 +517,7 @@ def test_odd_torsion_closure_makes_no_halving(monkeypatch):
     curve = WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
     model = short_integral_model(curve)
     disc = -16 * (4 * model.a ** 3 + 27 * model.b ** 2)
-    assert _torsion_order_bound(model.a, model.b, disc) % 2 == 0
+    assert _torsion_order_bound(model.a, model.b, disc)[0] % 2 == 0
     calls = []
     solve = elliptic._division_solve
 
