@@ -5,17 +5,19 @@ model, and the specializations of the pre-image elliptic surfaces with their
 torsion-family parametrizations.
 
 The division closure runs on Python ints.  Its candidates are the integer roots
-of division-polynomial equations with int coefficients (by p-adic lifting), for
-a halving sums of exact square roots, and for odd ell and a target of order 2
-its sums with the ell-torsion, taken as X of Y^2 = X^3 + a X + b.  Every
+of division-polynomial equations with int coefficients, for a halving sums of
+exact square roots, and for odd ell and a target of order 2 its sums with the
+ell-torsion, taken as X of Y^2 = X^3 + a X + b.  Each equation has only simple
+roots mod the first prime p >= 5 of good reduction other than ell, found once
+per ell, and its integer roots are lifted p-adically from there.  Every
 multiple of a torsion point is integral (Lutz-Nagell), so it adds points with
 an integer slope and stops at the first slope that is not an integer: that
 proves infinite order.  It also stops at the gcd of #E(F_p) over good primes,
-read from a cached table per (p, a mod p), and lifts the roots of X^3 + a X + b
-at the first good prime.  Points become `Fraction` points only when pulled back
-to the source curve.  The integral model takes its scale from a coprime base of
-the scaling denominators, split by gcds alone, so no integer is ever factored
-into primes; it refuses a singular curve, where 4a^3 + 27b^2 = 0.
+read from a cached table per (p, a mod p).  Points become `Fraction` points
+only when pulled back to the source curve.  The integral model takes its scale
+from a coprime base of the scaling denominators, split by gcds alone, so no
+integer is ever factored into primes; it refuses a singular curve, where
+4a^3 + 27b^2 = 0.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
-from .exactmath import (_cleared, _horner, _poly_mul, _poly_sub, _pseudo_rem,
-                        _squarefree)
+from .exactmath import _cleared, _horner, _poly_mul, _poly_sub
 
 
 class OffCurveError(ValueError):
@@ -261,6 +262,8 @@ class ShortIntegralModel:
     b: int
     scale: Fraction
     source: WeierstrassCurve
+    # the source coefficients a_i = n_i / d, as (d, (n1, n2, n3, n4, n6))
+    cleared: tuple[int, tuple[int, ...]]
 
     @cached_property
     def _pull_constants(self) -> tuple[int, ...]:
@@ -268,8 +271,7 @@ class ShortIntegralModel:
         # source point over (X, Y) is (x_n / z^2, y_n / z^3) for z = 6 u d,
         # where x_n = v^2 d^2 X - 3 u^2 (d^2 b2) and
         # y_n = v^3 d^3 Y - 3 u (n1 x_n + n3 z^2).
-        c = self.source
-        d, (n1, n2, n3, n4, n6) = _cleared((c.a1, c.a2, c.a3, c.a4, c.a6))
+        d, (n1, n2, n3, n4, n6) = self.cleared
         u, v = self.scale.numerator, self.scale.denominator
         z = 6 * u * d
         return (z, v * v * d * d, 3 * u * u * (n1 * n1 + 4 * n2 * d),
@@ -389,22 +391,7 @@ def short_integral_model(curve: WeierstrassCurve) -> ShortIntegralModel:
             b_int //= p ** 6
             v *= p
     return ShortIntegralModel(a=a_int, b=b_int, scale=Fraction(u, v),
-                              source=curve)
-
-
-def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
-    """Whether the int coefficient lists f and g, deg g < deg f, are coprime
-    in F_p[x], for a prime p that does not divide the leading coefficient of
-    f: Euclid's algorithm on pseudo-remainders reduced mod p (the powers of
-    a leading coefficient that they multiply by are units mod p)."""
-    a, b = [c % p for c in f], g
-    while True:
-        b = [c % p for c in b]
-        while b and b[-1] == 0:
-            b.pop()
-        if len(b) <= 1:
-            return len(b) == 1
-        a, b = b, _pseudo_rem(a, b)
+                              source=curve, cleared=(d, (n1, n2, n3, n4, n6)))
 
 
 def _lifted_roots(f: list[int], p: int) -> list[int]:
@@ -412,7 +399,10 @@ def _lifted_roots(f: list[int], p: int) -> list[int]:
     divide lc(f) and at which every root of f mod p is simple.  Each has one
     Newton lift to q = p^(2^j) > 2B, B being Fujiwara's bound
     2 max |c_i/c_n|^(1/(n-i)) on the roots (rounded up to a power of two),
-    and an integer root is the symmetric residue of its lift."""
+    and an integer root is the symmetric residue of its lift.  A root mod p
+    that is not simple has no inverse of f' for the Newton step, which
+    raises ValueError; when p alone passes 2B there is no step, and the
+    exact check of its residue decides it.  So no root is lost in silence."""
     n, lead_bits = len(f) - 1, abs(f[-1]).bit_length()
     # |c_i/c_n|^(1/(n-i)) < 2^e when e (n - i) >= bits(c_i) - bits(c_n) + 1
     bound = 2 << max(-(-max(0, abs(c).bit_length() - lead_bits + 1) // (n - i))
@@ -434,46 +424,16 @@ def _lifted_roots(f: list[int], p: int) -> list[int]:
     return sorted(roots)
 
 
-def integer_roots(coeffs: list[int]) -> list[int]:
-    """All integer roots of a nonzero integer polynomial (coefficients from
-    the constant term up), sorted, by p-adic lifting (R. Loos, SIAM J.
-    Comput. 12, 1983; Cohen, A Course in Computational Algebraic Number
-    Theory, 3.5).  With the factor x^k stripped (0 is then a root), f has
-    degree n, and p is the first odd prime that does not divide lc(f) and
-    at which f and f' are coprime mod p, so every root mod p is simple and
-    _lifted_roots lifts it.
-
-    A prime that fails divides Res(f, f'), the determinant of a Sylvester
-    matrix with n - 1 rows of norm at most sqrt(n + 1) max |c_i| and n of
-    norm at most n sqrt(n) max |c_i|.  By Hadamard's bound its log2 is at
-    most (2n - 1)(bits(max |c_i|) + 2 bits(n)), so once the failed primes
-    multiply past that, Res(f, f') = 0: f has a repeated root, and its
-    roots are those of its squarefree part f / gcd(f, f'), all simple.
-    """
-    if not any(coeffs):
-        raise ValueError("zero polynomial")
-    k = next(i for i, c in enumerate(coeffs) if c)
-    roots, f = [0] if k else [], list(coeffs[k:])
-    while f[-1] == 0:
-        f.pop()
-    n = len(f) - 1
-    if n == 0:
-        return roots
-    hadamard = (2 * n - 1) * (max(map(abs, f)).bit_length()
-                              + 2 * n.bit_length())
-    deriv = [i * c for i, c in enumerate(f)][1:]
-    spent = 0
-    for p in count(3, 2):
-        if f[-1] % p == 0 or any(p % d == 0
-                                 for d in range(3, isqrt(p) + 1, 2)):
-            continue
-        if _coprime_mod(f, deriv, p):
-            break
-        # the failed primes multiply to at least 2^spent
-        spent += p.bit_length() - 1
-        if spent > hadamard:
-            return sorted(roots + integer_roots(_squarefree(f)))
-    return sorted(roots + _lifted_roots(f, p))
+def _good_prime(disc: int, ell: int) -> int:
+    """The first prime p >= 5 with p != ell that does not divide disc.  The
+    model has good reduction at p, where reduction is injective on the
+    rational torsion (Silverman, AEC VII.3.1) and E[ell] is etale (AEC
+    III.6.4), so the roots mod p of X^3 + a X + b, of psi_ell and of the
+    division equation of a torsion target of order above 2 are simple."""
+    for p in count(5, 2):
+        if (disc % p and p != ell
+                and all(p % d for d in range(3, isqrt(p) + 1, 2))):
+            return p
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +540,34 @@ def _halvings(a: int, e1: int, p) -> list[int]:
                    for sign in (1, -1)})
 
 
-def _division_solve(a: int, b: int, ell: int, target,
+def _division_solve(a: int, b: int, disc: int, ell: int, target,
                     psi_cache: dict) -> dict[tuple[int, int], int]:
     """All rational Q on the integral model with [ell]Q = target, each with
     its order, from integer candidates X (a torsion point is integral), each
-    verified exactly; the target is torsion, and so is every solution.  For
-    ell = 2 they are the integer roots of X^3 + a X + b, cached under 2 (the
-    closure fills that entry by a lift at a good prime), or the _halvings of
-    the target by one of them.  For odd ell they are the integer roots of
-    f_ell, and the solutions are cached under (ell, None); for a target P,
-    as x([ell]Q) = X - psi_{ell-1} psi_{ell+1} / psi_ell^2,
-    of (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1} in the f_n
-    of _division_polys.  Its roots are the x(Q) with [ell]Q = +-P, so they
-    repeat only when P = -P.  Such a P needs no roots: [ell]P = P, so
-    [ell]Q = P exactly when Q = P + T with [ell]T = O, and the candidates
-    are x(P) and the x(P + T) over the cached T."""
+    verified exactly; disc is the model's discriminant, the target is
+    torsion, and so is every solution.  Each polynomial is solved by
+    _lifted_roots at p = _good_prime(disc, ell), where its roots mod p are
+    simple.  For
+    ell = 2 the candidates are the roots of X^3 + a X + b, cached under 2,
+    or the _halvings of the target by one of them.  For odd ell p is cached
+    with the f_n under ell, and the candidates are the roots of f_ell, with
+    the solutions cached under (ell, None); for a target P, as
+    x([ell]Q) = X - psi_{ell-1} psi_{ell+1} / psi_ell^2, they are the roots
+    of the monic (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1}
+    in the f_n of _division_polys: the x(Q) with [ell]Q = +-P, distinct mod
+    p when P != -P.  A P = -P needs no roots: [ell]P = P, so [ell]Q = P
+    exactly when Q = P + T with [ell]T = O, and the candidates are x(P) and
+    the x(P + T) over the cached T."""
+    if ell not in psi_cache:
+        p = _good_prime(disc, ell)
+        if ell == 2:
+            psi_cache[2] = _lifted_roots([b, a, 0, 1], p)
+        else:
+            f = _division_polys(a, b, ell + 1)
+            psi_cache[ell] = (p, f[ell], _poly_mul(f[ell], f[ell]),
+                              _poly_mul([4 * b, 4 * a, 0, 4],
+                                        _poly_mul(f[ell - 1], f[ell + 1])))
     if ell == 2:
-        if 2 not in psi_cache:
-            psi_cache[2] = integer_roots([b, a, 0, 1])
         if target is None:
             return {(x, 0): 2 for x in psi_cache[2]}
         if not psi_cache[2]:
@@ -605,21 +575,13 @@ def _division_solve(a: int, b: int, ell: int, target,
         xs = _halvings(a, psi_cache[2][0], target)
     elif target is not None and target[1] == 0:
         if (ell, None) not in psi_cache:
-            _division_solve(a, b, ell, None, psi_cache)
+            _division_solve(a, b, disc, ell, None, psi_cache)
         xs = sorted({target[0], *(q[0] for t in psi_cache[ell, None]
                                   if (q := _int_add(a, target, t)))})
     else:
-        if ell not in psi_cache:
-            f = _division_polys(a, b, ell + 1)
-            psi_cache[ell] = (f[ell], _poly_mul(f[ell], f[ell]),
-                              _poly_mul([4 * b, 4 * a, 0, 4],
-                                        _poly_mul(f[ell - 1], f[ell + 1])))
-        f_ell, f_ell_sq, neighbors = psi_cache[ell]
-        if target is None:
-            xs = integer_roots(f_ell)
-        else:
-            xs = integer_roots(_poly_sub(_poly_mul([-target[0], 1], f_ell_sq),
-                                         neighbors))
+        p, f_ell, f_ell_sq, neighbors = psi_cache[ell]
+        xs = _lifted_roots(f_ell if target is None else _poly_sub(
+            _poly_mul([-target[0], 1], f_ell_sq), neighbors), p)
     out = {}
     for x in xs:
         yy = x ** 3 + a * x + b
@@ -651,24 +613,21 @@ def _point_counts(p: int, am: int) -> tuple[int, ...]:
     return tuple(1 + sum(roots[v + b] for v in cubes) for b in range(p))
 
 
-def _torsion_order_bound(a: int, b: int,
-                         disc: int) -> tuple[int, Optional[int]]:
+def _torsion_order_bound(a: int, b: int, disc: int) -> int:
     """The gcd of #E(F_p) over several primes p >= 5 that do not divide
-    disc, a multiple of the rational torsion order, and the first such p
-    (None when there is none).  The model has good reduction at such a p,
-    and for odd p reduction is injective on the rational torsion, which so
-    embeds in E(F_p).  The gcd is 0, which every ell divides, when none of
-    the primes is good."""
-    bound, good, used = 0, None, 0
+    disc, a multiple of the rational torsion order.  The model has good
+    reduction at such a p, and for odd p reduction is injective on the
+    rational torsion, which so embeds in E(F_p).  The gcd is 0, which every
+    ell divides, when none of the primes is good."""
+    bound, used = 0, 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
         if disc % p == 0:
             continue
-        good = good or p
         bound = gcd(bound, _point_counts(p, a % p)[b % p])
         used += 1
         if used >= 6 or bound in (1, 2):
             break
-    return bound, good
+    return bound
 
 
 def _torsion_by_division(a: int, b: int,
@@ -685,16 +644,12 @@ def _torsion_by_division(a: int, b: int,
     ell that does not divide the bound never divides the order and is
     skipped (an odd bound rules out 2-torsion, and a bound of 1 needs no
     solve), and the closure stops as soon as it holds bound points, O
-    included: no torsion point is left.  For an even bound the roots of
-    X^3 + a X + b, which ell = 2 needs, are lifted at the bound's first good
-    prime p, where disc = -16 (4 a^3 + 27 b^2) makes them simple mod p.
-    With no 2-torsion the order is odd (Cauchy), so the bound drops to its
-    gcd with 315 and ell = 2 leaves.
+    included: no torsion point is left.  With no 2-torsion the order is odd
+    (Cauchy), so the bound drops to its gcd with 315 and ell = 2 leaves.
     """
-    bound, good = _torsion_order_bound(a, b, disc)
+    bound = _torsion_order_bound(a, b, disc)
     points: dict[tuple[int, int], int] = {}
-    psi_cache: dict = ({2: _lifted_roots([b, a, 0, 1], good)}
-                       if good and bound % 2 == 0 else {})
+    psi_cache: dict = {}
     # a solved (ell, target) gives nothing new in a later round
     solved = set()
     changed = True
@@ -708,7 +663,8 @@ def _torsion_by_division(a: int, b: int,
                 if (ell, target) in solved:
                     continue
                 solved.add((ell, target))
-                found = _division_solve(a, b, ell, target, psi_cache)
+                found = _division_solve(a, b, disc, ell, target,
+                                        psi_cache)
                 if ell == 2 and not found and target is None:
                     bound = gcd(bound, 315)     # 1, 3, 5, 7, 9 divide 315
                 for q, order in found.items():

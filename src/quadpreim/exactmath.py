@@ -371,30 +371,6 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _squarefree(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for an int coefficient list f of degree >= 1: the same
-    roots, each simple.  The gcd comes from the primitive PRS (Cohen,
-    Algorithm 3.2.10) and is primitive ([1] or [-1] when f is squarefree),
-    so the quotient has int coefficients (Gauss's lemma) and each step of
-    the long division is exact."""
-    def primitive(g):
-        content = gcd(*g)
-        return [c // content for c in g]
-
-    a, b = primitive(f), primitive([i * c for i, c in enumerate(f)][1:])
-    while len(b) > 1 and (rem := _pseudo_rem(a, b)):
-        a, b = b, primitive(rem)
-    rem, quotient = list(f), []
-    while len(rem) >= len(b):
-        q = rem[-1] // b[-1]
-        shift = len(rem) - len(b)
-        for j, c in enumerate(b):
-            rem[shift + j] -= q * c
-        rem.pop()
-        quotient.append(q)
-    return quotient[::-1]
-
-
 def _int_resultant(a: list[int], b: list[int]) -> int:
     """Resultant of two int coefficient lists with nonzero leading terms (a
     constant may be [0]), by the subresultant polynomial remainder sequence

@@ -16,10 +16,17 @@
   the square-root halving of `elliptic._division_solve`; the solutions of
   [ell]Q = P for odd ell by the integer roots of the division equation,
   repeated roots and all (`reference_division_solve`), the oracle for its
-  closed form when P has order 2; and the integer roots of a polynomial by
-  the rational root theorem, the oracle for the p-adic lifting of
-  `elliptic.integer_roots`, with the divisors of the constant term found by
-  trial up to the root bound when that bound is small.
+  lift at a good prime and for its closed form when P has order 2.
+- `integer_roots`, the general root finder, as an oracle: the roots of
+  any nonzero int polynomial, repeated ones included, by the package's
+  `elliptic._lifted_roots` at the first odd prime where f and f' are
+  coprime mod p (`_coprime_mod`), or of its squarefree part (`_squarefree`)
+  once the failed primes pass Hadamard's bound.  The halving quartic of a
+  2-torsion target has repeated roots, so the quartic route needs it.  It
+  and the lift at the package's good primes are checked against the
+  integer roots by the rational root theorem (`reference_integer_roots`),
+  with the divisors of the constant term found by trial up to the root
+  bound when that bound is small.
 - `reference_point_count`, #E(F_p) of Y^2 = X^3 + a X + b by a table of
   square roots mod p and one sum over X, the oracle for the point-count
   table `elliptic._point_counts`.
@@ -49,6 +56,7 @@
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
@@ -61,13 +69,13 @@ from quadpreim.elliptic import (
     ShortIntegralModel,
     WeierstrassCurve,
     _division_polys,
+    _lifted_roots,
     _torsion_multiples,
-    integer_roots,
     point_order,
     short_integral_model,
 )
 from quadpreim.exactmath import (QPoly, _cleared, _int_resultant, _poly_mul,
-                                  format_rat, rat_sqrt)
+                                  _pseudo_rem, format_rat, rat_sqrt)
 
 
 def preimages(c, y) -> tuple[Fraction, ...]:
@@ -389,12 +397,13 @@ def reference_halvings(a: int, b: int, target) -> dict:
 
 def reference_division_solve(a: int, b: int, ell: int, target) -> dict:
     """{Q: its order} for every torsion Q with [ell]Q = target, for odd ell
-    and an integral point target of Y^2 = X^3 + a X + b, in the order of X
-    and then Y, -Y: X runs over the integer roots, by the rational root
-    theorem, of (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1},
-    the numerator of x([ell]Q) - x_P, repeated roots and all."""
+    and an integral point target of Y^2 = X^3 + a X + b or None for O, in
+    the order of X and then Y, -Y: X runs over the integer roots, by the
+    rational root theorem, of f_ell for O, and otherwise of
+    (X - x_P) f_ell^2 - 4 (X^3 + a X + b) f_{ell-1} f_{ell+1}, the
+    numerator of x([ell]Q) - x_P, repeated roots and all."""
     f = _division_polys(a, b, ell + 1)
-    equation = [c - d for c, d in zip(
+    equation = f[ell] if target is None else [c - d for c, d in zip(
         _poly_mul([-target[0], 1], _poly_mul(f[ell], f[ell])),
         _poly_mul([4 * b, 4 * a, 0, 4], _poly_mul(f[ell - 1], f[ell + 1])),
         strict=True)]
@@ -410,6 +419,89 @@ def reference_point_count(a: int, b: int, p: int) -> int:
     for y in range(p):
         roots[y * y % p] += 1
     return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
+
+
+# -- integer roots -------------------------------------------------------------
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for an int coefficient list f of degree >= 1: the same
+    roots, each simple.  The gcd comes from the primitive PRS (Cohen,
+    Algorithm 3.2.10) and is primitive ([1] or [-1] when f is squarefree),
+    so the quotient has int coefficients (Gauss's lemma) and each step of
+    the long division is exact."""
+    def primitive(g):
+        content = gcd(*g)
+        return [c // content for c in g]
+
+    a, b = primitive(f), primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1 and (rem := _pseudo_rem(a, b)):
+        a, b = b, primitive(rem)
+    rem, quotient = list(f), []
+    while len(rem) >= len(b):
+        q = rem[-1] // b[-1]
+        shift = len(rem) - len(b)
+        for j, c in enumerate(b):
+            rem[shift + j] -= q * c
+        rem.pop()
+        quotient.append(q)
+    return quotient[::-1]
+
+
+def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
+    """Whether the int coefficient lists f and g, deg g < deg f, are coprime
+    in F_p[x], for a prime p that does not divide the leading coefficient of
+    f: Euclid's algorithm on pseudo-remainders reduced mod p (the powers of
+    a leading coefficient that they multiply by are units mod p)."""
+    a, b = [c % p for c in f], g
+    while True:
+        b = [c % p for c in b]
+        while b and b[-1] == 0:
+            b.pop()
+        if len(b) <= 1:
+            return len(b) == 1
+        a, b = b, _pseudo_rem(a, b)
+
+
+def integer_roots(coeffs: list[int]) -> list[int]:
+    """All integer roots of a nonzero integer polynomial (coefficients from
+    the constant term up), sorted, by p-adic lifting (R. Loos, SIAM J.
+    Comput. 12, 1983; Cohen, A Course in Computational Algebraic Number
+    Theory, 3.5).  With the factor x^k stripped (0 is then a root), f has
+    degree n, and p is the first odd prime that does not divide lc(f) and
+    at which f and f' are coprime mod p, so every root mod p is simple and
+    _lifted_roots lifts it.
+
+    A prime that fails divides Res(f, f'), the determinant of a Sylvester
+    matrix with n - 1 rows of norm at most sqrt(n + 1) max |c_i| and n of
+    norm at most n sqrt(n) max |c_i|.  By Hadamard's bound its log2 is at
+    most (2n - 1)(bits(max |c_i|) + 2 bits(n)), so once the failed primes
+    multiply past that, Res(f, f') = 0: f has a repeated root, and its
+    roots are those of its squarefree part f / gcd(f, f'), all simple.
+    """
+    if not any(coeffs):
+        raise ValueError("zero polynomial")
+    k = next(i for i, c in enumerate(coeffs) if c)
+    roots, f = [0] if k else [], list(coeffs[k:])
+    while f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    if n == 0:
+        return roots
+    hadamard = (2 * n - 1) * (max(map(abs, f)).bit_length()
+                              + 2 * n.bit_length())
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    spent = 0
+    for p in count(3, 2):
+        if f[-1] % p == 0 or any(p % d == 0
+                                 for d in range(3, isqrt(p) + 1, 2)):
+            continue
+        if _coprime_mod(f, deriv, p):
+            break
+        # the failed primes multiply to at least 2^spent
+        spent += p.bit_length() - 1
+        if spent > hadamard:
+            return sorted(roots + integer_roots(_squarefree(f)))
+    return sorted(roots + _lifted_roots(f, p))
 
 
 def reference_integer_roots(coeffs) -> list[int]:
@@ -571,7 +663,8 @@ def reference_short_integral_model(curve: WeierstrassCurve) -> ShortIntegralMode
             a //= p ** 4
             b //= p ** 6
             v *= p
-    return ShortIntegralModel(a=a, b=b, scale=Fraction(u, v), source=curve)
+    return ShortIntegralModel(a=a, b=b, scale=Fraction(u, v), source=curve,
+                              cleared=(d, (n1, n2, n3, n4, n6)))
 
 
 # -- resultants -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import count
 from math import gcd, prod
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from quadpreim import elliptic
 from quadpreim.elliptic import (
     _division_polys,
+    _good_prime,
     _int_add,
     _lifted_roots,
     _point_counts,
@@ -19,7 +21,6 @@ from quadpreim.elliptic import (
     TorsionKind,
     WeierstrassCurve,
     curve_244,
-    integer_roots,
     point_order,
     short_integral_model,
     specialize_e24,
@@ -28,9 +29,11 @@ from quadpreim.elliptic import (
     torsion_subgroup,
 )
 from quadpreim.exactmath import _int_resultant, int_sqrt
+import reference
 from reference import (
     factorize,
     halving_quartic,
+    integer_roots,
     push,
     reference_division_solve,
     reference_halvings,
@@ -307,7 +310,7 @@ def test_torsion_below_point_count_bound():
               F(-17, 33)):
         curve = specialize_e24(a).curve
         model = short_integral_model(curve)
-        bound, _ = _torsion_order_bound(
+        bound = _torsion_order_bound(
             model.a, model.b, -16 * (4 * model.a ** 3 + 27 * model.b ** 2))
         expected = reference_torsion(curve)
         g = torsion_subgroup(curve)
@@ -337,8 +340,10 @@ def test_point_counts_against_oracle_and_pairs():
 def test_lifted_roots_at_good_primes():
     # seeded cubics X^3 + a X + b: with three integer roots (e1 + e2 + e3 =
     # 0), with one (X - e)(X^2 + e X + c), with b = 0 (the root 0) and with
-    # none; at every prime 5 ... 43 that does not divide 4 a^3 + 27 b^2
-    # every root mod p is simple, and the lift there gives integer_roots
+    # none; at every prime 5 ... 43 that does not divide 4 a^3 + 27 b^2, and
+    # at the closure's _good_prime, every root mod p is simple, and the lift
+    # there gives the roots of the general root finder integer_roots and of
+    # the rational-root oracle
     rng = random.Random(SEED + 41)
     cubics = []
     for _ in range(40):
@@ -364,45 +369,46 @@ def test_lifted_roots_at_good_primes():
             if (4 * a ** 3 + 27 * b ** 2) % p:
                 assert _lifted_roots(cubic, p) == roots, (cubic, p)
                 lifts += 1
+        good = _good_prime(-16 * (4 * a ** 3 + 27 * b ** 2), 2)
+        assert _lifted_roots(cubic, good) == roots, (cubic, good)
     assert seen[3] >= 30 and seen[1] >= 30 and seen[0] >= 30, seen
     assert seen["zero"] >= 30 and lifts >= 1500, (seen, lifts)
 
 
 def test_two_torsion_cubic_lifts_at_the_good_prime(monkeypatch):
-    # the ell = 2 cubic X^3 + a X + b lifts at the point-count bound's first
-    # good prime, with no prime search of integer_roots; the curve of
-    # test_torsion_methods_agree where every prime 5 ... 43 divides the
-    # discriminant has none, and falls back on integer_roots
-    searched, lifted = [], []
-    search, lift = elliptic.integer_roots, elliptic._lifted_roots
-
-    def search_spy(coeffs):
-        searched.append(list(coeffs))
-        return search(coeffs)
+    # the ell = 2 cubic X^3 + a X + b lifts at _good_prime(disc, 2), the
+    # first prime >= 5 that does not divide disc, and every other lift of
+    # the closure at _good_prime(disc, ell) for its ell: on a seeded two-four
+    # fiber, and on the curve of test_torsion_methods_agree, where every
+    # prime 5 ... 43 divides the discriminant (the point-count bound is 0),
+    # so that the lift runs past 43; the package has no other root finder
+    lifted = []
+    lift = elliptic._lifted_roots
 
     def lift_spy(f, p):
         lifted.append((list(f), p))
         return lift(f, p)
 
-    monkeypatch.setattr(elliptic, "integer_roots", search_spy)
     monkeypatch.setattr(elliptic, "_lifted_roots", lift_spy)
     rng = random.Random(SEED + 43)
     fiber = specialize_e24(F(rng.randint(-50, 50), rng.randint(2, 12)))
     assert not fiber.singular
     bad_primes = WeierstrassCurve.from_coeffs(
         1, 0, 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43, 0, 0)
-    for curve, falls_back in ((fiber.curve, False), (bad_primes, True)):
-        searched.clear()
+    for curve, all_bad in ((fiber.curve, False), (bad_primes, True)):
         lifted.clear()
         model = short_integral_model(curve)
         cubic = [model.b, model.a, 0, 1]
         disc = -16 * (4 * model.a ** 3 + 27 * model.b ** 2)
-        good = _torsion_order_bound(model.a, model.b, disc)[1]
+        good = _good_prime(disc, 2)
         g = torsion_subgroup(curve)
         assert set(g.points) == set(reference_torsion(curve)), curve
-        assert (cubic in searched) == falls_back, (curve, searched)
-        assert ((cubic, good) in lifted) != falls_back, (curve, lifted)
-        assert (good is None) == falls_back
+        assert (cubic, good) in lifted, (curve, lifted)
+        assert {p for _, p in lifted} <= {
+            _good_prime(disc, ell) for ell in (2, 3, 5, 7)}, (curve, lifted)
+        assert (good > 43) == all_bad
+        assert (_torsion_order_bound(model.a, model.b, disc) == 0) == all_bad
+    assert not hasattr(elliptic, "integer_roots")
 
 
 def test_odd_point_count_bound_skips_two_division(monkeypatch):
@@ -413,9 +419,9 @@ def test_odd_point_count_bound_skips_two_division(monkeypatch):
     calls = []
     solve = elliptic._division_solve
 
-    def recording(a, b, ell, target, cache):
+    def recording(a, b, disc, ell, target, cache):
         calls.append(ell)
-        return solve(a, b, ell, target, cache)
+        return solve(a, b, disc, ell, target, cache)
 
     monkeypatch.setattr(elliptic, "_division_solve", recording)
     cases = [(WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0), (1, 3)),
@@ -483,7 +489,7 @@ def test_halving_matches_quartic_route():
                  for y in {r, -r}]
         roots = integer_roots([b, a, 0, 1])
         for target in [*torsion, *small]:
-            got = elliptic._division_solve(a, b, 2, target, {})
+            got = elliptic._division_solve(a, b, disc, 2, target, {})
             assert list(got.items()) == list(
                 reference_halvings(a, b, target).items()), (a, b, target)
             quartic = integer_roots(halving_quartic(a, b, target[0]))
@@ -502,10 +508,10 @@ def test_halving_without_two_torsion_is_refused():
     # y^2 + y = x^3 has Z/3 and no point of order 2, so no e1 to halve by
     model = short_integral_model(WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0))
     a, b = model.a, model.b
-    (point, _), *_ = elliptic._torsion_by_division(
-        a, b, -16 * (4 * a ** 3 + 27 * b ** 2)).items()
+    disc = -16 * (4 * a ** 3 + 27 * b ** 2)
+    (point, _), *_ = elliptic._torsion_by_division(a, b, disc).items()
     with pytest.raises(ValueError):
-        elliptic._division_solve(a, b, 2, point, {})
+        elliptic._division_solve(a, b, disc, 2, point, {})
 
 
 def test_odd_torsion_closure_makes_no_halving(monkeypatch):
@@ -517,13 +523,13 @@ def test_odd_torsion_closure_makes_no_halving(monkeypatch):
     curve = WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
     model = short_integral_model(curve)
     disc = -16 * (4 * model.a ** 3 + 27 * model.b ** 2)
-    assert _torsion_order_bound(model.a, model.b, disc)[0] % 2 == 0
+    assert _torsion_order_bound(model.a, model.b, disc) % 2 == 0
     calls = []
     solve = elliptic._division_solve
 
-    def recording(a, b, ell, target, cache):
+    def recording(a, b, disc, ell, target, cache):
         calls.append((ell, target))
-        return solve(a, b, ell, target, cache)
+        return solve(a, b, disc, ell, target, cache)
 
     monkeypatch.setattr(elliptic, "_division_solve", recording)
     assert torsion_subgroup(curve).invariants == (1, 7)
@@ -581,13 +587,72 @@ def test_odd_division_of_two_torsion_matches_reference():
                 expected = list(reference_division_solve(a, b, ell,
                                                          target).items())
                 for solve_cache in (cache, {}):
-                    got = elliptic._division_solve(a, b, ell, target,
+                    got = elliptic._division_solve(a, b, disc, ell, target,
                                                    solve_cache)
                     assert list(got.items()) == expected, (a, b, ell, target)
     assert targets >= 40
     # the named groups, and 2-torsion with no odd torsion
     assert [len(g) + 1 for g in groups[:16]] == [6] * 9 + [10] * 4 + [12] * 3
     assert sum(all(o in (2, 4, 8) for o in g) for g in groups) >= 10
+
+
+def test_every_division_solve_matches_reference(monkeypatch):
+    # every (ell, target) solve that the closure makes, each lifted at
+    # _good_prime(disc, ell) or taken by the closed form, against the
+    # oracles: the rational-root theorem on X^3 + a X + b for (2, None), the
+    # quartic route for a halving, and reference_division_solve for odd ell.
+    # The curves are Tate normal forms with Z/5, Z/7 and Z/9 at every
+    # t = n / d with |n|, d <= 4, and with Z/10 at the parameters among them
+    # whose psi_5 keeps the reference's divisor search small; on many, the
+    # first prime >= 5 that does not divide disc is ell itself, which
+    # _good_prime skips
+    solves = []
+    solve = elliptic._division_solve
+
+    def recording(a, b, disc, ell, target, cache):
+        found = solve(a, b, disc, ell, target, cache)
+        solves.append((a, b, disc, ell, target, found))
+        return found
+
+    monkeypatch.setattr(elliptic, "_division_solve", recording)
+    ts = sorted({F(n, d) for n in range(-4, 5) for d in range(1, 5) if n})
+    curves = []
+    for t in ts:
+        c9 = t * t * (t - 1)
+        curves += [(_tate(t, t), 5), (_tate(t ** 3 - t * t, t * t - t), 7),
+                   (_tate(c9 * (t * t - t + 1), c9), 9)]
+    for t in map(F, (-1, F(-1, 2), F(1, 3), F(1, 4), 2, F(2, 3), F(3, 2),
+                     F(3, 4))):
+        u = t * t - 3 * t + 1
+        curves.append((_tate(t ** 3 * (t - 1) * (2 * t - 1) / u ** 2,
+                             -t * (t - 1) * (2 * t - 1) / u), 10))
+    seen = {"psi": 0, "division": 0, "closed": 0, "skips ell": 0}
+    orders = set()
+    for curve, order in curves:
+        if curve.is_singular():
+            continue
+        solves.clear()
+        g = torsion_subgroup(curve)
+        # a parameter may meet a larger group of the same family
+        assert g.order % order == 0, (curve, g)
+        orders.add(order)
+        for a, b, disc, ell, target, found in solves:
+            if ell == 2 and target is None:
+                expected = {(x, 0): 2
+                            for x in reference_integer_roots([b, a, 0, 1])}
+            elif ell == 2:
+                expected = reference_halvings(a, b, target)
+            else:
+                expected = reference_division_solve(a, b, ell, target)
+                seen["psi" if target is None else
+                     "closed" if target[1] == 0 else "division"] += 1
+            assert list(found.items()) == list(expected.items()), (
+                a, b, ell, target)
+            first = next(p for p in count(5)
+                         if disc % p and all(p % d for d in range(2, p)))
+            seen["skips ell"] += first == ell
+    assert orders == {5, 7, 9, 10}
+    assert min(seen.values()) >= 8, seen
 
 
 def test_torsion_families_produce_named_groups():
@@ -1016,10 +1081,10 @@ def test_coprime_mod_against_resultant():
         res = _int_resultant(f, deriv)
         for p in (3, 5, 7, 11, 13):
             if f[-1] % p:
-                got = elliptic._coprime_mod(f, deriv, p)
+                got = reference._coprime_mod(f, deriv, p)
                 assert got == (res % p != 0), (f, p)
                 seen[got] += 1
-    assert not elliptic._coprime_mod([1, 0, 0, 1], [0, 0, 3], 3)
+    assert not reference._coprime_mod([1, 0, 0, 1], [0, 0, 3], 3)
     assert min(seen.values()) >= 100, seen
 
 
@@ -1030,13 +1095,13 @@ def test_integer_roots_past_every_small_prime(monkeypatch):
     # the squarefree part, which has to pass them too
     big = 1 + _primorial(200)
     poly = _poly_mul(_poly_mul([-1, 1], [-big, 1]), [1, 0, 1])
-    tried, coprime_mod = [], elliptic._coprime_mod
+    tried, coprime_mod = [], reference._coprime_mod
 
     def spy(f, g, p):
         tried.append(p)
         return coprime_mod(f, g, p)
 
-    monkeypatch.setattr(elliptic, "_coprime_mod", spy)
+    monkeypatch.setattr(reference, "_coprime_mod", spy)
     assert integer_roots(poly) == [1, big]
     assert tried[:46] == [p for p in range(3, 212, 2)
                           if all(p % d for d in range(3, p, 2))]
@@ -1047,8 +1112,8 @@ def test_integer_roots_past_every_small_prime(monkeypatch):
 def test_torsion_of_tate_seven_at_a_huge_parameter():
     # Tate's Z/7 form at t = P + 1, P the product of the primes up to 200:
     # every prime of P divides the discriminant, so no prime of the
-    # point-count bound is good (the bound is 0) and the root finder walks
-    # past 200 for each division polynomial
+    # point-count bound is good (the bound is 0), and _good_prime walks past
+    # 200 once for each ell, where every division equation lifts
     t = F(1 + _primorial(200))
     curve = _tate(t ** 3 - t * t, t * t - t)
     g = torsion_subgroup(curve)

@@ -31,17 +31,17 @@ SOURCES = sorted(pathlib.Path(quadpreim.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 FLOAT_HOME = ("cli.py", "_display_float")
 # the coprime-base split of the scaling denominators, the integer group law,
-# the integer division polynomials, the integer roots by p-adic lifting (the
-# lift at a given prime, and the prime search with the squarefree part that it
-# falls back on), the square-root halving, the point-count table and bound and
-# the division closure that runs on them, with the int coefficient-list
-# arithmetic they share, as (module, qualified name)
+# the integer division polynomials, the integer roots by p-adic lifting at the
+# good prime of each ell, the square-root halving, the point-count table and
+# bound and the division closure that runs on them, with the int
+# coefficient-list arithmetic of exactmath, the pseudo-remainder of the
+# elimination included, as (module, qualified name)
 INTEGER_TORSION = (
     *(("exactmath", name) for name in ("_poly_mul", "_poly_sub", "_horner",
-                                       "_pseudo_rem", "_squarefree")),
+                                       "_pseudo_rem")),
     *(("elliptic", name) for name in (
         "_root", "factorize", "_int_add", "_torsion_multiples",
-        "_division_polys", "_coprime_mod", "_lifted_roots", "integer_roots",
+        "_division_polys", "_lifted_roots", "_good_prime",
         "_point_counts", "_torsion_order_bound",
         "_halvings", "_division_solve", "_torsion_by_division")))
 # the elimination of c: the integer subresultant PRS on its pseudo-remainder
