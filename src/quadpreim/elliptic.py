@@ -31,7 +31,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .exactmath import QPoly, RatLike, format_rat, int_sqrt, parse_rat
-from .exactmath import _cleared, _horner, _poly_mul, _poly_sub
+from .exactmath import _cleared, _horner, _poly_mul, _poly_sub, _power
 
 
 class OffCurveError(ValueError):
@@ -198,14 +198,7 @@ class WeierstrassCurve:
     def _mul_unchecked(self, n: int, p: ECPoint) -> ECPoint:
         if n < 0:
             n, p = -n, self.neg(p)
-        result = INFINITY
-        addend = p
-        while n:
-            if n & 1:
-                result = self._add_unchecked(result, addend)
-            addend = self._add_unchecked(addend, addend)
-            n >>= 1
-        return result
+        return _power(p, n, INFINITY, self._add_unchecked)
 
     # -- serialization -----------------------------------------------------------
 

@@ -6,11 +6,14 @@ Everything here is immutable and pure; values can be shared freely between
 threads.  Rationals are ``fractions.Fraction`` (already stored in lowest
 terms with a positive denominator), aliased as ``Rat``.  Resultants and the
 division polynomials of `elliptic` run on int coefficient lists, from the
-constant term up.
+constant term up.  Their kernels, plain + and * loops, are the package's one
+polynomial product (_poly_mul), one Horner loop (_horner) and one power
+ladder (_power) over any ring: QPoly, NFElem and a curve's group law use them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
@@ -181,11 +184,10 @@ class QPoly:
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.constant(other)
-        return NotImplemented
+        other = _as_qpoly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(("QPoly", self.coeffs))
@@ -224,22 +226,14 @@ class QPoly:
             return QPoly(c * other for c in self.coeffs)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return QPoly(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, QPoly.one())
+        return _power(self, n, QPoly.one(), operator.mul)
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Euclidean division over Q: self = q*other + r, deg r < deg other."""
@@ -266,14 +260,10 @@ class QPoly:
         return QPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def eval(self, x):
-        """Horner evaluation.  Works for Fraction arguments and, by duck
-        typing, for any ring element supporting + and * with Fractions
-        (NFElem, or a QPoly, which composes).
-        """
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+        """Horner evaluation (_horner) at a Fraction or at any ring element
+        supporting + and * with Fractions (NFElem, or a QPoly, which
+        composes)."""
+        return _horner(self.coeffs, x)
 
     # -- display -----------------------------------------------------------
 
@@ -302,13 +292,14 @@ class QPoly:
         return "QPoly(%s)" % (self.format(),)
 
 
-def _power(base, n: int, one):
-    """base^n for n >= 0 by square-and-multiply, in any ring with `one`."""
+def _power(base, n: int, one, op):
+    """base^n for n >= 0 by square-and-multiply in the monoid with operation
+    `op` and identity `one`: operator.mul in a ring, or a curve's addition."""
     result = one
     while n:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = op(result, base)
+        base = op(base, base)
         n >>= 1
     return result
 
@@ -459,11 +450,10 @@ class NFElem:
             if other.modulus != self.modulus:
                 raise ValueError("NFElem modulus mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
-            return NFElem(self.modulus, QPoly.constant(other))
-        if isinstance(other, QPoly):
-            return NFElem(self.modulus, other)
-        return NotImplemented
+        other = _as_qpoly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return NFElem(self.modulus, other)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -511,7 +501,7 @@ class NFElem:
     def __pow__(self, n: int) -> "NFElem":
         if n < 0:
             raise ValueError("negative power in a quotient ring")
-        return _power(self, n, NFElem(self.modulus, QPoly.one()))
+        return _power(self, n, NFElem(self.modulus, QPoly.one()), operator.mul)
 
     def __repr__(self):
         return "NFElem(%s mod %s)" % (self.rep.format(), self.modulus.format())

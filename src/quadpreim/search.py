@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import isqrt  # noqa: F401  traced by perfbench/run.py
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .dynamics import PreimageTree, preimage_levels, tree_from_levels
+from .dynamics import PreimageTree, orbit, preimage_levels, tree_from_levels
 from .dynamics import iterate, preimage_tree  # noqa: F401  traced by perfbench/run.py
 from .exactmath import Pair, format_pair, lowest_terms
 
@@ -108,11 +108,6 @@ class SearchConfig:
             "target": list(self.target),
             "shard": list(self.shard),
         }
-
-    def digest(self, strategy: str) -> str:
-        import hashlib          # lazily: only a checkpoint needs OpenSSL
-        payload = json.dumps(self.canonical(strategy), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -214,8 +209,7 @@ def _settle(config: SearchConfig, c: Pair, y: Pair) -> Optional[Hit]:
     levels = _walk(c, level, target[1:], config.depth - 1)
     if levels is None:
         return None
-    cn, cd = c
-    a = (yn * yn * cd + cn * yd * yd, yd * yd * cd)
+    a = orbit(c, y, 1)
     return c, a, [dict.fromkeys(level, a), *levels]
 
 
@@ -244,20 +238,23 @@ def _write_checkpoint(path: str, payload: dict):
 
 
 def _load_checkpoint(path: str,
-                     expected_digest: str) -> tuple[int, list[tuple[int, int]]]:
+                     expected: dict) -> tuple[int, list[tuple[int, int]]]:
     """The next block and the candidates of the emitted records of a checkpoint;
-    SearchArgumentError for a file that is not a readable checkpoint of this
-    configuration, or names a candidate not two nonnegative ints in its rows
-    or not past the one before (the scan emits them in increasing order)."""
+    SearchArgumentError for a file that is not a readable checkpoint of the
+    configuration `expected` (compared as sorted JSON text, so 12.0 or true is
+    not 12 or 1; an older file's config_sha is not read), or names a candidate
+    not two nonnegative ints in its rows or not past the one before (the scan
+    emits them in increasing order)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        digest, next_block = payload["config_sha"], payload["next_block"]
+        config = json.dumps(payload["config"], sort_keys=True)
+        next_block = payload["next_block"]
         hits = [(i, j) for i, j in payload["hits"]]
     except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
         raise SearchArgumentError("cannot resume from checkpoint %r: %r"
                                   % (path, exc))
-    if digest != expected_digest:
+    if config != json.dumps(expected, sort_keys=True):
         raise SearchArgumentError("checkpoint %r belongs to a different "
                                   "configuration" % (path,))
     if type(next_block) is not int or next_block < 0:
@@ -326,13 +323,13 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
     the record of a new one and attach its provenance, emit, and checkpoint
     the emitted candidates every _CHECKPOINT_BLOCKS blocks and at the end."""
     path = config.checkpoint_path
-    digest = config.digest(plan_class.strategy) if path else None
+    canonical = config.canonical(plan_class.strategy)
     start, hits = 0, []
     if resume:
         if not path:
             raise SearchArgumentError("resume requested without a checkpoint "
                                       "path")
-        start, hits = _load_checkpoint(path, digest)
+        start, hits = _load_checkpoint(path, canonical)
     plan = plan_class(config)
     if start > plan.size:
         raise SearchArgumentError("checkpoint %r has next_block %d past the "
@@ -350,9 +347,8 @@ def _scan(plan_class, config: SearchConfig, resume: bool,
 
     def checkpoint(next_block: int):
         if path:
-            _write_checkpoint(path, {
-                "config_sha": digest, "config": config.canonical(plan_class.strategy),
-                "next_block": next_block, "hits": list(emitted)})
+            _write_checkpoint(path, {"config": canonical, "next_block": next_block,
+                                     "hits": list(emitted)})
 
     blocks = _blocks(plan.live, plan.tile, start)
     batches = zip(_block_hits(plan, blocks, jobs), [end for _, end in blocks])

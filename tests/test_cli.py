@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -360,22 +361,19 @@ def _bad_checkpoints(tmp_path):
     (i, j), size = finished["hits"][0], finished["next_block"]
 
     def checkpoint(next_block, hits):
-        return json.dumps({"config_sha": old.digest("thirdpair"),
-                           "config": old.canonical("thirdpair"),
+        return json.dumps({"config": old.canonical("thirdpair"),
                            "next_block": next_block, "hits": hits})
 
     texts = {
         "list": "[]",
-        "garbled": '{"config_sha": ',
+        "garbled": '{"config": ',
         "no keys": "{}",
         # the format before checkpoints held records: seen keys only
         "seen only": json.dumps({
-            "config_sha": old.digest("thirdpair"),
             "config": old.canonical("thirdpair"), "next_block": 0,
             "emitted": 1, "seen": [["-5/16", "-1/4"]]}),
         # the format before checkpoints named hits: the emitted records whole
         "records": json.dumps({
-            "config_sha": old.digest("thirdpair"),
             "config": old.canonical("thirdpair"), "next_block": size,
             "records": records}),
         "next block -1": checkpoint(-1, []),
@@ -396,7 +394,7 @@ def _bad_checkpoints(tmp_path):
         "column 2^63": checkpoint(size, [[i, 2 ** 63]]),
         "column 10^30": checkpoint(size, [[i, 10 ** 30]]),
         # past the JSON decoder's recursion limit
-        "deeply nested": '{"config_sha": "x", "next_block": 0, "hits": '
+        "deeply nested": '{"config": "x", "next_block": 0, "hits": '
                          + "[" * 5000 + "]" * 5000 + "}",
     }
     # a finished run's checkpoint with its hits out of the order it emitted
@@ -429,6 +427,55 @@ def test_search_bad_checkpoint_is_usage_error(capsys, tmp_path, jobs):
         code, out, err = run_module(*argv)
         assert code == 2 and out == "", name
         assert "Traceback" not in err and len(err.splitlines()) == 1, name
+
+
+def _config_sha(config):
+    # the sha256 of the sorted config JSON, which older checkpoints also held
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scan", [H12, FORWARD5])
+def test_checkpoint_with_a_config_sha_resumes(capsys, tmp_path, scan):
+    # the older format, with config_sha, rewound to half its rows: resume
+    # prints the uninterrupted output and leaves the uninterrupted run's file
+    path = tmp_path / "scan.ckpt"
+    code, full, _ = run_cli(capsys, *scan, "--checkpoint", str(path))
+    finished = path.read_text()
+    payload = json.loads(finished)
+    assert code == 0 and list(payload) == ["config", "next_block", "hits"]
+    half = payload["next_block"] // 2
+    hits = [hit for hit in payload["hits"] if hit[0] < half]
+    assert 0 < len(hits) < len(payload["hits"])
+    older = {"config_sha": _config_sha(payload["config"]),
+             "config": payload["config"], "next_block": half, "hits": hits}
+    for jobs in ("1", "2"):
+        path.write_text(json.dumps(older))
+        assert run_cli(capsys, *scan, "--jobs", jobs, "--checkpoint", str(path),
+                       "--resume") == (0, full, "")
+        assert path.read_text() == finished
+
+
+@pytest.mark.parametrize("field, value", [
+    ("strategy", "forward"), ("height_bound", 13), ("height_bound", 12.0),
+    ("depth", 4), ("target", [2, 4, 6]), ("shard", [1, 2]),
+    ("shard", [0, True])])
+def test_checkpoint_of_another_config_is_usage_error(capsys, tmp_path, field,
+                                                     value):
+    # H12's finished checkpoint with one config field changed, and the
+    # config_sha of H12 itself: resume compares the config as sorted JSON
+    # text, where 12.0 and true are not 12 and 1, and refuses it unprinted
+    path = tmp_path / "h12.ckpt"
+    assert run_cli(capsys, *H12, "--checkpoint", str(path))[0] == 0
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(
+        payload, config_sha=_config_sha(payload["config"]),
+        config=dict(payload["config"], **{field: value}))))
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, *H12, "--jobs", jobs, "--checkpoint",
+                                 str(path), "--resume")
+        assert code == 2 and out == ""
+        assert err == ("error: checkpoint %r belongs to a different "
+                       "configuration\n" % str(path))
 
 
 @pytest.mark.parametrize("scan", [

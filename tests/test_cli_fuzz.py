@@ -35,12 +35,11 @@ H12 = SearchConfig(height_bound=12, depth=3, target=(2, 4, 4))
 
 def _checkpoint(next_block, hits, key="hits"):
     # a checkpoint of the third-pair H = 12, 2,4,4 scan, which has 91 rows
-    return json.dumps({"config_sha": H12.digest("thirdpair"),
-                       "config": H12.canonical("thirdpair"),
+    return json.dumps({"config": H12.canonical("thirdpair"),
                        "next_block": next_block, key: hits})
 
 
-GARBLED = ["[]", "{", "{}", '{"config_sha": "0", "seen": []}', "\x00\xff",
+GARBLED = ["[]", "{", "{}", '{"config": "0", "seen": []}', "\x00\xff",
            '{"records": ' + "[" * 5000 + "]" * 5000 + "}",
            # the format before checkpoints named hits: whole records
            _checkpoint(91, [{"c": "-5/16"}], key="records"),

@@ -135,6 +135,28 @@ def test_group_law_axioms_random():
             assert E._add_unchecked(p, E.neg(p)) == INFINITY
 
 
+def test_mul_is_repeated_addition():
+    # [n]P against the |n|-fold sum of P, or of -P for n < 0, from n = -2 ord P
+    # to 2 ord P, and from -8 to 8 for a point of infinite order
+    tate7 = WeierstrassCurve.from_coeffs(-1, -4, -4, 0, 0)     # t = 2: Z/7
+    e222 = specialize_e222(4)
+    cases = [(specialize_e24(1).curve, ECPoint.affine(2, 10), 4),
+             (specialize_e24(2).curve, ECPoint.affine(20, 108), 8),
+             (tate7, ECPoint.affine(0, 0), 7),
+             (tate7, INFINITY, 1),
+             (*curve_244(), None),
+             (e222.curve, e222.p_point, None)]
+    for curve, point, order in cases:
+        assert point_order(curve, point) == order
+        bound = 2 * order if order else 8
+        for n in range(-bound, bound + 1):
+            addend = point if n >= 0 else curve.neg(point)
+            total = INFINITY
+            for _ in range(abs(n)):
+                total = curve.add(total, addend)
+            assert curve.mul(n, point) == total, (curve, point, n)
+
+
 def test_point_order_examples():
     f1 = specialize_e24(1)
     assert point_order(f1.curve, f1.torsion_point) == 4

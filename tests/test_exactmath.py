@@ -120,6 +120,26 @@ def test_qpoly_arithmetic():
     assert r.degree < g.degree
 
 
+def test_qpoly_product_with_zero_and_interior_zeros():
+    f = QPoly([F(1, 2), 0, 0, -3])     # -3x^3 + 1/2
+    g = QPoly([0, 2, 0, 1])            # x^3 + 2x
+    zero = QPoly.zero()
+    for product in (f * zero, zero * f, zero * zero):
+        assert product.coeffs == () and product.degree == -1
+    # -3x^6 - 6x^4 + x^3/2 + x
+    assert f * g == g * f == QPoly([0, 1, 0, F(1, 2), -6, 0, -3])
+    assert all(type(c) is Fraction for c in (f * g).coeffs)
+
+
+def test_qpoly_eval_at_a_number_field_element():
+    # x = 1 + sqrt 2: x^2 = 3 + 2 sqrt 2, x^3 = 7 + 5 sqrt 2, so
+    # x^3 - 3x + 1 = 7 + 5 sqrt 2 - 3 - 3 sqrt 2 + 1 = 5 + 2 sqrt 2
+    mod = QPoly([-2, 0, 1])
+    x = NFElem(mod, QPoly([1, 1]))
+    assert QPoly([1, -3, 0, 1]).eval(x) == NFElem(mod, QPoly([5, 2]))
+    assert QPoly([F(3, 4)]).eval(x) == NFElem(mod, QPoly([F(3, 4)]))
+
+
 def test_qpoly_eval_and_compose():
     f = QPoly([1, 0, 1])        # x^2 + 1
     assert f.eval(F(1, 2)) == F(5, 4)

@@ -682,8 +682,7 @@ def test_forward_resume_from_every_row(tmp_path):
     for next_block in range(plan.size + 1):
         emitted = [hit for hit in hits if hit[0] < next_block]
         with open(path, "w") as fh:
-            json.dump({"config_sha": cfg.digest("forward"),
-                       "config": cfg.canonical("forward"),
+            json.dump({"config": cfg.canonical("forward"),
                        "next_block": next_block, "hits": emitted}, fh)
         for jobs in (1, 2):
             assert _printed(scan_forward(cfg, resume=True, jobs=jobs)) == full
@@ -732,7 +731,8 @@ def test_checkpoint_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_CHECKPOINT_BLOCKS", 128)
     full = {(r.c, r.a) for r in scan_thirdpair(cfg)}
     payload = json.load(open(path))
-    assert payload["config_sha"] == cfg.digest("thirdpair")
+    assert payload["config"] == cfg.canonical("thirdpair")
+    assert "config_sha" not in payload
     assert payload["next_block"] == len(fractions_by_height(60))
 
     # rewind the checkpoint halfway and resume; the tail must re-emerge

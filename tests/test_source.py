@@ -4,8 +4,9 @@ Correctness must not rest on `assert` (python -O strips it), the core is
 exact (a float appears only in the display helper), and importing the
 package starts no worker machinery (`multiprocessing` is imported where a
 pool is made, so a one-job run never pays for it) and loads no numpy: only
-`plans` imports it, and only a scan loads `plans`.  Nor does it load
-OpenSSL's `_hashlib`, which only a checkpoint's digest needs.  The torsion hot path,
+`plans` imports it, and only a scan loads `plans`.  No command loads
+OpenSSL's `_hashlib`, a checkpointed scan included: a checkpoint keeps its
+configuration as JSON, not a digest of it.  The torsion hot path,
 the elimination of c, the settling of a search candidate and the making of
 its record stay on Python ints, and the numpy code of the scans' filters
 has no true division and no float dtype.
@@ -94,9 +95,9 @@ FORWARD_COMMAND = ["search", "--strategy", "forward", "--height-bound", "4",
                    "--depth", "3", "--target", "2,2,4"]
 CHECKPOINT_COMMAND = [*SCAN_COMMAND, "--checkpoint", "scan.ckpt"]
 # run in a fresh interpreter (pytest has numpy loaded): whether numpy and
-# _hashlib (OpenSSL, which only a checkpoint's digest needs) are loaded after
-# importing the package, then (exit code, numpy, _hashlib) after each command
-# of argv[1] in turn
+# _hashlib (OpenSSL, which no command needs) are loaded after importing the
+# package, then (exit code, numpy, _hashlib) after each command of argv[1] in
+# turn
 LOAD_PROBE = """
 import contextlib, io, json, sys
 import quadpreim
@@ -190,7 +191,7 @@ def test_numpy_loads_only_for_scans(tmp_path):
         **{" ".join(argv): [0, False, False] for argv in NO_SCAN_COMMANDS},
         " ".join(SCAN_COMMAND): [0, True, False],
         " ".join(FORWARD_COMMAND): [0, True, False],
-        " ".join(CHECKPOINT_COMMAND): [0, True, True]}
+        " ".join(CHECKPOINT_COMMAND): [0, True, False]}
     assert (tmp_path / "scan.ckpt").exists()
 
 
