@@ -244,7 +244,9 @@ def cmd_verify_paper(args) -> int:
 # argument wiring
 # --------------------------------------------------------------------------
 
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+# a negative rational, or a comma list of integers that starts negative
+# (--target -1,4,6), so that the scan's own check reports it
+_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d+(,-?\d+)+$")
 
 
 def _rational_friendly(parser: argparse.ArgumentParser):

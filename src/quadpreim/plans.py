@@ -172,10 +172,10 @@ def _kind_tables(form, m: int, q: int, *args) -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _stacked_tables(form, *args) -> tuple[np.ndarray, ...]:
-    """The kind tables of form(*args) over the twelve moduli, stacked: each
-    form's row kinds of each modulus in turn are the rows of `stacked`, over
-    the column kinds of modulus[row].  At a fraction's keys, row_kinds[f]
-    is its stacked row of form f and col_kinds its column kind."""
+    """The kind tables of form(*args) over the twelve moduli, stacked: for
+    each (first, end, i) in runs, one form's row kinds of modulus i are the
+    rows first to end of `stacked`, over its column kinds.  At a fraction's
+    keys, row_kinds[f] is its stacked row of form f and col_kinds its kind."""
     tables = [_kind_tables(form, m, q, *args) for m, q in _MODULI]
     forms, rows = len(tables[0][2]), [table.shape[1] for *_, table in tables]
     bases, width = np.cumsum([0] + rows), max(t.shape[2] for *_, t in tables)
@@ -188,8 +188,9 @@ def _stacked_tables(form, *args) -> tuple[np.ndarray, ...]:
     row_kinds = np.concatenate([k.ravel() + k.dtype.type(b) for (k, *_), b
                                 in zip(tables, bases)]).astype(shift.dtype) + shift
     col_kinds = np.concatenate([kinds.ravel() for _, kinds, _ in tables])
-    modulus = np.tile(np.repeat(np.arange(len(rows)), rows), forms)
-    return row_kinds, col_kinds, modulus, stacked.reshape(-1, width)
+    runs = [(f * bases[-1] + lo, f * bases[-1] + hi, i) for f in range(forms)
+            for i, (lo, hi) in enumerate(zip(bases, bases[1:]))]
+    return row_kinds, col_kinds, runs, stacked.reshape(-1, width)
 
 
 def _kind_keys(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
@@ -202,7 +203,9 @@ def _row_mask(tables, keys: np.ndarray) -> np.ndarray:
     """Whether each row (_kind_keys) can meet a column: for some form, its
     stacked row is nonzero under every modulus, as _kind_pairs reads them."""
     row_kinds, _, _, stacked = tables
-    return stacked.any(axis=1)[row_kinds[:, keys]].all(axis=1).any(axis=0)
+    nonzero = stacked.any(axis=1)    # a modulus at a time: take copies keys to intp
+    return functools.reduce(np.logical_and, (
+        nonzero.take(row_kinds.take(k, axis=1)) for k in keys)).any(axis=0)
 
 
 def _kind_filter(tables, row_keys: np.ndarray, col_keys: np.ndarray,
@@ -211,21 +214,23 @@ def _kind_filter(tables, row_keys: np.ndarray, col_keys: np.ndarray,
     for the rows and the columns `columns`, by their keys (_kind_keys): offsets[r,
     f, i], the stacked row of form f under modulus i of row r; and per class w
     of the shard total, the columns j = w mod total and bits[s], stacked row
-    s over them, 64 columns a word, made by one take and one packbits."""
-    row_kinds, col_kinds, modulus, stacked = tables
-    offsets = row_kinds[:, row_keys].transpose(2, 0, 1)
-    start = np.arange(0, stacked.size, stacked.shape[1])[:, None]
-    # runs of columns that keep the take's index near 2^18 entries (2 MB)
+    s over them, 64 columns a word, each modulus taken from its own rows."""
+    row_kinds, col_kinds, runs, stacked = tables
+    offsets = np.empty((len(row_keys.T), len(row_kinds), len(_MODULI)), row_kinds.dtype)
+    for i, keys in enumerate(row_keys):
+        offsets[:, :, i] = row_kinds.take(keys, axis=1).T
+    # runs of columns that keep a pack near 2^18 entries (256 KB)
     run = max(1, (1 << 18) // len(stacked) // 64) * 64
     classes, shard, bits = columns % total, [], []
+    kinds = np.stack([col_kinds.take(keys) for keys in col_keys])
     for w in range(total):
-        at = classes == w
-        shard.append(columns[at])
-        kinds = col_kinds[col_keys[:, at]]
-        packed = [np.packbits(stacked.take(kinds[modulus, lo:lo + run] + start),
-                              axis=1, bitorder="little")
-                  for lo in range(0, kinds.shape[1], run)]
-        pad = np.zeros((len(stacked), -kinds.shape[1] // 8 % 8), dtype=np.uint8)
+        at = np.flatnonzero(classes == w)
+        shard.append(columns.take(at))
+        packed = [np.packbits(np.concatenate([
+            stacked[first:end].take(kinds[i].take(at[lo:lo + run]), axis=1)
+            for first, end, i in runs]), axis=1, bitorder="little")
+                  for lo in range(0, len(at), run)]
+        pad = np.zeros((len(stacked), -len(at) // 8 % 8), dtype=np.uint8)
         bits.append(np.concatenate(packed + [pad], axis=1).view(np.uint64))
     return offsets, shard, bits
 
@@ -235,25 +240,27 @@ def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tup
     ANDed over the moduli, ORed over the forms), j over the columns of the
     class want[r] of each row; with `diagonal` (rows and columns index one
     list), only the words up to the group's last row, and only j <= i."""
-    offsets = plan.offsets[np.searchsorted(plan.live, rows)]
+    offsets = plan.offsets.take(np.searchsorted(plan.live, rows), axis=0)
     found_i, found_j = [rows[:0]], [rows[:0]]      # a class may meet no column
     for w in np.flatnonzero(np.bincount(want)).tolist():
-        at = want == w
-        group, idx, bits = rows[at], plan.columns[w], plan.bits[w]
+        at = np.flatnonzero(want == w)
+        group, idx, bits = rows.take(at), plan.columns[w], plan.bits[w]
         end = np.searchsorted(idx, group[-1], "right") if diagonal else len(idx)
-        bits = bits[:, :(int(end) + 63) // 64]
+        bits = bits[:, :(int(end) + 63) // 64]     # strided: take would copy it
         # each form's bit rows ANDed one modulus at a time: (rows, words)
         alive = np.zeros((len(group), bits.shape[1]), dtype=np.uint64)
-        for form in offsets[at].transpose(1, 2, 0):
+        for form in offsets.take(at, axis=0).transpose(1, 2, 0):
             term = bits[form[0]]
             for stacked in form[1:]:
                 term &= bits[stacked]
             alive |= term
-        r, word = np.nonzero(alive)
-        unpacked = np.unpackbits(alive[r, word].view(np.uint8).reshape(-1, 8),
-                                 axis=1, bitorder="little")
-        k, b = np.nonzero(unpacked)
-        i, j = group[r[k]], idx[64 * word[k] + b]
+        flat = np.flatnonzero(alive)
+        octets = alive.ravel().take(flat).view(np.uint8)
+        nz = np.flatnonzero(octets)     # a nonzero word has about one bit set
+        bit = np.flatnonzero(np.unpackbits(octets.take(nz), bitorder="little"))
+        hit = 8 * (8 * flat.take(nz >> 3) + (nz & 7)).take(bit >> 3) + (bit & 7)
+        r, col = np.divmod(hit, 64 * alive.shape[1])
+        i, j = group.take(r), idx.take(col)
         found_i.append(i[j <= i] if diagonal else i)
         found_j.append(j[j <= i] if diagonal else j)
     return np.concatenate(found_i), np.concatenate(found_j)
@@ -309,7 +316,7 @@ class _ThirdPairPlan:
         live = np.flatnonzero(_two_square_mask(nums, dens))
         tables, keys = _stacked_tables(_pair_form), _kind_keys(nums[live], dens[live])
         alive = _row_mask(tables, keys)     # N is symmetric: dead columns too
-        self.live, keys = live[alive], keys[:, alive]
+        self.live, keys = live[alive], keys.compress(alive, axis=1)  # C-contiguous
         self.offsets, self.columns, self.bits = _kind_filter(
             tables, keys, keys, self.live, config.shard[1])
         self.tile = _word_tile(self.bits)

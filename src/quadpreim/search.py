@@ -65,7 +65,7 @@ class CheckpointError(RuntimeError):
 
 # plans._height_order peaks at about 22 H^2 bytes (90 MB at 2,000); built at
 # 2,000 the forward plan (three int64 pairs a fraction, target 2,2,4) peaks at
-# 1,004 MB max RSS, the third-pair plan at 133 MB (Python 3.11, numpy 2.4)
+# 1,004 MB max RSS, the third-pair plan at 130 MB (Python 3.11, numpy 2.4)
 _HEIGHT_BOUND_CAP = 2000
 # plans._kind_filter packs at least a word a stacked row (5 KB for the forward
 # filter) for every shard class with a column: about 20 MB at 4,096 classes

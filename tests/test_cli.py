@@ -599,6 +599,15 @@ def test_search_bad_target_is_usage_error(capsys, tmp_path):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [
         "error: --target expects comma-separated counts, got '2,x,6'"]
+    # a count list that starts negative is --target's value, not a flag
+    for target in (("--target", "-1"), ("--target", "-1,4,6"),
+                   ("--target=-1,4,6",), ("--target", "-1,-4,6")):
+        argv = ("search", "--strategy", "forward", "--height-bound", "2",
+                "--depth", "3", *target)
+        for code, out, err in (run_cli(capsys, *argv), run_module(*argv)):
+            assert (code, out) == (2, "") and "Traceback" not in err
+            assert err.strip().splitlines() == [
+                "error: target counts are nonnegative"]
     # a third-pair target with fewer than three second pre-images goes to
     # forward, refused before any checkpoint is read
     argv = ("search", "--strategy", "thirdpair", "--height-bound", "5",

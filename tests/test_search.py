@@ -305,6 +305,10 @@ def test_stacked_kind_rows():
     assert plan.offsets.shape[1:] == (1, 12) and plan.offsets.max() < 126
     assert plan.offsets.dtype == np.uint8
     assert [bits.shape[0] for bits in plan.bits] == [126]
+    # _kind_pairs gathers from these with ndarray.take, which first copies a
+    # source that is not C-contiguous, in full
+    assert plan.offsets.flags.c_contiguous
+    assert all(bits.flags.c_contiguous for bits in plan.bits)
     rows = [len(plans._kind_tables(plans._branch_forms, m, q, 1, 4)[2][0])
             for m, q in plans._MODULI]
     assert sum(rows) == 307
@@ -313,6 +317,8 @@ def test_stacked_kind_rows():
     assert plan.offsets.shape[1:] == (3, 12) and plan.offsets.max() >= 2 * 307
     assert plan.offsets.dtype == np.uint16
     assert [bits.shape[0] for bits in plan.bits] == [3 * 307]
+    assert plan.offsets.flags.c_contiguous
+    assert all(bits.flags.c_contiguous for bits in plan.bits)
 
 
 def _num_den_arrays(frs):
@@ -1026,15 +1032,17 @@ def test_forward_branch_filter_matches_oracle(depth, target, records):
 def test_forward_kind_filter_matches_reference_mask(depth):
     # the kind-table filter keeps exactly the candidates of the shard on the
     # live rows that the per-candidate residue route keeps, in candidate
-    # order
+    # order; at H = 32 a shard of total 1 has 648 x0 columns, more than one
+    # pack run of the G_m rows (384 columns for the 612 stacked rows of
+    # depth 3, target 2,2,4), so the packing crosses a run boundary
     found = 0
-    for bound in range(1, 17):
+    for bound, totals in [(b, (1, 2, 3)) for b in range(1, 17)] + [(32, (1,))]:
         for target in ((2, 4), (2, 2, 4), (2, 4, 4), (2, 2, 6), (2, 2, 2, 4),
                        (2, 3), (4, 2, 2)):
             if len(target) > depth:
                 continue
             wide = next(k for k, want in enumerate(target, 1) if want > 2)
-            for total in (1, 2, 3):
+            for total in totals:
                 for index in range(total):
                     plan = plans._ForwardPlan(SearchConfig(
                         height_bound=bound, depth=depth, target=target,
