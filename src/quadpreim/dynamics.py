@@ -234,6 +234,7 @@ def critical_avalues(n: int) -> CriticalData:
     """
     if n < 2:
         raise ValueError("critical a-values start at n = 2")
-    minpoly = eliminate_c(critical_poly(n), _orbit_poly(n))
-    return CriticalData(n=n, crit_poly_c=critical_poly(n), avalue_minpoly=minpoly)
+    crit = critical_poly(n)
+    return CriticalData(n=n, crit_poly_c=crit,
+                        avalue_minpoly=eliminate_c(crit, _orbit_poly(n)))
 

@@ -327,7 +327,11 @@ def factorize(dens: list[int]) -> dict[int, list[int]]:
             if s ** k == r:
                 r = s
             else:
-                k += 1
+                # prime k only: an r = s^k is a q-th power for each prime
+                # q | k; every odd k below 9 is prime
+                k += 1 + (k > 2)
+                while k > 8 and not all(k % d for d in range(3, isqrt(k) + 1, 2)):
+                    k += 2
         exps = []
         for n in dens:
             e = 0
@@ -550,7 +554,8 @@ def _division_solve(a: int, b: int, disc: int, ell: int, target,
     in the f_n of _division_polys: the x(Q) with [ell]Q = +-P, distinct mod
     p when P != -P.  A P = -P needs no roots: [ell]P = P, so [ell]Q = P
     exactly when Q = P + T with [ell]T = O, and the candidates are x(P) and
-    the x(P + T) over the cached T."""
+    the x(P + T) over the cached T: such a solve needs (ell, None) solved
+    into psi_cache first, as _torsion_by_division always does."""
     if ell not in psi_cache:
         p = _good_prime(disc, ell)
         if ell == 2:
@@ -567,8 +572,6 @@ def _division_solve(a: int, b: int, disc: int, ell: int, target,
             raise ValueError("halving needs a rational 2-torsion point")
         xs = _halvings(a, psi_cache[2][0], target)
     elif target is not None and target[1] == 0:
-        if (ell, None) not in psi_cache:
-            _division_solve(a, b, disc, ell, None, psi_cache)
         xs = sorted({target[0], *(q[0] for t in psi_cache[ell, None]
                                   if (q := _int_add(a, target, t)))})
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .exactmath import QPoly
@@ -103,7 +103,7 @@ class QuadricModel:
         return [g.evaluate(point, a_value) for g in self.generators]
 
     def contains(self, point: Sequence, a_value) -> bool:
-        return all(_ring_is_zero(r) for r in self.residues(point, a_value))
+        return all(r == 0 for r in self.residues(point, a_value))
 
     def export_text(self) -> str:
         lines = ["variables: %s" % ", ".join(self.var_names)]
@@ -121,12 +121,6 @@ def _evaluate_terms(terms, point: Sequence, a_value):
                 term = term * value
         total = total + term
     return total
-
-
-def _ring_is_zero(value) -> bool:
-    if hasattr(value, "is_zero"):
-        return value.is_zero()
-    return value == 0
 
 
 def _mono(num_vars: int, *positions: int) -> Monomial:
@@ -207,25 +201,13 @@ def genus_hilbert(n: int) -> int:
     """Arithmetic genus of a complete intersection of n-1 quadrics in P^n
     through its Hilbert polynomial:
     p_a = sum_{m=1}^{n-1} (-1)^(m+1) C(n-1, m) phi(-2m) with
-    phi(z) = (z+1)(z+2)...(z+n)/n!."""
+    phi(z) = (z+1)(z+2)...(z+n)/n!.  Each phi(-2m) is an integer: a
+    product of n consecutive integers is divisible by n!."""
     if n < 2:
         raise ValueError("n must be at least 2")
-
-    def phi(z: int) -> Fraction:
-        num = 1
-        for i in range(1, n + 1):
-            num *= z + i
-        value = Fraction(num)
-        for i in range(1, n + 1):
-            value /= i
-        return value
-
-    total = Fraction(0)
-    for m in range(1, n):
-        total += (-1) ** (m + 1) * comb(n - 1, m) * phi(-2 * m)
-    if total.denominator != 1:
-        raise ArithmeticError("Hilbert-polynomial genus is not an integer")
-    return int(total)
+    return sum((-1) ** (m + 1) * comb(n - 1, m)
+               * (prod(range(1 - 2 * m, n + 1 - 2 * m)) // factorial(n))
+               for m in range(1, n))
 
 
 def genus_with_delta(n: int, deltas: Sequence[int]) -> int:
@@ -289,7 +271,7 @@ def jacobian_minors(model: QuadricModel, chart_var: int, point: Sequence,
     proj = list(point)
     proj.insert(chart_var, Fraction(1))
     residues = model.residues(proj, a_value)
-    if not all(_ring_is_zero(r) for r in residues):
+    if any(r != 0 for r in residues):
         raise ModelMembershipError(residues)
 
     cols = [i for i in range(nv) if i != chart_var]
@@ -313,7 +295,7 @@ def _det(rows: list) -> object:
     total = 0
     for j in range(n):
         entry = rows[0][j]
-        if _ring_is_zero(entry):
+        if entry == 0:
             continue
         sub = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         cofactor = _det(sub)

@@ -239,7 +239,10 @@ def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tup
     """The pairs (i in rows, j) that the packed filter keeps (its bit rows
     ANDed over the moduli, ORed over the forms), j over the columns of the
     class want[r] of each row; with `diagonal` (rows and columns index one
-    list), only the words up to the group's last row, and only j <= i."""
+    list), only the words up to the group's last row, and only j <= i.  The
+    pairs come in candidate order, by (i, j): within a class they come out
+    so, and each row draws all its columns from one class, so a stable sort
+    on i merges the classes."""
     offsets = plan.offsets.take(np.searchsorted(plan.live, rows), axis=0)
     found_i, found_j = [rows[:0]], [rows[:0]]      # a class may meet no column
     for w in np.flatnonzero(np.bincount(want)).tolist():
@@ -263,7 +266,9 @@ def _kind_pairs(plan, rows: np.ndarray, want: np.ndarray, diagonal: bool) -> tup
         i, j = group.take(r), idx.take(col)
         found_i.append(i[j <= i] if diagonal else i)
         found_j.append(j[j <= i] if diagonal else j)
-    return np.concatenate(found_i), np.concatenate(found_j)
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    order = i.argsort(kind="stable")
+    return i.take(order), j.take(order)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,6 @@ def _square_pairs(plan: _ThirdPairPlan, tile: np.ndarray) -> list[tuple[int, ...
         big = 4 * e2 * (s := x2 + y2) - (x2 - y2) ** 2
         if big >= 0 and (r := isqrt(big)) ** 2 == big:
             survivors.append((i, j, s, r))
-    survivors.sort()
     return survivors
 
 
@@ -415,11 +419,11 @@ class _ForwardPlan:
             # candidate ci width + xi is in the shard iff xi = want mod total
             ci, xi = _kind_pairs(self, rows, (index - rows * width) % total,
                                  diagonal=False)
-            found = np.sort(ci * width + xi)
         else:
-            found = (rows[:, None] * width + np.arange(width)).ravel()
-            found = found[found % total == index]
-        return list(zip(*(a.tolist() for a in np.divmod(found, width))))
+            r, xi = np.nonzero((rows[:, None] * width + np.arange(width))
+                               % total == index)
+            ci = rows.take(r)
+        return list(zip(ci.tolist(), xi.tolist()))
 
     def pairs(self, ci: int, xi: int) -> tuple[Pair, Pair]:
         """(c, x0) of candidate (ci, xi) as reduced (n, d)."""

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import count
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -573,8 +573,10 @@ def test_odd_division_of_two_torsion_matches_reference():
     # for odd ell and a target P of order 2, _division_solve takes the
     # candidates P + T over the solutions T of [ell]T = O; the reference
     # takes the integer roots of the division equation, whose roots repeat
-    # for such a P: both give the same dict in the same order, whether the
-    # solutions of [ell]T = O are cached or not.  The models are Tate
+    # for such a P: both give the same dict in the same order, from a cache
+    # shared by every target of the curve or from a fresh one.  Each cache
+    # holds the (ell, None) solve before any target, as in the closure
+    # (_division_solve's precondition).  The models are Tate
     # normal forms with Z/6, Z/10 and Z/2 x Z/6, at parameters whose
     # integral models keep the reference's divisor search small, and seeded
     # curves (X - e)(X^2 + e X + c), which have 2-torsion and mostly no odd
@@ -601,6 +603,8 @@ def test_odd_division_of_two_torsion_matches_reference():
         torsion = elliptic._torsion_by_division(a, b, disc)
         groups.append(sorted(torsion.values()))
         cache = {}
+        for ell in (3, 5):
+            elliptic._division_solve(a, b, disc, ell, None, cache)
         for target, order in torsion.items():
             if order != 2:
                 continue
@@ -608,7 +612,9 @@ def test_odd_division_of_two_torsion_matches_reference():
             for ell in (3, 5):
                 expected = list(reference_division_solve(a, b, ell,
                                                          target).items())
-                for solve_cache in (cache, {}):
+                fresh = {}
+                elliptic._division_solve(a, b, disc, ell, None, fresh)
+                for solve_cache in (cache, fresh):
                     got = elliptic._division_solve(a, b, disc, ell, target,
                                                    solve_cache)
                     assert list(got.items()) == expected, (a, b, ell, target)
@@ -877,6 +883,26 @@ def test_coprime_base_split_against_prime_factoring():
     assert elliptic.factorize([5 ** 4 * 7 ** 2]) == {175: [2]}
     assert elliptic.factorize([5 ** 4 * 7 ** 2, 5]) == {5: [4, 1], 7: [2, 0]}
     assert elliptic.factorize([1, 1]) == {}
+
+
+def test_coprime_base_tries_prime_exponents_only(monkeypatch):
+    # a root r = s^k is a q-th power for each prime q | k, so factorize takes
+    # k-th roots at prime k only: one _root call per prime up to the bit
+    # length, plus one per exact root, on this 2,000-digit odd non-power,
+    # where trying every k took 6,642 calls
+    big = random.Random(SEED + 37).randrange(10 ** 1999, 10 ** 2000) | 1
+    calls = []
+    root = elliptic._root
+    monkeypatch.setattr(elliptic, "_root",
+                        lambda n, k: calls.append(k) or root(n, k))
+    assert elliptic.factorize([big, big]) == {big: [1, 1]}
+    bits = big.bit_length()
+    primes = [p for p in range(2, bits + 1)
+              if all(p % d for d in range(2, isqrt(p) + 1))]
+    assert calls == primes
+    # 3^105 comes down to 3 by exact roots at k = 3, 5 and 7
+    assert elliptic.factorize([3 ** 210, 3 ** 105 * 5 ** 42]) == {
+        3: [210, 105], 5: [0, 42]}
 
 
 def _torsion_json(g):

@@ -576,6 +576,37 @@ def test_row_mask_on_forward_tables():
     assert len(ci)
 
 
+def test_plans_give_candidates_in_order():
+    # _kind_pairs is the one place that orders candidates: its pairs, and
+    # the candidates of both plans over any range of rows, are strictly
+    # increasing in (row, column) for every shard, though the filter finds
+    # them one shard class at a time; forward 2,2,2 takes the unfiltered route
+    def increasing(pairs):
+        return all(p < q for p, q in zip(pairs, pairs[1:]))
+
+    found = 0
+    for total in (1, 2, 3, 5):
+        for index in range(total):
+            for bound, target in ((40, (2, 4, 6)), (16, (2, 2, 4)), (16, (2, 2, 2))):
+                cfg = SearchConfig(height_bound=bound, depth=3, target=target,
+                                   shard=(index, total))
+                third = target == (2, 4, 6)
+                plan = (plans._ThirdPairPlan if third else plans._ForwardPlan)(cfg)
+                for first, end in ((0, plan.size), (plan.size // 3, plan.size // 2)):
+                    kept = plan.candidates(first, end)
+                    assert increasing(kept), (cfg, first, end)
+                    found += len(kept)
+                    if target == (2, 2, 2):
+                        continue
+                    rows = plans._live_rows(plan.live, first, end)
+                    want = (index - (rows * (rows + 1) // 2 if third else
+                                     rows * len(plan.x_num))) % total
+                    gi, gj = plans._kind_pairs(plan, rows, want, diagonal=third)
+                    assert increasing(list(zip(gi.tolist(), gj.tolist())))
+                    found += len(gi)
+    assert found > 10000
+
+
 @pytest.mark.parametrize("target", [(2, 4, 6), (2, 4, 4)])
 def test_block_layout_does_not_change_the_output(tmp_path, monkeypatch, target):
     # one row a block, eight rows, or the whole H = 60 scan in one block,
